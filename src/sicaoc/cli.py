@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,8 +166,8 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(f"control.u_max must lie in [0, 1), got {control.u_max}")
     if not 0.0 < control.relaxation <= 1.0:
         raise ConfigError("control.relaxation must lie in (0, 1]")
-    if control.delta_error <= 0.0:
-        raise ConfigError("control.delta_error must be positive")
+    if not 0.0 < control.delta_error < math.inf:
+        raise ConfigError("control.delta_error must be positive and finite")
     if control.max_iterations < 1:
         raise ConfigError("control.max_iterations must be at least 1")
 
@@ -213,13 +214,14 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _cell(value) -> str:
+    return value if isinstance(value, str) else _fmt(value)
+
+
 def write_csv(path: Path, header, columns) -> None:
-    rows = [",".join(header)]
-    n = len(columns[0])
-    for k in range(n):
-        rows.append(",".join(
-            col[k] if isinstance(col[k], str) else _fmt(col[k])
-            for col in columns))
+    # one .tolist() per numpy column instead of a numpy scalar per cell
+    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    rows = [",".join(header)] + [",".join(map(_cell, row)) for row in zip(*values)]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -8,20 +8,26 @@ controlled dynamics with a prevention effort u, the running cost and
 objective of the control problem, the Hamiltonian, the costate
 (adjoint) dynamics and the pointwise optimal-control law.
 
-State vectors are plain length-4 numpy arrays ordered
-``(s, i, c, a)`` for fractions, ``(S, I, C, A)`` for absolute counts
-and ``(lambda1, ..., lambda4)`` for costates.
+State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
+fractions, ``(S, I, C, A)`` for absolute counts and
+``(lambda1, ..., lambda4)`` for costates.  The public functions take
+and return numpy arrays; ``controlled_field`` and ``costate_field``
+build the float kernels behind them, which the sweep calls directly
+with tuples of Python floats to avoid numpy's per-call overhead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .integrators import Trajectory
 
 ADJOINT_MODES = ("derived", "verbatim")
+
+FloatState = tuple[float, float, float, float]
 
 
 class DegeneratePopulation(ValueError):
@@ -72,8 +78,14 @@ class ControlBounds:
         if not 0.0 <= self.u_max < 1.0:
             raise ValueError(f"u_max must lie in [0, 1), got {self.u_max}")
 
-    def clamp(self, u: float) -> float:
-        return min(max(0.0, u), self.u_max)
+    def clamp(self, u: float | np.ndarray):
+        """Project u (a number or an array) onto [0, u_max].
+
+        The argument order keeps the sign of zero that the builtins give
+        ``min(max(0.0, u), u_max)``: numpy returns the second argument
+        on a tie, and ``np.clip`` would keep a ``-0.0`` stationary point.
+        """
+        return np.minimum(self.u_max, np.maximum(u, 0.0))
 
 
 def force_of_infection(p: ModelParams, x: np.ndarray) -> float:
@@ -98,21 +110,36 @@ def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
     ])
 
 
+def controlled_field(p: ModelParams) -> Callable[[Sequence[float], float], FloatState]:
+    """Float kernel ``(x, u) -> x'`` of the fraction dynamics with prevention u.
+
+    The effort u scales the infection term and may be any real number,
+    since the Hamiltonian evaluates the dynamics off the admissible set.
+    The parameters are read once, so each call does float arithmetic
+    only.  At u = 0 it is the uncontrolled dynamics bit for bit, because
+    ``1.0 - 0.0 == 1.0``.
+    """
+    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
+    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+
+    def field(x, u):
+        s, i, c, a = x
+        aux1 = (1.0 - u) * beta * (i + eta_c * c + eta_a * a) * s
+        aux2 = d * a
+        return (b * (1.0 - s) - aux1 + aux2 * s,
+                aux1 - (rho + phi + b - aux2) * i + alpha * a + omega * c,
+                phi * i - (omega + b - aux2) * c,
+                rho * i - (alpha + b + d - aux2) * a)
+    return field
+
+
 def rhs_normalized(p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Time derivative of the fraction state (s, i, c, a).
 
     On the simplex s+i+c+a = 1 the four components sum to zero, so the
     dynamics preserve the simplex identically.
     """
-    s, i, c, a = x
-    aux1 = p.beta * (i + p.eta_c * c + p.eta_a * a) * s
-    aux2 = p.d * a
-    return np.array([
-        p.b * (1.0 - s) - aux1 + aux2 * s,
-        aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
-        p.phi * i - (p.omega + p.b - aux2) * c,
-        p.rho * i - (p.alpha + p.b + p.d - aux2) * a,
-    ])
+    return np.array(controlled_field(p)(_floats(x), 0.0))
 
 
 def rhs_controlled(p: ModelParams, x: np.ndarray, u: float) -> np.ndarray:
@@ -122,20 +149,12 @@ def rhs_controlled(p: ModelParams, x: np.ndarray, u: float) -> np.ndarray:
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"control must lie in [0, 1], got {u}")
-    return _rhs_controlled_unchecked(p, x, u)
+    return np.array(controlled_field(p)(_floats(x), u))
 
 
-def _rhs_controlled_unchecked(p: ModelParams, x: np.ndarray, u: float) -> np.ndarray:
-    # shared kernel: the Hamiltonian evaluates this for arbitrary real u
-    s, i, c, a = x
-    aux1 = (1.0 - u) * p.beta * (i + p.eta_c * c + p.eta_a * a) * s
-    aux2 = p.d * a
-    return np.array([
-        p.b * (1.0 - s) - aux1 + aux2 * s,
-        aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
-        p.phi * i - (p.omega + p.b - aux2) * c,
-        p.rho * i - (p.alpha + p.b + p.d - aux2) * a,
-    ])
+def _floats(v) -> list[float]:
+    # Python floats give the same bits as numpy float64 scalars, faster
+    return np.asarray(v, dtype=float).tolist()
 
 
 def running_cost(x: np.ndarray, u: float) -> float:
@@ -160,12 +179,13 @@ def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float) -> flo
     Defined for any real u; the quadratic cost makes it strictly concave
     in the control.
     """
-    return float(running_cost(x, u) + np.dot(lam, _rhs_controlled_unchecked(p, x, u)))
+    rhs = np.array(controlled_field(p)(_floats(x), u))
+    return float(running_cost(x, u) + np.dot(lam, rhs))
 
 
-def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
-                mode: str = "derived") -> np.ndarray:
-    """Time derivative of the costate vector.
+def costate_field(p: ModelParams, mode: str = "derived"
+                  ) -> Callable[[Sequence[float], Sequence[float], float], FloatState]:
+    """Float kernel ``(x, lam, u) -> lam'`` of the costate dynamics.
 
     mode "derived" is the analytic negative Hamiltonian gradient,
     lambda' = -dH/dx, and is the default.  mode "verbatim" reproduces
@@ -176,31 +196,46 @@ def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
     """
     if mode not in ADJOINT_MODES:
         raise ValueError(f"unknown adjoint mode {mode!r}")
-    s, i, c, a = x
-    l1, l2, l3, l4 = lam
-    uc = 1.0 - u
-    forc = uc * p.beta * (i + p.eta_c * c + p.eta_a * a)
-    da = p.d * a
-    dl1 = -1.0 + l1 * (p.b + forc - da) - l2 * forc
-    g = uc * p.beta * s
-    dl2 = (1.0 + l1 * g - l2 * (g - (p.rho + p.phi + p.b) + da)
-           - l3 * p.phi - l4 * p.rho)
-    gc = uc * p.beta * p.eta_c * s
-    dl3 = l1 * gc - l2 * (gc + p.omega) + l3 * (p.omega + p.b - da)
-    ga = uc * p.beta * p.eta_a * s
-    ds = p.d * s if mode == "verbatim" else -(p.d * s)
-    dl4 = (l1 * (ga + ds) - l2 * (ga + p.alpha + p.d * i)
-           - l3 * p.d * c + l4 * (p.alpha + p.b + p.d - 2.0 * da))
-    return np.array([dl1, dl2, dl3, dl4])
+    verbatim = mode == "verbatim"
+    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
+    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+
+    def field(x, lam, u):
+        s, i, c, a = x
+        l1, l2, l3, l4 = lam
+        uc = 1.0 - u
+        forc = uc * beta * (i + eta_c * c + eta_a * a)
+        da = d * a
+        dl1 = -1.0 + l1 * (b + forc - da) - l2 * forc
+        g = uc * beta * s
+        dl2 = (1.0 + l1 * g - l2 * (g - (rho + phi + b) + da)
+               - l3 * phi - l4 * rho)
+        gc = uc * beta * eta_c * s
+        dl3 = l1 * gc - l2 * (gc + omega) + l3 * (omega + b - da)
+        ga = uc * beta * eta_a * s
+        ds = d * s if verbatim else -(d * s)
+        dl4 = (l1 * (ga + ds) - l2 * (ga + alpha + d * i)
+               - l3 * d * c + l4 * (alpha + b + d - 2.0 * da))
+        return (dl1, dl2, dl3, dl4)
+    return field
+
+
+def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
+                mode: str = "derived") -> np.ndarray:
+    """Time derivative of the costate vector; see ``costate_field``."""
+    return np.array(costate_field(p, mode)(_floats(x), _floats(lam), u))
 
 
 def optimal_control_law(p: ModelParams, x: np.ndarray, lam: np.ndarray,
-                        bounds: ControlBounds) -> float:
+                        bounds: ControlBounds) -> float | np.ndarray:
     """Pointwise maximizer of the Hamiltonian over the admissible controls.
 
     The Hamiltonian is a concave parabola in u, so the maximizer is the
-    stationary point clamped into [0, u_max].
+    stationary point clamped into [0, u_max].  ``x`` and ``lam`` are one
+    state and costate, or node-by-node stacks of them (shape ``(n, 4)``),
+    giving one control per node.
     """
-    s, i, c, a = x
-    raw = p.beta * (i + p.eta_c * c + p.eta_a * a) * s * (lam[0] - lam[1]) / 2.0
+    x, lam = np.asarray(x), np.asarray(lam)
+    s, i, c, a = (x[..., k] for k in range(4))
+    raw = p.beta * (i + p.eta_c * c + p.eta_a * a) * s * (lam[..., 0] - lam[..., 1]) / 2.0
     return bounds.clamp(raw)

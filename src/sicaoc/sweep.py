@@ -12,14 +12,15 @@ states, the control, four costates) falls below the tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .integrators import IntegrationFailure, TimeGrid, Trajectory
-from .model import (ControlBounds, ModelParams, adjoint_rhs, objective,
-                    optimal_control_law, rhs_controlled)
+from .model import (ControlBounds, FloatState, ModelParams, controlled_field,
+                    costate_field, objective, optimal_control_law)
 
 
 class SweepNonConvergence(RuntimeError):
@@ -35,15 +36,20 @@ class SweepNonConvergence(RuntimeError):
 class OcProblem:
     """A control problem in the form the sweep consumes.
 
-    ``control_law`` must return values already clamped to ``bounds``.
-    The terminal costate is zero for the free-endpoint problems handled
-    here but is kept explicit.
+    The system is autonomous, has four state components, and its fields
+    work on Python floats: ``state_field(x, u)`` and
+    ``adjoint_field(x, lam, u)`` take length-4 state and costate
+    sequences and a control value and return a tuple of four floats.
+    ``control_law(x, lam)`` takes the ``(n, 4)`` state and costate
+    arrays of all n grid nodes and returns the n control values, or one
+    value for every node, already clamped to ``bounds``.  The terminal
+    costate is zero for the free-endpoint problems handled here but is
+    kept explicit.
     """
 
-    dim: int
-    state_field: Callable[[float, np.ndarray, float], np.ndarray]
-    adjoint_field: Callable[[float, np.ndarray, np.ndarray, float], np.ndarray]
-    control_law: Callable[[np.ndarray, np.ndarray], float]
+    state_field: Callable[[Sequence[float], float], FloatState]
+    adjoint_field: Callable[[Sequence[float], Sequence[float], float], FloatState]
+    control_law: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
     bounds: ControlBounds
     x0: np.ndarray
     terminal_adjoint: np.ndarray
@@ -51,17 +57,16 @@ class OcProblem:
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
         self.terminal_adjoint = np.asarray(self.terminal_adjoint, dtype=float)
-        if self.x0.shape != (self.dim,) or self.terminal_adjoint.shape != (self.dim,):
-            raise ValueError("state and terminal costate must have the problem dimension")
+        if self.x0.shape != (4,) or self.terminal_adjoint.shape != (4,):
+            raise ValueError("state and terminal costate must have four components")
 
 
 def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
                  adjoint_mode: str = "derived") -> OcProblem:
     """Wire the HIV prevention problem into the generic sweep interface."""
     return OcProblem(
-        dim=4,
-        state_field=lambda t, x, u: rhs_controlled(params, x, u),
-        adjoint_field=lambda t, x, lam, u: adjoint_rhs(params, x, lam, u, adjoint_mode),
+        state_field=controlled_field(params),
+        adjoint_field=costate_field(params, adjoint_mode),
         control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
         bounds=bounds,
         x0=x0,
@@ -78,8 +83,8 @@ class SweepSettings:
     initial_control: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.delta_error <= 0:
-            raise ValueError("delta_error must be positive")
+        if not 0.0 < self.delta_error < math.inf:
+            raise ValueError("delta_error must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
         if self.max_iterations < 1:
@@ -111,29 +116,63 @@ class SweepResult:
     final_margin: float
 
 
+def _rk4_step(f, y, h: float, start, mid, end) -> FloatState:
+    """One classical RK4 step of the four-component y' = f(y, stage).
+
+    ``start``, ``mid`` and ``end`` are the stage inputs at the step's
+    start, midpoint and end.  The step h is signed: in IEEE arithmetic
+    ``y + (-h / 2.0) * k`` equals ``y - (h / 2.0) * k`` exactly, so the
+    backward pass takes this step with -h bit for bit.  The stage
+    arithmetic is written out per component because a loop over four
+    floats costs more than the floating-point work it does.
+    """
+    y1, y2, y3, y4 = y
+    h2 = h / 2.0
+    a1, a2, a3, a4 = f(y, start)
+    b1, b2, b3, b4 = f((y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3, y4 + h2 * a4), mid)
+    c1, c2, c3, c4 = f((y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3, y4 + h2 * b4), mid)
+    d1, d2, d3, d4 = f((y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4), end)
+    h6 = h / 6.0
+    return (y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1),
+            y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2),
+            y3 + h6 * (a3 + 2.0 * (b3 + c3) + d3),
+            y4 + h6 * (a4 + 2.0 * (b4 + c4) + d4))
+
+
+def _midpoints(v: np.ndarray) -> list:
+    """Arithmetic means of neighbouring grid nodes, one per interval."""
+    return (0.5 * (v[1:] + v[:-1])).tolist()
+
+
+def _nonfinite_nodes(out: np.ndarray) -> np.ndarray:
+    """Nodes with a non-finite entry.
+
+    Non-finite values propagate through float arithmetic without
+    raising, so one check after a pass finds the node where it failed.
+    """
+    return np.flatnonzero(~np.isfinite(out).all(axis=1))
+
+
 def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled state forward across the grid."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    h = grid.h
     f = prob.state_field
-    out = np.empty((grid.node_count, prob.dim))
-    x = prob.x0
-    out[0] = x
-    for k in range(grid.steps):
-        t = grid.t0 + k * h
-        um = 0.5 * (u[k] + u[k + 1])
-        k1 = f(t, x, u[k])
-        k2 = f(t + h / 2.0, x + (h / 2.0) * k1, um)
-        k3 = f(t + h / 2.0, x + (h / 2.0) * k2, um)
-        k4 = f(t + h, x + h * k3, u[k + 1])
-        x = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(x).all():
-            raise IntegrationFailure(
-                f"forward pass produced a non-finite state at node {k + 1}",
-                node=k + 1, t=t + h)
-        out[k + 1] = x
+    h = grid.h
+    nodes = u.tolist()
+    x = prob.x0.tolist()
+    rows = [x]
+    for start, mid, end in zip(nodes, _midpoints(u), nodes[1:]):
+        x = _rk4_step(f, x, h, start, mid, end)
+        rows.append(x)
+    out = np.array(rows)
+    bad = _nonfinite_nodes(out)
+    if bad.size:
+        node = int(bad[0])
+        raise IntegrationFailure(
+            f"forward pass produced a non-finite state at node {node}",
+            node=node, t=grid.t0 + (node - 1) * h + h)
     return Trajectory(grid, out)
 
 
@@ -147,26 +186,24 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
     grid = x.grid
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    h = grid.h
     g = prob.adjoint_field
-    xs = x.states
-    out = np.empty((grid.node_count, prob.dim))
-    out[grid.steps] = prob.terminal_adjoint
-    lam = prob.terminal_adjoint
+    # the step passes the costate first and the (state, control) stage second
+    f = lambda lam, stage: g(stage[0], lam, stage[1])
+    h = grid.h
+    stages = list(zip(x.states.tolist(), u.tolist()))
+    mids = list(zip(_midpoints(x.states), _midpoints(u)))
+    lam = prob.terminal_adjoint.tolist()
+    rows = [lam]
     for j in range(grid.steps, 0, -1):
-        t = grid.t0 + j * h
-        xm = 0.5 * (xs[j] + xs[j - 1])
-        um = 0.5 * (u[j] + u[j - 1])
-        k1 = g(t, xs[j], lam, u[j])
-        k2 = g(t - h / 2.0, xm, lam - (h / 2.0) * k1, um)
-        k3 = g(t - h / 2.0, xm, lam - (h / 2.0) * k2, um)
-        k4 = g(t - h, xs[j - 1], lam - h * k3, u[j - 1])
-        lam = lam - (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.isfinite(lam).all():
-            raise IntegrationFailure(
-                f"backward pass produced a non-finite costate at node {j - 1}",
-                node=j - 1, t=t - h)
-        out[j - 1] = lam
+        lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
+        rows.append(lam)
+    out = np.array(rows[::-1])
+    bad = _nonfinite_nodes(out)
+    if bad.size:
+        node = int(bad[-1])
+        raise IntegrationFailure(
+            f"backward pass produced a non-finite costate at node {node}",
+            node=node, t=grid.t0 + (node + 1) * h - h)
     return Trajectory(grid, out)
 
 
@@ -182,9 +219,9 @@ def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,
 
 
 def _law_values(prob: OcProblem, x: Trajectory, lam: Trajectory) -> np.ndarray:
-    clamp = prob.bounds.clamp
-    return np.array([clamp(prob.control_law(x.states[k], lam.states[k]))
-                     for k in range(x.grid.node_count)])
+    law = np.empty(x.grid.node_count)
+    law[...] = prob.control_law(x.states, lam.states)
+    return law
 
 
 def relative_change_test(tracked: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -192,7 +229,8 @@ def relative_change_test(tracked: Iterable[tuple[np.ndarray, np.ndarray]],
     """Signed convergence margin, nonnegative once every pair has settled.
 
     Each pair contributes ``delta * sum|new| - sum|old - new|``; the
-    margin is the smallest contribution.
+    margin is the smallest contribution, and NaN if any contribution is
+    NaN, so a NaN never passes for convergence.
     """
     margin = np.inf
     for old, new in tracked:
@@ -200,7 +238,7 @@ def relative_change_test(tracked: Iterable[tuple[np.ndarray, np.ndarray]],
         new = np.asarray(new, dtype=float)
         if old.shape != new.shape:
             raise ValueError("tracked vector pair has mismatched lengths")
-        margin = min(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
+        margin = np.minimum(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
     return float(margin)
 
 
@@ -218,9 +256,9 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
         u = np.zeros(n)
     # previous-iterate buffers start as the zero arrays the first test runs
     # against, with only the initial state filled in
-    states = np.zeros((n, prob.dim))
+    states = np.zeros((n, 4))
     states[0] = prob.x0
-    adjoints = np.zeros((n, prob.dim))
+    adjoints = np.zeros((n, 4))
     x_traj = Trajectory(grid, states)
     lam_traj = Trajectory(grid, adjoints)
     margin = -np.inf
@@ -232,9 +270,9 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
         x_traj = forward_pass(prob, u, grid)
         lam_traj = backward_pass(prob, x_traj, u)
         u = update_control(prob, x_traj, lam_traj, u, settings.relaxation)
-        pairs = ([(old_states[:, j], x_traj.states[:, j]) for j in range(prob.dim)]
+        pairs = ([(old_states[:, j], x_traj.states[:, j]) for j in range(4)]
                  + [(old_u, u)]
-                 + [(old_adjoints[:, j], lam_traj.states[:, j]) for j in range(prob.dim)])
+                 + [(old_adjoints[:, j], lam_traj.states[:, j]) for j in range(4)])
         margin = relative_change_test(pairs, settings.delta_error)
         if margin >= 0.0:
             converged = True

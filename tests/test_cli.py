@@ -188,6 +188,20 @@ class TestOptimize:
         assert manifest["diagnostics"]["converged"] is False
         assert out.is_file()
 
+    @pytest.mark.parametrize("control", [
+        {"delta_error": float("nan")}, {"delta_error": float("inf")},
+        {"relaxation": float("nan")}, {"relaxation": float("inf")}])
+    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, capsys, control):
+        # a NaN delta_error used to stop the sweep after one iteration as converged
+        cfg = write_config(tmp_path, {"steps": 100, "control": control})
+        out = tmp_path / "opt.csv"
+        code = run(["optimize", "--config", cfg, "--out", str(out)])
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: config: control.")
+        assert not out.exists()
+
     def test_verbatim_adjoint_mode_recorded(self, tmp_path):
         cfg = write_config(tmp_path, {"steps": 200})
         out = tmp_path / "opt.csv"

@@ -1,0 +1,89 @@
+"""Golden SHA-256 digests of the default CLI artifacts.
+
+Each command runs with the default configuration in an empty directory,
+so artifact names (and the paths the manifests record) are relative.
+Rerun determinism is checked by the acceptance suite; these digests pin
+the bytes themselves, so a change to the numerics or to the output
+formatting that moves a single bit fails here.  They were recorded with
+numpy 2 on x86-64 Linux; a platform whose libm or BLAS rounds
+differently may legitimately disagree on the ``orders`` artifacts.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from sicaoc.cli import main
+
+COMMANDS = {
+    "simulate-euler": ["simulate", "--method", "euler"],
+    "simulate-rk2": ["simulate", "--method", "rk2"],
+    "simulate-rk4": ["simulate", "--method", "rk4"],
+    "simulate-dp45": ["simulate", "--method", "dp45"],
+    "optimize-plot": ["optimize", "--plot"],
+    "compare": ["compare"],
+    "orders": ["orders"],
+}
+
+GOLDEN = {
+    "simulate-euler": {
+        "simulate_euler.csv":
+            "87e5d9bdb466c93ddaa0858a50acc5b43d1583af7c6ae01588cf0dcde3a21132",
+        "simulate_euler.manifest.json":
+            "117bb9fa57535deaa9800a563bcc4e51760d40a63bc2177eb066de7238cd01a6",
+    },
+    "simulate-rk2": {
+        "simulate_rk2.csv":
+            "ebb86211e008b296f7f601a41e47fc6af6ebc7cabb2f37cca178c365ddf627c1",
+        "simulate_rk2.manifest.json":
+            "9aaba537def5e3af3b3c6359afbdfc665ff490eb21bcc01850c933b7f22d731e",
+    },
+    "simulate-rk4": {
+        "simulate_rk4.csv":
+            "a2b05d8b075d3f0da41b5c6161b90dae018abb8bb27df338161a029ce1162c07",
+        "simulate_rk4.manifest.json":
+            "b4f52a896c3a955dd08d2fdbc23197c6f1acc5314873d575a0d9e15c5b2ef52e",
+    },
+    "simulate-dp45": {
+        "simulate_dp45.csv":
+            "fb131da15a5d0f66e0ffb11702bab68b5bf2e7ac45143a54962b9fd6be53bf7f",
+        "simulate_dp45.manifest.json":
+            "f1af703b39a9c9b022a6770319af43e569b3a0b9fe733252079a822f124bd7c9",
+    },
+    "optimize-plot": {
+        "optimize.control.gp":
+            "5562ee48b4c113cccf80645ce8ad4d1094ff06ce98823f6c034895663bacc99c",
+        "optimize.csv":
+            "2e7e7e7ff40d8fc572811ce2ff9b3b5dc647a5b07b466039c676dec615e81045",
+        "optimize.manifest.json":
+            "875ae2b4fdc0494dd08aab016d5c3716d8beed1932cc9a1c85495078e4287ee5",
+        "optimize.states-vs-uncontrolled.gp":
+            "3f329a2c4958ea66d755abc8b21e3bea9f369f3f413cfe4ecb28ca7c7a23fa29",
+        "optimize.uncontrolled.csv":
+            "f1abcd7ce04ff4e086bb8f5a5de744c97b9a81ffdb2242e5763edc85b9602be6",
+    },
+    "compare": {
+        "compare_norms.csv":
+            "2bb7259a09a97d8cdfca4a04ca578e584a93a2f17024b8c3151a33b2f8dce68f",
+        "compare_norms.manifest.json":
+            "a398eec59009680e49735b5d56ba43dfd8c857979697ddb81a6f25337398fa75",
+    },
+    "orders": {
+        "orders.csv":
+            "e9bc0ea1b3244145175541c297f65da2eae8e7a15aa7d9c4baf5120ce397b3b4",
+        "orders.manifest.json":
+            "4e843b3554a8e455ac6e2deec2287423362ba2979fe24ac2811ac2d8ef4ac946",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(COMMANDS))
+def test_default_artifacts_match_golden_digests(key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(COMMANDS[key]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN[key]

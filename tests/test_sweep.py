@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sicaoc import (ControlBounds, OcProblem, SweepNonConvergence,
-                    SweepSettings, TimeGrid, integrate_fixed)
+from sicaoc import (ControlBounds, IntegrationFailure, OcProblem,
+                    SweepNonConvergence, SweepSettings, TimeGrid,
+                    integrate_fixed)
 from sicaoc.model import rhs_normalized
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
@@ -16,8 +17,8 @@ def problem(params):
 
 
 def zero_problem():
-    return OcProblem(dim=4, state_field=lambda t, x, u: np.zeros(4),
-                     adjoint_field=lambda t, x, lam, u: np.zeros(4),
+    return OcProblem(state_field=lambda x, u: (0.0, 0.0, 0.0, 0.0),
+                     adjoint_field=lambda x, lam, u: (0.0, 0.0, 0.0, 0.0),
                      control_law=lambda x, lam: 0.0,
                      bounds=ControlBounds(0.5), x0=X0,
                      terminal_adjoint=np.zeros(4))
@@ -38,10 +39,10 @@ class TestForwardPass:
         h = grid.h
         f = problem.state_field
         um = 0.5 * (u[0] + u[1])
-        k1 = f(0.0, X0, u[0])
-        k2 = f(h / 2, X0 + (h / 2) * k1, um)
-        k3 = f(h / 2, X0 + (h / 2) * k2, um)
-        k4 = f(h, X0 + h * k3, u[1])
+        k1 = np.asarray(f(X0, u[0]))
+        k2 = np.asarray(f(X0 + (h / 2) * k1, um))
+        k3 = np.asarray(f(X0 + (h / 2) * k2, um))
+        k4 = np.asarray(f(X0 + h * k3, u[1]))
         np.testing.assert_array_equal(out, X0 + (h / 6) * (k1 + 2 * (k2 + k3) + k4))
 
     def test_constant_prevention_lowers_infection_everywhere(self, problem):
@@ -49,6 +50,16 @@ class TestForwardPass:
         base = forward_pass(problem, np.zeros(101), grid)
         treated = forward_pass(problem, np.full(101, 0.5), grid)
         assert np.all(treated.states[1:, 1] < base.states[1:, 1])
+
+    def test_overflow_fails_at_first_non_finite_node(self):
+        # x' = 1000 x overflows between nodes 46 and 47 of this grid
+        prob = zero_problem()
+        prob.state_field = lambda x, u: tuple(1e3 * v for v in x)
+        with pytest.raises(IntegrationFailure) as exc:
+            forward_pass(prob, np.zeros(101), TimeGrid(0.0, 10.0, 100))
+        assert exc.value.node == 47
+        assert exc.value.t == 4.7
+        assert "non-finite state at node 47" in str(exc.value)
 
     def test_control_length_checked(self, problem):
         with pytest.raises(ValueError):
@@ -69,11 +80,22 @@ class TestBackwardPass:
         lam = backward_pass(prob, x, np.zeros(11))
         np.testing.assert_array_equal(lam.states, np.zeros((11, 4)))
 
+    def test_overflow_fails_at_first_non_finite_node(self):
+        # integrated backward from node 100, lam' = 1000 lam + 1 overflows at node 53
+        prob = zero_problem()
+        prob.adjoint_field = lambda x, lam, u: tuple(1e3 * v + 1.0 for v in lam)
+        grid = TimeGrid(0.0, 10.0, 100)
+        x = forward_pass(prob, np.zeros(101), grid)
+        with pytest.raises(IntegrationFailure) as exc:
+            backward_pass(prob, x, np.zeros(101))
+        assert exc.value.node == 53
+        assert "non-finite costate at node 53" in str(exc.value)
+
     def test_terminal_costate_slope(self, problem):
         # with lam(T) = 0 only the cost gradient survives in the field
         grid = TimeGrid(0.0, 20.0, 50)
         x = forward_pass(problem, np.zeros(51), grid)
-        slope = problem.adjoint_field(20.0, x.states[-1], np.zeros(4), 0.0)
+        slope = problem.adjoint_field(x.states[-1], np.zeros(4), 0.0)
         np.testing.assert_array_equal(slope, [-1.0, 1.0, 0.0, 0.0])
 
 
@@ -132,6 +154,13 @@ class TestRelativeChangeTest:
         good = (np.array([1.0]), np.array([1.0]))
         bad = (np.array([5.0]), np.array([0.0]))
         assert relative_change_test([good, bad], 1e-3) == pytest.approx(-5.0)
+
+    def test_nan_contribution_is_not_convergence(self):
+        good = (np.array([1.0]), np.array([1.0]))
+        nan = (np.array([1.0]), np.array([np.nan]))
+        assert np.isnan(relative_change_test([good, nan], 1e-3))
+        assert np.isnan(relative_change_test([nan, good], 1e-3))
+        assert np.isnan(relative_change_test([good], float("nan")))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -201,6 +230,11 @@ class TestSweepSettings:
             SweepSettings(relaxation=0.0)
         with pytest.raises(ValueError):
             SweepSettings(relaxation=1.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SweepSettings(delta_error=bad)
+            with pytest.raises(ValueError):
+                SweepSettings(relaxation=bad)
         with pytest.raises(ValueError):
             SweepSettings(max_iterations=0)
         with pytest.raises(ValueError):
