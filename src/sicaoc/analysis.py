@@ -10,7 +10,7 @@ import numpy as np
 
 from .integrators import (AdaptiveSettings, TimeGrid, Trajectory,
                           integrate_dp45, integrate_fixed)
-from .model import ModelParams, hamiltonian, rhs_normalized
+from .model import ModelParams, fraction_field, hamiltonian
 from .sweep import SweepResult
 
 VARIABLES = ("S", "I", "C", "A")
@@ -89,8 +89,14 @@ def reference_trajectory(params: ModelParams, x0: np.ndarray, grid: TimeGrid,
                          settings: AdaptiveSettings | None = None) -> Trajectory:
     """Adaptive 5(4) run of the fraction dynamics sampled on ``grid``."""
     settings = settings or AdaptiveSettings()
-    return integrate_dp45(lambda t, x: rhs_normalized(params, x),
-                          grid.t0, grid.tf, x0, settings, grid)
+    return integrate_dp45(fraction_field(params), grid.t0, grid.tf, x0, settings, grid)
+
+
+def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
+                       tf: float = 20.0) -> np.ndarray:
+    """State at tf of a tight (reltol 1e-12) adaptive run, the order studies' truth."""
+    tight = AdaptiveSettings(reltol=1e-12, abstol=1e-14)
+    return reference_trajectory(params, x0, TimeGrid(t0, tf, 1), tight).states[-1]
 
 
 def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
@@ -105,7 +111,7 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
     grid = grid or TimeGrid(0.0, 20.0, 100)
     if reference is None:
         reference = reference_trajectory(params, x0, grid, settings)
-    traj = integrate_fixed(method, lambda t, x: rhs_normalized(params, x), grid, x0)
+    traj = integrate_fixed(method, fraction_field(params), grid, x0)
     per_var = {
         var: diff_norms(traj.states[:, k], reference.states[:, k])
         for k, var in enumerate(VARIABLES)
@@ -115,19 +121,24 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
 
 def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
                       refinements: Sequence[int] = (100, 200, 400, 800),
-                      t0: float = 0.0, tf: float = 20.0) -> OrderStudy:
-    """Empirical order from terminal errors against a tight adaptive run."""
+                      t0: float = 0.0, tf: float = 20.0,
+                      reference: np.ndarray | None = None) -> OrderStudy:
+    """Empirical order from terminal errors against a tight adaptive run.
+
+    ``reference`` is that run's state at tf (see ``terminal_reference``);
+    pass it to share one reference between several methods.
+    """
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
-    f = lambda t, x: rhs_normalized(params, x)
-    tight = AdaptiveSettings(reltol=1e-12, abstol=1e-14)
-    ref_end = integrate_dp45(f, t0, tf, x0, tight, TimeGrid(t0, tf, 1)).states[-1]
+    f = fraction_field(params)
+    if reference is None:
+        reference = terminal_reference(params, x0, t0, tf)
     hs, errs, comp_errs = [], [], []
     for m in refinements:
         grid = TimeGrid(t0, tf, int(m))
         end = integrate_fixed(method, f, grid, x0).states[-1]
         hs.append(grid.h)
-        comp = np.abs(end - ref_end)
+        comp = np.abs(end - reference)
         comp_errs.append(comp)
         errs.append(float(comp.max()))
     log_h = np.log(hs)

@@ -33,12 +33,13 @@ from . import __version__
 from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, VARIABLES,
                        build_norm_table, convergence_order,
                        reference_trajectory, simplex_drift,
-                       stationarity_residual)
-from .integrators import (FIXED_METHODS, AdaptiveSettings, IntegrationFailure,
+                       stationarity_residual, terminal_reference)
+# integrate_dp45 is imported for code that wraps this module's integrator
+# attributes; the subcommands reach it through reference_trajectory
+from .integrators import (FIXED_METHODS, AdaptiveSettings, IntegrationFailure,  # noqa: F401
                           StepLimitExceeded, TimeGrid, integrate_dp45,
                           integrate_fixed)
-from .model import (ADJOINT_MODES, ControlBounds, ModelParams, objective,
-                    rhs_normalized)
+from .model import ADJOINT_MODES, ControlBounds, ModelParams, fraction_field, objective
 from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
                     sica_problem, solve)
 
@@ -108,9 +109,16 @@ def _number(mapping: dict, key: str, where: str, default):
     value = mapping.get(key, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     return value
+
+
+def _finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer too large for a float
+        return False
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -156,18 +164,22 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(raw_control, dict):
         raise ConfigError("config.control must be an object")
     _reject_unknown(raw_control, _CONTROL_KEYS, "config.control")
+    max_iterations = _number(raw_control, "max_iterations", "control", 500)
+    if max_iterations != int(max_iterations):
+        raise ConfigError(
+            f"control.max_iterations must be an integer, got {max_iterations!r}")
     control = ControlConfig(
         u_max=_number(raw_control, "u_max", "control", 0.5),
         relaxation=_number(raw_control, "relaxation", "control", 0.5),
         delta_error=_number(raw_control, "delta_error", "control", 1e-3),
-        max_iterations=int(_number(raw_control, "max_iterations", "control", 500)),
+        max_iterations=int(max_iterations),
     )
     if not 0.0 <= control.u_max < 1.0:
         raise ConfigError(f"control.u_max must lie in [0, 1), got {control.u_max}")
     if not 0.0 < control.relaxation <= 1.0:
         raise ConfigError("control.relaxation must lie in (0, 1]")
-    if not 0.0 < control.delta_error < math.inf:
-        raise ConfigError("control.delta_error must be positive and finite")
+    if control.delta_error <= 0.0:
+        raise ConfigError("control.delta_error must be positive")
     if control.max_iterations < 1:
         raise ConfigError("control.max_iterations must be at least 1")
 
@@ -186,6 +198,8 @@ def parse_config(doc: dict) -> RunConfig:
     if not isinstance(output, dict):
         raise ConfigError("config.output must be an object")
     _reject_unknown(output, ("csv", "manifest"), "config.output")
+    if not all(isinstance(path, str) for path in output.values()):
+        raise ConfigError("config.output paths must be strings")
 
     return RunConfig(params=params, initial=initial, horizon=float(horizon),
                      steps=steps, control=control, adjoint_mode=adjoint_mode,
@@ -200,10 +214,24 @@ def load_config(path: str | None) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        doc = json.loads(text, parse_constant=_JsonConstant)
+    except ValueError as exc:   # malformed, or an integer past int's digit limit
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parse_config(doc)
+
+
+class _JsonConstant:
+    """NaN, Infinity or -Infinity in a config file, which strict JSON lacks.
+
+    Read as this marker rather than as a float, it fails the type check
+    of whichever key holds it, and the error names that key.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
 
 
 # ---------------------------------------------------------------- output
@@ -317,16 +345,17 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
                  plot: bool) -> int:
     steps = config.steps if config.steps is not None else 100
     grid = TimeGrid(0.0, config.horizon, steps)
-    field = lambda t, x: rhs_normalized(config.params, x)
     integrator: dict = {"sampling": "clip-to-node"}
     if method == "dp45":
-        settings = AdaptiveSettings()
-        traj = integrate_dp45(field, grid.t0, grid.tf, config.initial, settings, grid)
+        # the integrator's own default first step, made explicit for the manifest
+        settings = AdaptiveSettings(initial_step=(grid.tf - grid.t0) / 100.0)
+        traj = reference_trajectory(config.params, config.initial, grid, settings)
         integrator.update({"reltol": settings.reltol, "abstol": settings.abstol,
-                           "initial_step": (grid.tf - grid.t0) / 100.0,
+                           "initial_step": settings.initial_step,
                            "max_steps": settings.max_steps})
     else:
-        traj = integrate_fixed(method, field, grid, config.initial)
+        traj = integrate_fixed(method, fraction_field(config.params), grid,
+                               config.initial)
         integrator.update({"step_size": grid.h})
     csv_path, manifest_path = _out_paths(out, config, f"simulate_{method}")
     times = traj.times()
@@ -457,8 +486,10 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
 
 def cmd_orders(config: RunConfig, out: str | None) -> int:
     csv_path, manifest_path = _out_paths(out, config, "orders")
+    ref_end = terminal_reference(config.params, config.initial, 0.0, config.horizon)
     studies = {m: convergence_order(m, config.params, config.initial,
-                                    config.refinements, 0.0, config.horizon)
+                                    config.refinements, 0.0, config.horizon,
+                                    reference=ref_end)
                for m in FIXED_METHODS}
     print(f"terminal-error convergence at t={config.horizon} over "
           f"M={list(config.refinements)} (reference: adaptive 5(4), reltol=1e-12)")

@@ -5,16 +5,23 @@ walks them across a uniform time grid, and an adaptive embedded
 Dormand-Prince 5(4) integrator whose output is sampled on a requested
 grid.  All routines are pure functions of their arguments and are safe
 to call concurrently.
+
+A vector field is called as ``f(t, x)`` with ``x`` a list of Python
+floats and returns a sequence of floats of the same length (a list,
+tuple or 1-D array).  The steppers do their arithmetic on Python
+floats, which keeps numpy's per-call overhead out of the step loops;
+the results equal the element-wise numpy arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from math import isfinite
+from typing import Callable, Sequence
 
 import numpy as np
 
-VectorField = Callable[[float, np.ndarray], np.ndarray]
+VectorField = Callable[[float, list], Sequence[float]]
 
 
 class IntegrationFailure(RuntimeError):
@@ -104,32 +111,35 @@ class AdaptiveSettings:
             raise ValueError("max_steps must be at least 1")
 
 
-def step_euler(f: VectorField, t: float, x: np.ndarray, h: float) -> np.ndarray:
+def step_euler(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
     """One explicit Euler step."""
-    out = x + h * f(t, x)
-    if not np.isfinite(out).all():
+    out = [xi + h * ki for xi, ki in zip(x, f(t, x))]
+    if not all(map(isfinite, out)):
         raise IntegrationFailure(f"non-finite Euler step at t={t}", t=t)
     return out
 
 
-def step_rk2(f: VectorField, t: float, x: np.ndarray, h: float) -> np.ndarray:
+def step_rk2(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
     """One Heun (second-order Runge-Kutta) step."""
     k1 = f(t, x)
-    k2 = f(t + h, x + h * k1)
-    out = x + (h / 2.0) * (k1 + k2)
-    if not np.isfinite(out).all():
+    k2 = f(t + h, [xi + h * ki for xi, ki in zip(x, k1)])
+    h2 = h / 2.0
+    out = [xi + h2 * (a + b) for xi, a, b in zip(x, k1, k2)]
+    if not all(map(isfinite, out)):
         raise IntegrationFailure(f"non-finite RK2 step at t={t}", t=t)
     return out
 
 
-def step_rk4(f: VectorField, t: float, x: np.ndarray, h: float) -> np.ndarray:
+def step_rk4(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
     """One classical four-stage Runge-Kutta step."""
+    h2 = h / 2.0
     k1 = f(t, x)
-    k2 = f(t + h / 2.0, x + (h / 2.0) * k1)
-    k3 = f(t + h / 2.0, x + (h / 2.0) * k2)
-    k4 = f(t + h, x + h * k3)
-    out = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    if not np.isfinite(out).all():
+    k2 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k1)])
+    k3 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k2)])
+    k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
+    h6 = h / 6.0
+    out = [xi + h6 * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(isfinite, out)):
         raise IntegrationFailure(f"non-finite RK4 step at t={t}", t=t)
     return out
 
@@ -140,30 +150,29 @@ FIXED_METHODS = tuple(STEPPERS)
 
 
 def integrate_fixed(method: str, f: VectorField, grid: TimeGrid,
-                    x0: np.ndarray) -> Trajectory:
+                    x0: Sequence[float]) -> Trajectory:
     """March a fixed-step method across ``grid`` starting from ``x0``."""
     try:
         step = STEPPERS[method]
     except KeyError:
         raise ValueError(f"unknown fixed-step method {method!r}") from None
-    x = np.asarray(x0, dtype=float)
-    h = grid.h
-    out = np.empty((grid.node_count, x.size))
-    out[0] = x
+    x = np.asarray(x0, dtype=float).tolist()
+    t0, h = grid.t0, grid.h
+    out = [x]
     for k in range(grid.steps):
         try:
-            x = step(f, grid.t0 + k * h, x, h)
+            x = step(f, t0 + k * h, x, h)
         except IntegrationFailure as exc:
             raise IntegrationFailure(
                 f"{method} produced a non-finite state at node {k + 1}",
-                node=k + 1, t=grid.t0 + (k + 1) * h) from exc
-        out[k + 1] = x
+                node=k + 1, t=t0 + (k + 1) * h) from exc
+        out.append(x)
     return Trajectory(grid, out)
 
 
 # Dormand-Prince 5(4) tableau.  The last stage row equals the 5th-order
 # weights (FSAL, not exploited: all seven stages are evaluated per step).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     (),
     (1 / 5,),
@@ -173,6 +182,9 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+# The weighted sums over all seven stages stay numpy matmuls: BLAS's
+# summation order reaches the sampled states, so a sequential sum would
+# change the output bytes.
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded local error estimate
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
@@ -184,23 +196,38 @@ _GROWTH_LIMIT = 5.0
 _ERR_EXPONENT = -0.2  # embedded estimate is O(h^5)
 
 
-def _dp_step(f: VectorField, t: float, x: np.ndarray, h: float):
-    """One trial Dormand-Prince step: next state and per-component error."""
-    k = np.empty((7, x.size))
-    k[0] = f(t, x)
-    for s in range(1, 7):
-        xs = x.copy()
-        row = _DP_A[s]
-        for j in range(s):
-            if row[j] != 0.0:
-                xs = xs + (h * row[j]) * k[j]
-        k[s] = f(t + _DP_C[s] * h, xs)
-    x_new = x + h * (_DP_B5 @ k)
-    err = h * (_DP_ERR @ k)
+def _dp_step(f: VectorField, t: float, x: list, h: float):
+    """One trial Dormand-Prince step: next state and per-component error.
+
+    Each stage input is one sequential sum per component, x first and
+    then the stage terms in tableau order (zero entries skipped), as the
+    tableau rows are written out below.
+    """
+    a, c = _DP_A, _DP_C
+    k1 = f(t, x)
+    a21 = h * a[1][0]
+    k2 = f(t + c[1] * h, [xi + a21 * p for xi, p in zip(x, k1)])
+    a31, a32 = (h * v for v in a[2])
+    k3 = f(t + c[2] * h, [xi + a31 * p + a32 * q for xi, p, q in zip(x, k1, k2)])
+    a41, a42, a43 = (h * v for v in a[3])
+    k4 = f(t + c[3] * h, [xi + a41 * p + a42 * q + a43 * r
+                          for xi, p, q, r in zip(x, k1, k2, k3)])
+    a51, a52, a53, a54 = (h * v for v in a[4])
+    k5 = f(t + c[4] * h, [xi + a51 * p + a52 * q + a53 * r + a54 * s
+                          for xi, p, q, r, s in zip(x, k1, k2, k3, k4)])
+    a61, a62, a63, a64, a65 = (h * v for v in a[5])
+    k6 = f(t + c[5] * h, [xi + a61 * p + a62 * q + a63 * r + a64 * s + a65 * w
+                          for xi, p, q, r, s, w in zip(x, k1, k2, k3, k4, k5)])
+    a71, _, a73, a74, a75, a76 = (h * v for v in a[6])
+    k7 = f(t + c[6] * h, [xi + a71 * p + a73 * r + a74 * s + a75 * w + a76 * z
+                          for xi, p, r, s, w, z in zip(x, k1, k3, k4, k5, k6)])
+    k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)
+    x_new = [xi + h * v for xi, v in zip(x, (_DP_B5 @ k).tolist())]
+    err = [h * v for v in (_DP_ERR @ k).tolist()]
     return x_new, err
 
 
-def integrate_dp45(f: VectorField, t0: float, tf: float, x0: np.ndarray,
+def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
                    settings: AdaptiveSettings, sample: TimeGrid) -> Trajectory:
     """Adaptive 5(4) integration of ``f`` on [t0, tf], sampled on ``sample``.
 
@@ -211,37 +238,38 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: np.ndarray,
     """
     if sample.t0 < t0 or sample.tf > tf:
         raise ValueError("sample grid must lie within the integration span")
-    x = np.asarray(x0, dtype=float)
+    x = np.asarray(x0, dtype=float).tolist()
+    abstol, reltol = settings.abstol, settings.reltol
     t = t0
     h = settings.initial_step if settings.initial_step is not None else (tf - t0) / 100.0
-    targets = sample.nodes()
-    recorded = np.empty((sample.node_count, x.size))
-    idx = 0
+    targets = sample.nodes().tolist()
+    recorded = []
     if targets[0] == t0:
-        recorded[0] = x
-        idx = 1
+        recorded.append(x)
     attempts = 0
-    while idx < len(targets):
-        target = float(targets[idx])
+    while len(recorded) < len(targets):
+        target = targets[len(recorded)]
         clipped = t + h >= target
         h_try = target - t if clipped else h
         attempts += 1
         if attempts > settings.max_steps:
             raise StepLimitExceeded(
-                f"exceeded {settings.max_steps} steps at t={t} (reached sample {idx})")
+                f"exceeded {settings.max_steps} steps at t={t} "
+                f"(reached sample {len(recorded)})")
         x_new, err = _dp_step(f, t, x, h_try)
-        if not np.isfinite(x_new).all():
+        if not all(map(isfinite, x_new)):
             raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
-        scale = settings.abstol + settings.reltol * np.maximum(np.abs(x), np.abs(x_new))
-        ratio = float(np.max(np.abs(err) / scale))
+        # x_new is finite, so every stage is (the 5th-order sum carries a
+        # non-finite stage into it, zero weights included), and so is ratio
+        ratio = max(abs(e) / (abstol + reltol * max(abs(a), abs(b)))
+                    for e, a, b in zip(err, x, x_new))
         factor = _GROWTH_LIMIT if ratio == 0.0 else _SAFETY * ratio ** _ERR_EXPONENT
         factor = min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
         if ratio <= 1.0:
             x = x_new
             if clipped:
                 t = target
-                recorded[idx] = x
-                idx += 1
+                recorded.append(x)
                 # a clipped step must not shrink the controller's proposal
                 h = max(h, h_try * factor)
             else:

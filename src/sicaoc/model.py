@@ -12,8 +12,9 @@ State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
 ``(lambda1, ..., lambda4)`` for costates.  The public functions take
 and return numpy arrays; ``controlled_field`` and ``costate_field``
-build the float kernels behind them, which the sweep calls directly
-with tuples of Python floats to avoid numpy's per-call overhead.
+build the float kernels behind them, which the sweep (and, through
+``fraction_field``, the integrators) call directly with Python floats
+to avoid numpy's per-call overhead.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def controlled_field(p: ModelParams) -> Callable[[Sequence[float], float], Float
                 phi * i - (omega + b - aux2) * c,
                 rho * i - (alpha + b + d - aux2) * a)
     return field
+
+
+def fraction_field(p: ModelParams) -> Callable[[float, Sequence[float]], FloatState]:
+    """The uncontrolled fraction dynamics as an integrator field ``f(t, x)``.
+
+    Builds the ``controlled_field`` kernel once and calls it at u = 0,
+    so each call does float arithmetic only.
+    """
+    kernel = controlled_field(p)
+    return lambda t, x: kernel(x, 0.0)
 
 
 def rhs_normalized(p: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ import pytest
 from sicaoc import ControlBounds, SweepSettings, TimeGrid, integrate_fixed
 from sicaoc.analysis import (OCTAVE_ODE45_BASELINE, VARIABLES, NormTriple,
                              build_norm_table, convergence_order, diff_norms,
-                             simplex_drift, stationarity_residual)
+                             simplex_drift, stationarity_residual,
+                             terminal_reference)
 from sicaoc.model import rhs_normalized
 from sicaoc.sweep import sica_problem, solve
 
@@ -66,6 +67,12 @@ class TestConvergenceOrder:
         study = convergence_order("euler", params, X0)
         assert 0.9 <= study.slope <= 1.1
         assert len(study.terminal_errors) == 4
+
+    def test_shared_reference_gives_the_same_study(self, params):
+        reference = terminal_reference(params, X0, 0.0, 20.0)
+        own = convergence_order("rk2", params, X0)
+        shared = convergence_order("rk2", params, X0, reference=reference)
+        assert shared == own
 
 
 class TestSimplexDrift:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -78,6 +79,24 @@ class TestConfig:
             parse_config({"refinements": [100, 200]})
         with pytest.raises(ConfigError):
             parse_config({"control": {"u_max": 1.0}})
+
+    @pytest.mark.parametrize("doc", [
+        {"horizon": math.nan}, {"horizon": math.inf}, {"horizon": 10 ** 400},
+        {"initial": {"s": math.nan}}, {"params": {"beta": -math.inf}},
+        {"control": {"u_max": math.nan}}])
+    def test_non_finite_numbers_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match="control.max_iterations"):
+            parse_config({"control": {"max_iterations": value}})
+
+    def test_integral_max_iterations_accepted(self):
+        for value in (3, 3.0):
+            iterations = parse_config({"control": {"max_iterations": value}}).control.max_iterations
+            assert iterations == 3 and isinstance(iterations, int)
 
     def test_config_file_must_be_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -282,3 +301,27 @@ class TestUsageErrors:
                     "--out", str(tmp_path / "x.csv")])
         capsys.readouterr()
         assert code == 2
+
+
+class TestHostileConfig:
+    @pytest.mark.parametrize("text", [
+        '{"horizon": NaN}', '{"horizon": Infinity}', '{"horizon": -Infinity}',
+        '{"horizon": 1e400}', '{"initial": {"s": NaN}}', '{"params": {"beta": NaN}}',
+        '{"control": {"max_iterations": 2.7}}', '{"horizon": ' + "9" * 5000 + "}",
+        '{"adjoint_mode": NaN}', '{"output": {"csv": NaN}}', '{"output": {"csv": 5}}',
+    ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
+            "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
+            "adjoint-mode-nan", "output-nan", "output-int"])
+    @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
+                                      ["simulate", "--method", "dp45"], ["optimize"]],
+                             ids=["simulate-rk4", "simulate-dp45", "optimize"])
+    def test_is_a_config_error(self, tmp_path, capsys, text, argv):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        out = tmp_path / "run.csv"
+        code = run(argv + ["--config", str(cfg), "--out", str(out)])
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: config: ")
+        assert not out.exists()

@@ -95,7 +95,7 @@ class TestSteps:
         assert out == pytest.approx([1.105], rel=1e-15)
 
     def test_rk2_preserves_equilibrium(self):
-        out = step_rk2(lambda t, x: -x, 0.0, np.array([0.0]), 0.37)
+        out = step_rk2(lambda t, x: [-v for v in x], 0.0, np.array([0.0]), 0.37)
         assert out == pytest.approx([0.0], abs=0.0)
 
     def test_rk4_exponential_matches_taylor(self):
@@ -111,7 +111,7 @@ class TestSteps:
         assert out == pytest.approx([0.5], rel=1e-15)
 
     def test_step_raises_on_overflow(self):
-        blower = lambda t, x: x ** 3
+        blower = lambda t, x: [v ** 3 for v in x]
         x = np.array([1e200])
         with np.errstate(over="ignore"), pytest.raises(IntegrationFailure):
             step_euler(blower, 0.0, x, 1e200)

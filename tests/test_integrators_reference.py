@@ -1,0 +1,266 @@
+"""Bitwise comparison of the float integrators with a numpy-array reference.
+
+The reference below is the integrators module as first written: Euler,
+Heun and RK4 steps on numpy arrays, and a Dormand-Prince 5(4) step that
+stores its stages in a ``(7, n)`` array and builds each stage input by
+one array update per nonzero tableau entry.  The package runs the same
+arithmetic on Python floats, so every sampled state, the failing node
+and the failing time must agree exactly, not within a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
+                    StepLimitExceeded, TimeGrid, integrate_dp45,
+                    integrate_fixed)
+from sicaoc.model import fraction_field
+
+
+# ------------------------------------------------------------- reference
+
+
+def ref_euler(f, t, x, h):
+    out = x + h * f(t, x)
+    if not np.isfinite(out).all():
+        raise IntegrationFailure(f"non-finite Euler step at t={t}", t=t)
+    return out
+
+
+def ref_rk2(f, t, x, h):
+    k1 = f(t, x)
+    k2 = f(t + h, x + h * k1)
+    out = x + (h / 2.0) * (k1 + k2)
+    if not np.isfinite(out).all():
+        raise IntegrationFailure(f"non-finite RK2 step at t={t}", t=t)
+    return out
+
+
+def ref_rk4(f, t, x, h):
+    k1 = f(t, x)
+    k2 = f(t + h / 2.0, x + (h / 2.0) * k1)
+    k3 = f(t + h / 2.0, x + (h / 2.0) * k2)
+    k4 = f(t + h, x + h * k3)
+    out = x + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    if not np.isfinite(out).all():
+        raise IntegrationFailure(f"non-finite RK4 step at t={t}", t=t)
+    return out
+
+
+REF_STEPPERS = {"euler": ref_euler, "rk2": ref_rk2, "rk4": ref_rk4}
+
+
+def ref_integrate_fixed(method, f, grid, x0):
+    step = REF_STEPPERS[method]
+    x = np.asarray(x0, dtype=float)
+    h = grid.h
+    out = np.empty((grid.node_count, x.size))
+    out[0] = x
+    for k in range(grid.steps):
+        try:
+            x = step(f, grid.t0 + k * h, x, h)
+        except IntegrationFailure as exc:
+            raise IntegrationFailure(
+                f"{method} produced a non-finite state at node {k + 1}",
+                node=k + 1, t=grid.t0 + (k + 1) * h) from exc
+        out[k + 1] = x
+    return out
+
+
+DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
+                   -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def ref_dp_step(f, t, x, h):
+    k = np.empty((7, x.size))
+    k[0] = f(t, x)
+    for s in range(1, 7):
+        xs = x.copy()
+        row = DP_A[s]
+        for j in range(s):
+            if row[j] != 0.0:
+                xs = xs + (h * row[j]) * k[j]
+        k[s] = f(t + DP_C[s] * h, xs)
+    return x + h * (DP_B5 @ k), h * (DP_ERR @ k)
+
+
+def ref_integrate_dp45(f, t0, tf, x0, settings, sample):
+    """The reference integrator; also returns the number of rejected steps."""
+    x = np.asarray(x0, dtype=float)
+    t = t0
+    h = settings.initial_step if settings.initial_step is not None else (tf - t0) / 100.0
+    targets = sample.nodes()
+    recorded = np.empty((sample.node_count, x.size))
+    idx = 0
+    if targets[0] == t0:
+        recorded[0] = x
+        idx = 1
+    attempts = rejected = 0
+    while idx < len(targets):
+        target = float(targets[idx])
+        clipped = t + h >= target
+        h_try = target - t if clipped else h
+        attempts += 1
+        if attempts > settings.max_steps:
+            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at t={t}")
+        x_new, err = ref_dp_step(f, t, x, h_try)
+        if not np.isfinite(x_new).all():
+            raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
+        scale = settings.abstol + settings.reltol * np.maximum(np.abs(x), np.abs(x_new))
+        ratio = float(np.max(np.abs(err) / scale))
+        factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
+        factor = min(5.0, max(0.2, factor))
+        if ratio <= 1.0:
+            x = x_new
+            if clipped:
+                t = target
+                recorded[idx] = x
+                idx += 1
+                h = max(h, h_try * factor)
+            else:
+                t = t + h_try
+                h = h_try * factor
+        else:
+            rejected += 1
+            h = h_try * factor
+    return recorded, rejected
+
+
+def ref_field(p):
+    """The fraction dynamics on numpy arrays, one array per call."""
+    def f(t, x):
+        s, i, c, a = x
+        aux1 = p.beta * (i + p.eta_c * c + p.eta_a * a) * s
+        aux2 = p.d * a
+        return np.array([
+            p.b * (1.0 - s) - aux1 + aux2 * s,
+            aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
+            p.phi * i - (p.omega + p.b - aux2) * c,
+            p.rho * i - (p.alpha + p.b + p.d - aux2) * a,
+        ])
+    return f
+
+
+def forced_oscillator(t, x):
+    # two components and an explicit time dependence
+    return [x[1], -x[0] - 0.1 * x[1] + math.sin(t)]
+
+
+def ref_forced_oscillator(t, x):
+    return np.array([x[1], -x[0] - 0.1 * x[1] + math.sin(t)])
+
+
+# ----------------------------------------------------------------- cases
+
+SCENARIOS = [
+    (1.6, (0.6, 0.2, 0.1, 0.1)),
+    (1.0, (0.9, 0.05, 0.03, 0.02)),
+    (2.0, (0.25, 0.25, 0.25, 0.25)),
+    (1.3, (1.0, 0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
+# coarse grids on short spans: 7 steps of 20/7 years make rk2 and rk4 blow up
+@pytest.mark.parametrize("steps,tf", [(1, 0.5), (7, 3.5), (100, 20.0), (800, 20.0)])
+@pytest.mark.parametrize("beta,x0", SCENARIOS)
+def test_fixed_matches_reference(method, steps, tf, beta, x0):
+    p = ModelParams(beta=beta)
+    grid = TimeGrid(0.0, tf, steps)
+    got = integrate_fixed(method, fraction_field(p), grid, np.array(x0))
+    want = ref_integrate_fixed(method, ref_field(p), grid, np.array(x0))
+    assert np.array_equal(got.states, want)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
+def test_fixed_matches_reference_on_a_time_dependent_field(method):
+    grid = TimeGrid(-1.0, 6.0, 70)
+    got = integrate_fixed(method, forced_oscillator, grid, [1.0, 0.0])
+    want = ref_integrate_fixed(method, ref_forced_oscillator, grid, [1.0, 0.0])
+    assert np.array_equal(got.states, want)
+
+
+SETTINGS = {
+    "default": AdaptiveSettings(),
+    "tight": AdaptiveSettings(reltol=1e-12, abstol=1e-14),
+    # on a 1-step sample grid, a first step of the whole span is rejected
+    # until the controller shrinks it
+    "rejecting": AdaptiveSettings(initial_step=20.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+@pytest.mark.parametrize("steps", [1, 100])
+@pytest.mark.parametrize("beta,x0", SCENARIOS[:3])
+def test_dp45_matches_reference(name, steps, beta, x0):
+    p = ModelParams(beta=beta)
+    grid = TimeGrid(0.0, 20.0, steps)
+    settings = SETTINGS[name]
+    got = integrate_dp45(fraction_field(p), 0.0, 20.0, np.array(x0), settings, grid)
+    want, rejected = ref_integrate_dp45(ref_field(p), 0.0, 20.0, np.array(x0),
+                                        settings, grid)
+    assert np.array_equal(got.states, want)
+    if name == "rejecting" and steps == 1:
+        assert rejected > 0
+
+
+def test_dp45_matches_reference_on_a_time_dependent_field():
+    settings = AdaptiveSettings(reltol=1e-9, abstol=1e-12)
+    sample = TimeGrid(0.5, 5.5, 10)
+    got = integrate_dp45(forced_oscillator, -1.0, 6.0, [1.0, 0.0], settings, sample)
+    want, _ = ref_integrate_dp45(ref_forced_oscillator, -1.0, 6.0, np.array([1.0, 0.0]),
+                                 settings, sample)
+    assert np.array_equal(got.states, want)
+
+
+def nan_after(f, t_bad):
+    """``f`` until t exceeds ``t_bad``, then a NaN in the second component."""
+    def g(t, x):
+        out = [float(v) for v in f(t, x)]
+        if t > t_bad:
+            out[1] = math.nan
+        return out
+    return g
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
+def test_mid_grid_nan_reports_the_reference_node_and_time(method):
+    p = ModelParams()
+    grid = TimeGrid(0.0, 20.0, 100)
+    x0 = np.array([0.6, 0.2, 0.1, 0.1])
+    with pytest.raises(IntegrationFailure) as got:
+        integrate_fixed(method, nan_after(fraction_field(p), 7.3), grid, x0)
+    ref_f = nan_after(ref_field(p), 7.3)
+    with pytest.raises(IntegrationFailure) as want:
+        ref_integrate_fixed(method, lambda t, x: np.array(ref_f(t, x)), grid, x0)
+    assert got.value.node == want.value.node
+    assert got.value.t == want.value.t
+    assert str(got.value) == str(want.value)
+
+
+def test_dp45_nan_reports_the_reference_time():
+    p = ModelParams()
+    grid = TimeGrid(0.0, 20.0, 100)
+    x0 = np.array([0.6, 0.2, 0.1, 0.1])
+    with pytest.raises(IntegrationFailure) as got:
+        integrate_dp45(nan_after(fraction_field(p), 7.3), 0.0, 20.0, x0,
+                       AdaptiveSettings(), grid)
+    ref_f = nan_after(ref_field(p), 7.3)
+    with pytest.raises(IntegrationFailure) as want:
+        ref_integrate_dp45(lambda t, x: np.array(ref_f(t, x)), 0.0, 20.0, x0,
+                           AdaptiveSettings(), grid)
+    assert got.value.t == want.value.t
+    assert str(got.value) == str(want.value)
