@@ -70,7 +70,10 @@ class OrderStudy:
     step_sizes: tuple[float, ...]
     terminal_errors: tuple[float, ...]      # max over components at tf
     slope: float                            # least-squares fit on the above
-    per_variable_slopes: dict[str, float]
+
+
+class DegenerateStudy(RuntimeError):
+    """A terminal error of an order study is zero, so its logarithm is undefined."""
 
 
 def diff_norms(x: np.ndarray, y: np.ndarray) -> NormTriple:
@@ -126,30 +129,28 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
     """Empirical order from terminal errors against a tight adaptive run.
 
     ``reference`` is that run's state at tf (see ``terminal_reference``);
-    pass it to share one reference between several methods.
+    pass it to share one reference between several methods.  Raises
+    ``DegenerateStudy`` when a terminal error is exactly zero, as at an
+    equilibrium, because the fit is on log-errors.
     """
     if len(refinements) < 3:
         raise ValueError("need at least 3 refinement levels")
     f = fraction_field(params)
     if reference is None:
         reference = terminal_reference(params, x0, t0, tf)
-    hs, errs, comp_errs = [], [], []
+    hs, errs = [], []
     for m in refinements:
         grid = TimeGrid(t0, tf, int(m))
         end = integrate_fixed(method, f, grid, x0).states[-1]
+        err = float(np.abs(end - reference).max())
+        if err == 0.0:
+            raise DegenerateStudy(
+                f"{method} terminal error is exactly 0 at M={m}, so no order can be fitted")
         hs.append(grid.h)
-        comp = np.abs(end - reference)
-        comp_errs.append(comp)
-        errs.append(float(comp.max()))
-    log_h = np.log(hs)
-    slope = float(np.polyfit(log_h, np.log(errs), 1)[0])
-    per_var = {
-        var: float(np.polyfit(log_h, np.log([c[k] for c in comp_errs]), 1)[0])
-        for k, var in enumerate(VARIABLES)
-    }
+        errs.append(err)
+    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     return OrderStudy(method=method, refinements=tuple(int(m) for m in refinements),
-                      step_sizes=tuple(hs), terminal_errors=tuple(errs),
-                      slope=slope, per_variable_slopes=per_var)
+                      step_sizes=tuple(hs), terminal_errors=tuple(errs), slope=slope)
 
 
 def simplex_drift(traj: Trajectory) -> float:

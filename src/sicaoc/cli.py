@@ -24,14 +24,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, VARIABLES,
-                       build_norm_table, convergence_order,
+                       DegenerateStudy, build_norm_table, convergence_order,
                        reference_trajectory, simplex_drift,
                        stationarity_residual, terminal_reference)
 # integrate_dp45 is imported for code that wraps this module's integrator
@@ -47,8 +47,9 @@ SIMULATE_HEADER = ("t", "s", "i", "c", "a")
 OPTIMIZE_HEADER = SIMULATE_HEADER + ("u", "lambda1", "lambda2", "lambda3", "lambda4")
 PLOT_KINDS = ("states", "states-vs-uncontrolled", "control")
 
-_PARAM_KEYS = ("mu", "b", "beta", "eta_c", "eta_a", "phi", "rho", "alpha", "omega", "d")
-_CONTROL_KEYS = ("u_max", "relaxation", "delta_error", "max_iterations")
+# Largest `steps` or `refinements` entry a config may ask for (1000 times
+# optimize's default grid), so a typo cannot make a run allocate gigabytes.
+MAX_GRID_STEPS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -60,41 +61,35 @@ class IoFailure(RuntimeError):
 
 
 @dataclass
-class ControlConfig:
-    u_max: float = 0.5
-    relaxation: float = 0.5
-    delta_error: float = 1e-3
-    max_iterations: int = 500
-
-
-@dataclass
 class RunConfig:
-    """Fully resolved run configuration with the default scenario filled in."""
+    """Fully resolved run configuration; ``sweep.grid`` is every subcommand's grid."""
 
     params: ModelParams
     initial: np.ndarray
-    horizon: float
-    steps: int | None          # per-command default applied when None
-    control: ControlConfig
+    bounds: ControlBounds
+    sweep: SweepSettings
     adjoint_mode: str
     refinements: tuple[int, ...]
     output: dict
 
-    def resolved_dict(self, steps: int) -> dict:
-        p = self.params
+    @property
+    def grid(self) -> TimeGrid:
+        return self.sweep.grid
+
+    def resolved_dict(self) -> dict:
         return {
-            "params": {k: float(getattr(p, k)) for k in _PARAM_KEYS},
-            "initial": {k: float(v) for k, v in zip("sica", self.initial)},
-            "horizon": float(self.horizon),
-            "steps": int(steps),
+            "params": asdict(self.params),
+            "initial": dict(zip("sica", self.initial.tolist())),
+            "horizon": self.grid.tf,
+            "steps": self.grid.steps,
             "control": {
-                "u_max": float(self.control.u_max),
-                "relaxation": float(self.control.relaxation),
-                "delta_error": float(self.control.delta_error),
-                "max_iterations": int(self.control.max_iterations),
+                "u_max": self.bounds.u_max,
+                "relaxation": self.sweep.relaxation,
+                "delta_error": self.sweep.delta_error,
+                "max_iterations": self.sweep.max_iterations,
             },
             "adjoint_mode": self.adjoint_mode,
-            "refinements": [int(m) for m in self.refinements],
+            "refinements": list(self.refinements),
             "output": dict(self.output),
         }
 
@@ -105,13 +100,11 @@ def _reject_unknown(mapping: dict, allowed, where: str):
         raise ConfigError(f"unknown config key(s) {unknown} in {where}")
 
 
-def _number(mapping: dict, key: str, where: str, default):
+def _number(mapping: dict, key: str, where: str, default=None) -> float:
     value = mapping.get(key, default)
-    if value is None:
-        return None
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
         raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return value
+    return float(value)
 
 
 def _finite(value: int | float) -> bool:
@@ -121,67 +114,67 @@ def _finite(value: int | float) -> bool:
         return False
 
 
-def parse_config(doc: dict) -> RunConfig:
+def _is_grid_size(value) -> bool:
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and value <= MAX_GRID_STEPS)
+
+
+def _build(section: str, cls, *args, **kwargs):
+    """Construct a library object; the range checks it makes become config errors."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {section}: {exc}") from exc
+
+
+def _section(doc: dict, key: str, allowed) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config.{key} must be an object")
+    _reject_unknown(section, allowed, f"config.{key}")
+    return section
+
+
+def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
+    """Check a config document; ``default_steps`` applies when it has no ``steps``."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(doc, ("params", "initial", "horizon", "steps", "control",
                           "adjoint_mode", "refinements", "output"), "config")
 
-    raw_params = doc.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("config.params must be an object")
-    _reject_unknown(raw_params, _PARAM_KEYS, "config.params")
-    kwargs = {k: _number(raw_params, k, "params", None) for k in raw_params}
-    try:
-        params = ModelParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid parameters: {exc}") from exc
+    raw_params = _section(doc, "params", [f.name for f in fields(ModelParams)])
+    # "b": null keeps the default recruitment rate, 2.1 * mu
+    params = _build("params", ModelParams, **{
+        k: _number(raw_params, k, "params") for k in raw_params
+        if not (k == "b" and raw_params[k] is None)})
 
-    raw_initial = doc.get("initial", {})
-    if not isinstance(raw_initial, dict):
-        raise ConfigError("config.initial must be an object")
-    _reject_unknown(raw_initial, tuple("sica"), "config.initial")
+    raw_initial = _section(doc, "initial", tuple("sica"))
     defaults = {"s": 0.6, "i": 0.2, "c": 0.1, "a": 0.1}
     initial = np.array([_number(raw_initial, k, "initial", defaults[k])
                         for k in "sica"], dtype=float)
     if np.any(initial < 0.0) or np.any(initial > 1.0):
         raise ConfigError("initial fractions must lie in [0, 1]")
     if abs(float(initial.sum()) - 1.0) > 1e-9:
-        raise ConfigError(f"initial fractions must sum to 1, got {initial.sum()!r}")
+        raise ConfigError(f"initial fractions must sum to 1, got {float(initial.sum())!r}")
 
     horizon = _number(doc, "horizon", "config", 20.0)
-    if horizon <= 0.0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
+    steps = default_steps if doc.get("steps") is None else doc["steps"]
+    if not _is_grid_size(steps):
+        raise ConfigError(
+            f"steps must be an integer of at most {MAX_GRID_STEPS}, got {steps!r}")
+    grid = _build("grid", TimeGrid, 0.0, horizon, steps)
 
-    steps = doc.get("steps")
-    if steps is not None:
-        if isinstance(steps, bool) or not isinstance(steps, int):
-            raise ConfigError(f"steps must be an integer, got {steps!r}")
-        if steps < 1:
-            raise ConfigError(f"grid requires at least 1 step, got steps={steps}")
-
-    raw_control = doc.get("control", {})
-    if not isinstance(raw_control, dict):
-        raise ConfigError("config.control must be an object")
-    _reject_unknown(raw_control, _CONTROL_KEYS, "config.control")
+    raw_control = _section(doc, "control",
+                           ("u_max", "relaxation", "delta_error", "max_iterations"))
     max_iterations = _number(raw_control, "max_iterations", "control", 500)
-    if max_iterations != int(max_iterations):
+    if not max_iterations.is_integer():
         raise ConfigError(
             f"control.max_iterations must be an integer, got {max_iterations!r}")
-    control = ControlConfig(
-        u_max=_number(raw_control, "u_max", "control", 0.5),
-        relaxation=_number(raw_control, "relaxation", "control", 0.5),
-        delta_error=_number(raw_control, "delta_error", "control", 1e-3),
-        max_iterations=int(max_iterations),
-    )
-    if not 0.0 <= control.u_max < 1.0:
-        raise ConfigError(f"control.u_max must lie in [0, 1), got {control.u_max}")
-    if not 0.0 < control.relaxation <= 1.0:
-        raise ConfigError("control.relaxation must lie in (0, 1]")
-    if control.delta_error <= 0.0:
-        raise ConfigError("control.delta_error must be positive")
-    if control.max_iterations < 1:
-        raise ConfigError("control.max_iterations must be at least 1")
+    bounds = _build("control", ControlBounds, _number(raw_control, "u_max", "control", 0.5))
+    sweep = _build("control", SweepSettings, grid=grid,
+                   delta_error=_number(raw_control, "delta_error", "control", 1e-3),
+                   relaxation=_number(raw_control, "relaxation", "control", 0.5),
+                   max_iterations=int(max_iterations))
 
     adjoint_mode = doc.get("adjoint_mode", "derived")
     if adjoint_mode not in ADJOINT_MODES:
@@ -189,26 +182,25 @@ def parse_config(doc: dict) -> RunConfig:
             f"adjoint_mode must be one of {ADJOINT_MODES}, got {adjoint_mode!r}")
 
     refinements = doc.get("refinements", [100, 200, 400, 800])
-    if (not isinstance(refinements, list) or len(refinements) < 3
-            or any(isinstance(m, bool) or not isinstance(m, int) or m < 1
-                   for m in refinements)):
-        raise ConfigError("refinements must be a list of at least 3 positive integers")
+    if (not isinstance(refinements, list) or not all(map(_is_grid_size, refinements))
+            or len(refinements) < 3 or len(set(refinements)) != len(refinements)):
+        raise ConfigError("refinements must be a list of at least 3 distinct "
+                          f"integers of at most {MAX_GRID_STEPS}")
+    for m in refinements:
+        _build("refinements", TimeGrid, 0.0, horizon, m)
 
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("config.output must be an object")
-    _reject_unknown(output, ("csv", "manifest"), "config.output")
+    output = _section(doc, "output", ("csv", "manifest"))
     if not all(isinstance(path, str) for path in output.values()):
         raise ConfigError("config.output paths must be strings")
 
-    return RunConfig(params=params, initial=initial, horizon=float(horizon),
-                     steps=steps, control=control, adjoint_mode=adjoint_mode,
-                     refinements=tuple(refinements), output=output)
+    return RunConfig(params=params, initial=initial, bounds=bounds, sweep=sweep,
+                     adjoint_mode=adjoint_mode, refinements=tuple(refinements),
+                     output=output)
 
 
-def load_config(path: str | None) -> RunConfig:
+def load_config(path: str | None, default_steps: int = 100) -> RunConfig:
     if path is None:
-        return parse_config({})
+        return parse_config({}, default_steps)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -217,7 +209,7 @@ def load_config(path: str | None) -> RunConfig:
         doc = json.loads(text, parse_constant=_JsonConstant)
     except ValueError as exc:   # malformed, or an integer past int's digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(doc, default_steps)
 
 
 class _JsonConstant:
@@ -254,15 +246,15 @@ def write_csv(path: Path, header, columns) -> None:
 
 
 def write_manifest(path: Path, manifest: dict) -> None:
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n",
                     encoding="utf-8", newline="\n")
 
 
-def _manifest_base(command: str, config: RunConfig, steps: int) -> dict:
+def _manifest_base(command: str, config: RunConfig) -> dict:
     return {
         "tool": {"name": "sicaoc", "version": __version__},
         "command": command,
-        "config": config.resolved_dict(steps),
+        "config": config.resolved_dict(),
     }
 
 
@@ -343,8 +335,7 @@ def emit_plot_script(csv_path: Path, kind: str, out_path: Path | None = None,
 
 def cmd_simulate(config: RunConfig, method: str, out: str | None,
                  plot: bool) -> int:
-    steps = config.steps if config.steps is not None else 100
-    grid = TimeGrid(0.0, config.horizon, steps)
+    grid = config.grid
     integrator: dict = {"sampling": "clip-to-node"}
     if method == "dp45":
         # the integrator's own default first step, made explicit for the manifest
@@ -362,7 +353,7 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
     write_csv(csv_path, SIMULATE_HEADER,
               [times] + [traj.states[:, k] for k in range(4)])
     drift = simplex_drift(traj)
-    manifest = _manifest_base("simulate", config, steps)
+    manifest = _manifest_base("simulate", config)
     manifest["method"] = method
     manifest["integrator"] = integrator
     manifest["diagnostics"] = {"simplex_drift": drift}
@@ -372,7 +363,7 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
         plots.append(str(emit_plot_script(csv_path, "states")))
         manifest["outputs"]["plots"] = plots
     write_manifest(manifest_path, manifest)
-    print(f"simulate method={method} steps={steps} horizon={config.horizon}")
+    print(f"simulate method={method} steps={grid.steps} horizon={grid.tf}")
     print(f"max |s+i+c+a-1| = {_fmt(drift)}")
     for p in [csv_path, manifest_path] + plots:
         print(f"wrote {p}")
@@ -380,16 +371,11 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
 
 
 def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
-    steps = config.steps if config.steps is not None else 1000
-    grid = TimeGrid(0.0, config.horizon, steps)
-    bounds = ControlBounds(config.control.u_max)
-    problem = sica_problem(config.params, bounds, config.initial,
+    grid = config.grid
+    problem = sica_problem(config.params, config.bounds, config.initial,
                            config.adjoint_mode)
-    settings = SweepSettings(grid=grid, delta_error=config.control.delta_error,
-                             relaxation=config.control.relaxation,
-                             max_iterations=config.control.max_iterations)
     try:
-        result = solve(problem, settings)
+        result = solve(problem, config.sweep)
         failure = None
     except SweepNonConvergence as exc:
         result = exc.result
@@ -404,7 +390,7 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
               [times] + [result.states.states[:, k] for k in range(4)]
               + [result.control] + [result.adjoints.states[:, k] for k in range(4)])
     residual = stationarity_residual(result, config.params)
-    manifest = _manifest_base("optimize", config, steps)
+    manifest = _manifest_base("optimize", config)
     manifest["integrator"] = {"scheme": "forward-backward rk4", "step_size": grid.h}
     manifest["diagnostics"] = {
         "converged": result.converged,
@@ -430,8 +416,8 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
         plots.append(str(emit_plot_script(csv_path, "control")))
         manifest["outputs"]["plots"] = plots
     write_manifest(manifest_path, manifest)
-    print(f"optimize steps={steps} horizon={config.horizon} "
-          f"u_max={config.control.u_max} adjoint={config.adjoint_mode}")
+    print(f"optimize steps={grid.steps} horizon={grid.tf} "
+          f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}")
     print(f"converged={result.converged} iterations={result.iterations} "
           f"margin={_fmt(result.final_margin)}")
     print(f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}")
@@ -444,8 +430,7 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
 
 
 def cmd_compare(config: RunConfig, out: str | None) -> int:
-    steps = config.steps if config.steps is not None else 100
-    grid = TimeGrid(0.0, config.horizon, steps)
+    grid = config.grid
     settings = AdaptiveSettings()
     reference = reference_trajectory(config.params, config.initial, grid, settings)
     tables = {m: build_norm_table(m, config.params, config.initial, grid,
@@ -473,7 +458,7 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
               [[r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
                [_fmt(r[3]) for r in rows], [_fmt(r[4]) for r in rows],
                [_fmt(r[5]) for r in rows]])
-    manifest = _manifest_base("compare", config, steps)
+    manifest = _manifest_base("compare", config)
     manifest["integrator"] = {"reltol": settings.reltol, "abstol": settings.abstol,
                               "sampling": "clip-to-node"}
     manifest["diagnostics"] = {"max_abs_rel_dev": {m: worst[m] for m in FIXED_METHODS}}
@@ -486,12 +471,13 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
 
 def cmd_orders(config: RunConfig, out: str | None) -> int:
     csv_path, manifest_path = _out_paths(out, config, "orders")
-    ref_end = terminal_reference(config.params, config.initial, 0.0, config.horizon)
+    horizon = config.grid.tf
+    ref_end = terminal_reference(config.params, config.initial, 0.0, horizon)
     studies = {m: convergence_order(m, config.params, config.initial,
-                                    config.refinements, 0.0, config.horizon,
+                                    config.refinements, 0.0, horizon,
                                     reference=ref_end)
                for m in FIXED_METHODS}
-    print(f"terminal-error convergence at t={config.horizon} over "
+    print(f"terminal-error convergence at t={horizon} over "
           f"M={list(config.refinements)} (reference: adaptive 5(4), reltol=1e-12)")
     print(f"{'method':7s} {'slope':>7s} {'band':>12s} {'status':>7s}")
     slopes = {}
@@ -511,7 +497,7 @@ def cmd_orders(config: RunConfig, out: str | None) -> int:
             cols_err.append(_fmt(err))
     write_csv(csv_path, ("method", "steps", "step_size", "terminal_error"),
               [cols_method, cols_m, cols_h, cols_err])
-    manifest = _manifest_base("orders", config, config.steps or 100)
+    manifest = _manifest_base("orders", config)
     manifest["diagnostics"] = {"slopes": slopes}
     manifest["outputs"] = {"csv": str(csv_path)}
     write_manifest(manifest_path, manifest)
@@ -561,7 +547,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = load_config(args.config)
+        # optimize's sweep resolves the control on a finer default grid
+        config = load_config(args.config, 1000 if args.command == "optimize" else 100)
         if args.command == "optimize" and args.adjoint:
             config.adjoint_mode = args.adjoint
         if args.command == "simulate":
@@ -574,7 +561,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {_one_line(exc)}", file=sys.stderr)
         return 2
-    except (IntegrationFailure, StepLimitExceeded, SweepNonConvergence) as exc:
+    except (IntegrationFailure, StepLimitExceeded, SweepNonConvergence,
+            DegenerateStudy) as exc:
         print(f"error: numeric: {_one_line(exc)}", file=sys.stderr)
         return 3
     except (IoFailure, OSError) as exc:

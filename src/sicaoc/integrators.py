@@ -16,7 +16,7 @@ the results equal the element-wise numpy arithmetic bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -50,10 +50,18 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
+        if not (isfinite(self.t0) and isfinite(self.tf)):
+            raise ValueError(f"grid requires finite end points, got [{self.t0}, {self.tf}]")
         if not self.tf > self.t0:
             raise ValueError(f"grid requires tf > t0, got [{self.t0}, {self.tf}]")
         if self.steps < 1:
             raise ValueError(f"grid requires at least 1 step, got {self.steps}")
+        try:
+            h = self.h
+        except OverflowError:   # an integer step count too large for a float
+            raise ValueError("grid step count is too large for a float step") from None
+        if not 0.0 < h < inf:
+            raise ValueError(f"grid requires a finite positive step, got h={h}")
 
     @property
     def h(self) -> float:
@@ -82,10 +90,6 @@ class Trajectory:
         if not np.isfinite(self.states).all():
             raise ValueError("trajectory contains non-finite entries")
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
     def times(self) -> np.ndarray:
         return self.grid.nodes()
 
@@ -103,10 +107,10 @@ class AdaptiveSettings:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if self.reltol <= 0 or self.abstol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.initial_step is not None and self.initial_step <= 0:
-            raise ValueError("initial step must be positive")
+        if not (0 < self.reltol < inf and 0 < self.abstol < inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.initial_step is not None and not 0 < self.initial_step < inf:
+            raise ValueError("initial step must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 

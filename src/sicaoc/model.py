@@ -19,6 +19,7 @@ to avoid numpy's per-call overhead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,8 +59,8 @@ class ModelParams:
             object.__setattr__(self, "b", 2.1 * self.mu)
         for name in ("mu", "b", "beta", "eta_c", "eta_a", "phi", "rho",
                      "alpha", "omega", "d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"parameter {name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"parameter {name} must be positive and finite")
         if self.eta_c > 1.0:
             raise ValueError("eta_c must be <= 1 (treated class is less infectious)")
         if self.eta_a < 1.0:

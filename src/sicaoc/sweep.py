@@ -87,8 +87,8 @@ class SweepSettings:
             raise ValueError("delta_error must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        if not 1 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be finite and at least 1")
         if self.initial_control is not None:
             self.initial_control = np.asarray(self.initial_control, dtype=float)
             if self.initial_control.shape != (self.grid.node_count,):

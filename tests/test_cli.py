@@ -39,18 +39,34 @@ class TestConfig:
         assert cfg.params.omega == 0.09
         assert cfg.params.d == 1.0
         np.testing.assert_allclose(cfg.initial, [0.6, 0.2, 0.1, 0.1])
-        assert cfg.horizon == 20.0
-        assert cfg.steps is None
-        assert cfg.control.u_max == 0.5
-        assert cfg.control.delta_error == 1e-3
-        assert cfg.control.relaxation == 0.5
-        assert cfg.control.max_iterations == 500
+        assert cfg.grid.tf == 20.0
+        assert cfg.grid.steps == 100
+        assert cfg.bounds.u_max == 0.5
+        assert cfg.sweep.delta_error == 1e-3
+        assert cfg.sweep.relaxation == 0.5
+        assert cfg.sweep.max_iterations == 500
         assert cfg.adjoint_mode == "derived"
         assert cfg.refinements == (100, 200, 400, 800)
 
     def test_recruitment_follows_custom_mu(self):
         cfg = parse_config({"params": {"mu": 0.02}})
         assert cfg.params.b == pytest.approx(0.042, rel=1e-15)
+        assert parse_config({"params": {"mu": 0.02, "b": None}}).params == cfg.params
+
+    def test_default_steps_apply_only_without_steps(self):
+        assert parse_config({}, default_steps=1000).grid.steps == 1000
+        assert parse_config({"steps": None}, default_steps=1000).grid.steps == 1000
+        assert parse_config({"steps": 7}, default_steps=1000).grid.steps == 7
+
+    def test_dataclass_errors_name_their_section(self):
+        with pytest.raises(ConfigError, match="^invalid grid: "):
+            parse_config({"horizon": 0})
+        with pytest.raises(ConfigError, match="^invalid params: "):
+            parse_config({"params": {"eta_a": 0.5}})
+        with pytest.raises(ConfigError, match="^invalid control: "):
+            parse_config({"control": {"relaxation": 0}})
+        with pytest.raises(ConfigError, match="^invalid refinements: "):
+            parse_config({"refinements": [0, 100, 200]})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -95,7 +111,7 @@ class TestConfig:
 
     def test_integral_max_iterations_accepted(self):
         for value in (3, 3.0):
-            iterations = parse_config({"control": {"max_iterations": value}}).control.max_iterations
+            iterations = parse_config({"control": {"max_iterations": value}}).sweep.max_iterations
             assert iterations == 3 and isinstance(iterations, int)
 
     def test_config_file_must_be_json(self, tmp_path):
@@ -269,6 +285,18 @@ class TestOrders:
         assert 1.8 <= slopes["rk2"]["slope"] <= 2.2
         assert 3.5 <= slopes["rk4"]["slope"] <= 4.5
 
+    def test_equilibrium_is_a_numeric_error(self, tmp_path, capsys):
+        # every terminal error is exactly 0, so no slope exists to report
+        cfg = write_config(tmp_path, {"initial": {"s": 1, "i": 0, "c": 0, "a": 0}})
+        out = tmp_path / "orders.csv"
+        code = run(["orders", "--config", cfg, "--out", str(out)])
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 3
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: numeric: ")
+        assert not out.exists()
+        assert not (tmp_path / "orders.manifest.json").exists()
+
 
 class TestPlotEmission:
     def test_missing_csv(self, tmp_path):
@@ -309,9 +337,14 @@ class TestHostileConfig:
         '{"horizon": 1e400}', '{"initial": {"s": NaN}}', '{"params": {"beta": NaN}}',
         '{"control": {"max_iterations": 2.7}}', '{"horizon": ' + "9" * 5000 + "}",
         '{"adjoint_mode": NaN}', '{"output": {"csv": NaN}}', '{"output": {"csv": 5}}',
+        '{"steps": 1' + "0" * 400 + "}", '{"steps": 1000001}',
+        '{"refinements": [100, 200, 1' + "0" * 400 + "]}", '{"refinements": [100, 100, 100]}',
+        '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
-            "adjoint-mode-nan", "output-nan", "output-int"])
+            "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
+            "steps-past-bound", "refinement-400-digits", "refinements-repeated",
+            "horizon-null", "refinement-step-underflow"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])

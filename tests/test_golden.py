@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the default CLI artifacts.
+"""Golden SHA-256 digests of CLI artifacts.
 
 Each command runs with the default configuration in an empty directory,
 so artifact names (and the paths the manifests record) are relative.
@@ -12,6 +12,7 @@ differently may legitimately disagree on the ``orders`` artifacts.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -87,3 +88,62 @@ def test_default_artifacts_match_golden_digests(key, tmp_path, monkeypatch):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(tmp_path.iterdir())}
     assert digests == GOLDEN[key]
+
+
+# A non-default scenario written with integer literals wherever JSON allows
+# them, so that a change in how the config is parsed, cast or serialised
+# (an int horizon, an int u_max, a zero initial fraction) shows in the bytes.
+CUSTOM_CONFIG = {
+    "horizon": 10, "steps": 200, "params": {"beta": 2, "d": 1, "mu": 0.02},
+    "initial": {"s": 0.5, "i": 0.25, "c": 0.25, "a": 0},
+    "control": {"u_max": 0.4, "relaxation": 0.5, "delta_error": 0.001,
+                "max_iterations": 300},
+    "refinements": [50, 100, 200],
+}
+
+CUSTOM_GOLDEN = {
+    "simulate-euler": {
+        "simulate_euler.csv":
+            "802ff1322eff0df7cb09204a7826262118f17f51dd07e23dbc5cb57f6ad89044",
+        "simulate_euler.manifest.json":
+            "3a13d0d10e0ae7f1003d4d2819d2ef1114978390e45eb37df6f8ad5834091db0",
+    },
+    "simulate-dp45": {
+        "simulate_dp45.csv":
+            "04c7702ddd1e41b167a30161c42dd2b0ca0547cedf6b06ec7247544fc8cd6d41",
+        "simulate_dp45.manifest.json":
+            "41cfca592588e857ab3346262b2490858114b607668ebc72a40f233923cd657b",
+    },
+    "optimize-plot": {
+        "optimize.control.gp":
+            "5562ee48b4c113cccf80645ce8ad4d1094ff06ce98823f6c034895663bacc99c",
+        "optimize.csv":
+            "22e4db8d83d3f31c4655c2fca5e1f3a6bddde48ba45473fcbeda83ab61e7384d",
+        "optimize.manifest.json":
+            "1736fe0e741dbb975e0551b34866e48cd296f78dbf26fec313442af069664fd2",
+        "optimize.states-vs-uncontrolled.gp":
+            "3f329a2c4958ea66d755abc8b21e3bea9f369f3f413cfe4ecb28ca7c7a23fa29",
+        "optimize.uncontrolled.csv":
+            "3bec18d131f16badd684a0b003dad44e1a68738b7696ee63cfd289936547d4cc",
+    },
+    "orders": {
+        "orders.csv":
+            "d5b804726f4553ce9b81cbff3f03465511b5ac76d71a83444a09e18cd4c538af",
+        "orders.manifest.json":
+            "d928828cb13a3eac142ac5da4da34efbdc5b2ca3b4b3ceec460ed1893687cf46",
+    },
+}
+
+
+@pytest.mark.parametrize("key", list(CUSTOM_GOLDEN))
+def test_custom_config_artifacts_match_golden_digests(key, tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CUSTOM_CONFIG))
+    work = tmp_path / "run"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(COMMANDS[key] + ["--config", str(config)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(work.iterdir())}
+    assert digests == CUSTOM_GOLDEN[key]

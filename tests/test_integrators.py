@@ -38,6 +38,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 20.0, 0)
 
+    @pytest.mark.parametrize("t0, tf", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                        (0.0, np.nan), (-1e308, 1e308)])
+    def test_rejects_non_finite_span(self, t0, tf):
+        # (-1e308, 1e308): tf - t0 overflows, so h would be infinite
+        with pytest.raises(ValueError):
+            TimeGrid(t0, tf, 10)
+
+    def test_rejects_a_step_that_underflows_or_overflows(self):
+        with pytest.raises(ValueError, match="finite positive step"):
+            TimeGrid(0.0, 5e-324, 2)
+        with pytest.raises(ValueError, match="too large"):
+            TimeGrid(0.0, 20.0, 10 ** 400)
+
     def test_nodes_and_step(self):
         grid = TimeGrid(0.0, 20.0, 100)
         nodes = grid.nodes()
@@ -70,6 +83,14 @@ class TestAdaptiveSettings:
             AdaptiveSettings(reltol=0.0)
         with pytest.raises(ValueError):
             AdaptiveSettings(abstol=-1e-9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"reltol": np.nan}, {"reltol": np.inf}, {"abstol": np.nan},
+        {"initial_step": np.nan}, {"initial_step": np.inf}])
+    def test_rejects_non_finite_settings(self, kwargs):
+        # a NaN reltol used to reject every step until max_steps
+        with pytest.raises(ValueError, match="finite"):
+            AdaptiveSettings(**kwargs)
 
 
 class TestSteps:

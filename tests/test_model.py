@@ -38,6 +38,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(d=-1.0)
 
+    @pytest.mark.parametrize("name", ["mu", "b", "beta", "eta_a", "d"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_rates(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ModelParams(**{name: value})
+
     def test_rejects_inverted_modifiers(self):
         with pytest.raises(ValueError):
             ModelParams(eta_c=1.5)

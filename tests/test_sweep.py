@@ -235,6 +235,9 @@ class TestSweepSettings:
                 SweepSettings(delta_error=bad)
             with pytest.raises(ValueError):
                 SweepSettings(relaxation=bad)
+            # a NaN budget used to run no iteration and report non-convergence
+            with pytest.raises(ValueError):
+                SweepSettings(max_iterations=bad)
         with pytest.raises(ValueError):
             SweepSettings(max_iterations=0)
         with pytest.raises(ValueError):
