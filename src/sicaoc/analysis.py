@@ -43,6 +43,9 @@ OCTAVE_ODE45_BASELINE = {
 
 ORDER_BANDS = {"euler": (0.9, 1.1), "rk2": (1.8, 2.2), "rk4": (3.5, 4.5)}
 
+# step of the central difference in u that stationarity_residual takes
+FD_STEP = 1e-6
+
 
 @dataclass(frozen=True)
 class NormTriple:
@@ -103,17 +106,14 @@ def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
 
 
 def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
-                     grid: TimeGrid | None = None,
-                     settings: AdaptiveSettings | None = None,
-                     reference: Trajectory | None = None) -> NormTable:
-    """Per-variable difference norms of one fixed-step method vs the reference.
+                     reference: Trajectory) -> NormTable:
+    """Per-variable difference norms of one fixed-step method vs ``reference``.
 
+    The method runs on the reference's grid (see ``reference_trajectory``).
     Norms run over all grid nodes including t0, where the difference is
     zero by construction.
     """
-    grid = grid or TimeGrid(0.0, 20.0, 100)
-    if reference is None:
-        reference = reference_trajectory(params, x0, grid, settings)
+    grid = reference.grid
     traj = integrate_fixed(method, fraction_field(params), grid, x0)
     per_var = {
         var: diff_norms(traj.states[:, k], reference.states[:, k])
@@ -158,8 +158,7 @@ def simplex_drift(traj: Trajectory) -> float:
     return float(np.abs(traj.states.sum(axis=1) - 1.0).max())
 
 
-def stationarity_residual(result: SweepResult, p: ModelParams,
-                          fd_step: float = 1e-6) -> float | None:
+def stationarity_residual(result: SweepResult, p: ModelParams) -> float | None:
     """Largest |dH/du| at nodes where the control is strictly interior.
 
     Central finite difference of the Hamiltonian in u.  Returns None
@@ -173,7 +172,7 @@ def stationarity_residual(result: SweepResult, p: ModelParams,
             continue
         x = result.states.states[k]
         lam = result.adjoints.states[k]
-        grad = (hamiltonian(p, x, lam, u + fd_step)
-                - hamiltonian(p, x, lam, u - fd_step)) / (2.0 * fd_step)
+        grad = (hamiltonian(p, x, lam, u + FD_STEP)
+                - hamiltonian(p, x, lam, u - FD_STEP)) / (2.0 * FD_STEP)
         worst = abs(grad) if worst is None else max(worst, abs(grad))
     return worst

@@ -238,11 +238,9 @@ def _cell(value) -> str:
     return value if isinstance(value, str) else _fmt(value)
 
 
-def write_csv(path: Path, header, columns) -> None:
-    # one .tolist() per numpy column instead of a numpy scalar per cell
-    values = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    rows = [",".join(header)] + [",".join(map(_cell, row)) for row in zip(*values)]
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+def write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_manifest(path: Path, manifest: dict) -> None:
@@ -250,23 +248,40 @@ def write_manifest(path: Path, manifest: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _manifest_base(command: str, config: RunConfig) -> dict:
-    return {
+def _emit(command: str, config: RunConfig, out: str | None, stem: str, header, rows,
+          fields: dict, plot=None) -> None:
+    """Write a run's CSV and manifest, and print a ``wrote`` line per file.
+
+    The CSV goes to ``out``, else to the config's ``output.csv``, else to
+    ``<stem>.csv``; the manifest to ``output.manifest``, else beside the
+    CSV.  It holds the tool, the command and the resolved config, then
+    ``fields``, then ``outputs``.  ``plot(csv_path, outputs)`` writes
+    any further files and records them in ``outputs``, in the order
+    their ``wrote`` lines are printed.
+    """
+    csv_path = Path(out or config.output.get("csv", f"{stem}.csv"))
+    if config.output.get("manifest"):
+        manifest_path = Path(config.output["manifest"])
+    elif csv_path.name.endswith(".csv"):
+        manifest_path = csv_path.with_name(csv_path.name[:-4] + ".manifest.json")
+    else:
+        manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
+    write_csv(csv_path, header, rows)
+    outputs = {"csv": str(csv_path)}
+    if plot is not None:
+        plot(csv_path, outputs)
+    write_manifest(manifest_path, {
         "tool": {"name": "sicaoc", "version": __version__},
         "command": command,
         "config": config.resolved_dict(),
-    }
-
-
-def _out_paths(out: str | None, config: RunConfig, default_stem: str):
-    csv = Path(out) if out else Path(config.output.get("csv", f"{default_stem}.csv"))
-    if config.output.get("manifest"):
-        manifest = Path(config.output["manifest"])
-    elif csv.name.endswith(".csv"):
-        manifest = csv.with_name(csv.name[:-4] + ".manifest.json")
-    else:
-        manifest = csv.with_name(csv.name + ".manifest.json")
-    return csv, manifest
+        **fields,
+        "outputs": outputs,
+    })
+    written = [outputs.pop("csv"), str(manifest_path)]
+    for value in outputs.values():
+        written += value if isinstance(value, list) else [value]
+    for path in written:
+        print(f"wrote {path}")
 
 
 def _read_csv_header(path: Path) -> list[str]:
@@ -277,9 +292,8 @@ def _read_csv_header(path: Path) -> list[str]:
     return first.split(",") if first else []
 
 
-def emit_plot_script(csv_path: Path, kind: str, out_path: Path | None = None,
-                     baseline_csv: Path | None = None) -> Path:
-    """Write a gnuplot script rendering one figure kind from a CSV file.
+def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None) -> Path:
+    """Write ``<csv stem>.<kind>.gp``, a gnuplot script of one figure kind.
 
     The script text depends only on the input paths, so repeated calls
     are byte-stable.
@@ -299,7 +313,7 @@ def emit_plot_script(csv_path: Path, kind: str, out_path: Path | None = None,
         if list(base_header[:5]) != list(SIMULATE_HEADER):
             raise IoFailure(
                 f"{baseline_csv} lacks the expected header {','.join(SIMULATE_HEADER)}")
-    out_path = out_path or csv_path.with_suffix(f".{kind}.gp")
+    out_path = csv_path.with_suffix(f".{kind}.gp")
     png = out_path.with_suffix(".png").name
     lines = [
         f"# generated by sicaoc {__version__}",
@@ -310,21 +324,18 @@ def emit_plot_script(csv_path: Path, kind: str, out_path: Path | None = None,
         "set terminal pngcairo size 900,600",
         f'set output "{png}"',
     ]
-    if kind == "states":
-        lines.append('set ylabel "population fraction"')
-        curves = [f'"{csv_path.name}" using "t":"{v}" with lines lw 2 title "{v}"'
-                  for v in "sica"]
-        lines.append("plot " + ", \\\n     ".join(curves))
-    elif kind == "control":
+    if kind == "control":
         lines.append('set ylabel "prevention effort u"')
         lines.append("set yrange [0:*]")
         lines.append(f'plot "{csv_path.name}" using "t":"u" with lines lw 2 title "u"')
     else:
         lines.append('set ylabel "population fraction"')
-        curves = [f'"{csv_path.name}" using "t":"{v}" with lines lw 2 '
-                  f'title "{v} (control)"' for v in "sica"]
-        curves += [f'"{baseline_csv.name}" using "t":"{v}" with lines dt 2 lw 2 '
-                   f'title "{v} (no control)"' for v in "sica"]
+        label = "" if kind == "states" else " (control)"
+        curves = [f'"{csv_path.name}" using "t":"{v}" with lines lw 2 title "{v}{label}"'
+                  for v in "sica"]
+        if kind == "states-vs-uncontrolled":
+            curves += [f'"{baseline_csv.name}" using "t":"{v}" with lines dt 2 lw 2 '
+                       f'title "{v} (no control)"' for v in "sica"]
         lines.append("plot " + ", \\\n     ".join(curves))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return out_path
@@ -348,25 +359,18 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
         traj = integrate_fixed(method, fraction_field(config.params), grid,
                                config.initial)
         integrator.update({"step_size": grid.h})
-    csv_path, manifest_path = _out_paths(out, config, f"simulate_{method}")
-    times = traj.times()
-    write_csv(csv_path, SIMULATE_HEADER,
-              [times] + [traj.states[:, k] for k in range(4)])
     drift = simplex_drift(traj)
-    manifest = _manifest_base("simulate", config)
-    manifest["method"] = method
-    manifest["integrator"] = integrator
-    manifest["diagnostics"] = {"simplex_drift": drift}
-    manifest["outputs"] = {"csv": str(csv_path)}
-    plots = []
-    if plot:
-        plots.append(str(emit_plot_script(csv_path, "states")))
-        manifest["outputs"]["plots"] = plots
-    write_manifest(manifest_path, manifest)
     print(f"simulate method={method} steps={grid.steps} horizon={grid.tf}")
     print(f"max |s+i+c+a-1| = {_fmt(drift)}")
-    for p in [csv_path, manifest_path] + plots:
-        print(f"wrote {p}")
+
+    def plot_states(csv_path, outputs):
+        outputs["plots"] = [str(emit_plot_script(csv_path, "states"))]
+
+    _emit("simulate", config, out, f"simulate_{method}", SIMULATE_HEADER,
+          np.column_stack((traj.times(), traj.states)).tolist(),
+          {"method": method, "integrator": integrator,
+           "diagnostics": {"simplex_drift": drift}},
+          plot_states if plot else None)
     return 0
 
 
@@ -383,46 +387,39 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
     zero_u = np.zeros(grid.node_count)
     uncontrolled = forward_pass(problem, zero_u, grid)
     j_zero = objective(uncontrolled, zero_u)
-
-    csv_path, manifest_path = _out_paths(out, config, "optimize")
     times = result.states.times()
-    write_csv(csv_path, OPTIMIZE_HEADER,
-              [times] + [result.states.states[:, k] for k in range(4)]
-              + [result.control] + [result.adjoints.states[:, k] for k in range(4)])
-    residual = stationarity_residual(result, config.params)
-    manifest = _manifest_base("optimize", config)
-    manifest["integrator"] = {"scheme": "forward-backward rk4", "step_size": grid.h}
-    manifest["diagnostics"] = {
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "final_margin": result.final_margin,
-        "objective": result.objective,
-        "objective_zero_control": j_zero,
-        "stationarity_residual": residual,
-        "simplex_drift": simplex_drift(result.states),
-        "terminal_adjoint": [float(v) for v in result.adjoints.states[-1]],
-        "control_range": [float(result.control.min()), float(result.control.max())],
-    }
-    manifest["outputs"] = {"csv": str(csv_path)}
-    plots = []
-    baseline_path = None
-    if plot:
-        baseline_path = csv_path.with_suffix(".uncontrolled.csv")
-        write_csv(baseline_path, SIMULATE_HEADER,
-                  [times] + [uncontrolled.states[:, k] for k in range(4)])
-        manifest["outputs"]["uncontrolled_csv"] = str(baseline_path)
-        plots.append(str(emit_plot_script(csv_path, "states-vs-uncontrolled",
-                                          baseline_csv=baseline_path)))
-        plots.append(str(emit_plot_script(csv_path, "control")))
-        manifest["outputs"]["plots"] = plots
-    write_manifest(manifest_path, manifest)
     print(f"optimize steps={grid.steps} horizon={grid.tf} "
           f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}")
     print(f"converged={result.converged} iterations={result.iterations} "
           f"margin={_fmt(result.final_margin)}")
     print(f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}")
-    for p in [csv_path, manifest_path] + ([baseline_path] if baseline_path else []) + plots:
-        print(f"wrote {p}")
+
+    def plot_against_uncontrolled(csv_path, outputs):
+        baseline = csv_path.with_suffix(".uncontrolled.csv")
+        write_csv(baseline, SIMULATE_HEADER,
+                  np.column_stack((times, uncontrolled.states)).tolist())
+        outputs["uncontrolled_csv"] = str(baseline)
+        outputs["plots"] = [
+            str(emit_plot_script(csv_path, "states-vs-uncontrolled", baseline_csv=baseline)),
+            str(emit_plot_script(csv_path, "control"))]
+
+    diagnostics = {
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "final_margin": result.final_margin,
+        "objective": result.objective,
+        "objective_zero_control": j_zero,
+        "stationarity_residual": stationarity_residual(result, config.params),
+        "simplex_drift": simplex_drift(result.states),
+        "terminal_adjoint": [float(v) for v in result.adjoints.states[-1]],
+        "control_range": [float(result.control.min()), float(result.control.max())],
+    }
+    _emit("optimize", config, out, "optimize", OPTIMIZE_HEADER,
+          np.column_stack((times, result.states.states, result.control,
+                           result.adjoints.states)).tolist(),
+          {"integrator": {"scheme": "forward-backward rk4", "step_size": grid.h},
+           "diagnostics": diagnostics},
+          plot_against_uncontrolled if plot else None)
     if failure is not None:
         print(f"error: numeric: {failure}", file=sys.stderr)
         return 3
@@ -433,9 +430,8 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
     grid = config.grid
     settings = AdaptiveSettings()
     reference = reference_trajectory(config.params, config.initial, grid, settings)
-    tables = {m: build_norm_table(m, config.params, config.initial, grid,
-                                  reference=reference) for m in FIXED_METHODS}
-    csv_path, manifest_path = _out_paths(out, config, "compare_norms")
+    tables = {m: build_norm_table(m, config.params, config.initial, reference)
+              for m in FIXED_METHODS}
     print(f"difference norms vs adaptive 5(4) reference "
           f"(reltol={settings.reltol}, abstol={settings.abstol}) "
           f"on {grid.node_count} nodes of [0, {grid.tf}]")
@@ -453,24 +449,15 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
                 print(f"{method:7s} {var:3s} {norm_name:4s} {got:14.7f} "
                       f"{ref:14.7f} {dev:+9.4f}")
                 rows.append((method, var, norm_name, got, ref, dev))
-    write_csv(csv_path,
-              ("method", "variable", "norm", "computed", "baseline", "rel_dev"),
-              [[r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
-               [_fmt(r[3]) for r in rows], [_fmt(r[4]) for r in rows],
-               [_fmt(r[5]) for r in rows]])
-    manifest = _manifest_base("compare", config)
-    manifest["integrator"] = {"reltol": settings.reltol, "abstol": settings.abstol,
-                              "sampling": "clip-to-node"}
-    manifest["diagnostics"] = {"max_abs_rel_dev": {m: worst[m] for m in FIXED_METHODS}}
-    manifest["outputs"] = {"csv": str(csv_path)}
-    write_manifest(manifest_path, manifest)
-    print(f"wrote {csv_path}")
-    print(f"wrote {manifest_path}")
+    _emit("compare", config, out, "compare_norms",
+          ("method", "variable", "norm", "computed", "baseline", "rel_dev"), rows,
+          {"integrator": {"reltol": settings.reltol, "abstol": settings.abstol,
+                          "sampling": "clip-to-node"},
+           "diagnostics": {"max_abs_rel_dev": worst}})
     return 0
 
 
 def cmd_orders(config: RunConfig, out: str | None) -> int:
-    csv_path, manifest_path = _out_paths(out, config, "orders")
     horizon = config.grid.tf
     ref_end = terminal_reference(config.params, config.initial, 0.0, horizon)
     studies = {m: convergence_order(m, config.params, config.initial,
@@ -487,22 +474,12 @@ def cmd_orders(config: RunConfig, out: str | None) -> int:
         slopes[method] = {"slope": study.slope, "band": [lo, hi], "within_band": ok}
         print(f"{method:7s} {study.slope:7.3f} {f'[{lo}, {hi}]':>12s} "
               f"{'ok' if ok else 'FAIL':>7s}")
-    cols_method, cols_m, cols_h, cols_err = [], [], [], []
-    for method, study in studies.items():
-        for m, h, err in zip(study.refinements, study.step_sizes,
-                             study.terminal_errors):
-            cols_method.append(method)
-            cols_m.append(str(m))
-            cols_h.append(_fmt(h))
-            cols_err.append(_fmt(err))
-    write_csv(csv_path, ("method", "steps", "step_size", "terminal_error"),
-              [cols_method, cols_m, cols_h, cols_err])
-    manifest = _manifest_base("orders", config)
-    manifest["diagnostics"] = {"slopes": slopes}
-    manifest["outputs"] = {"csv": str(csv_path)}
-    write_manifest(manifest_path, manifest)
-    print(f"wrote {csv_path}")
-    print(f"wrote {manifest_path}")
+    rows = [(method, str(m), h, err) for method, study in studies.items()
+            for m, h, err in zip(study.refinements, study.step_sizes,
+                                 study.terminal_errors)]
+    _emit("orders", config, out, "orders",
+          ("method", "steps", "step_size", "terminal_error"), rows,
+          {"diagnostics": {"slopes": slopes}})
     return 0
 
 

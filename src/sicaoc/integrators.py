@@ -251,34 +251,37 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
     if targets[0] == t0:
         recorded.append(x)
     attempts = 0
-    while len(recorded) < len(targets):
-        target = targets[len(recorded)]
-        clipped = t + h >= target
-        h_try = target - t if clipped else h
-        attempts += 1
-        if attempts > settings.max_steps:
-            raise StepLimitExceeded(
-                f"exceeded {settings.max_steps} steps at t={t} "
-                f"(reached sample {len(recorded)})")
-        x_new, err = _dp_step(f, t, x, h_try)
-        if not all(map(isfinite, x_new)):
-            raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
-        # x_new is finite, so every stage is (the 5th-order sum carries a
-        # non-finite stage into it, zero weights included), and so is ratio
-        ratio = max(abs(e) / (abstol + reltol * max(abs(a), abs(b)))
-                    for e, a, b in zip(err, x, x_new))
-        factor = _GROWTH_LIMIT if ratio == 0.0 else _SAFETY * ratio ** _ERR_EXPONENT
-        factor = min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
-        if ratio <= 1.0:
-            x = x_new
-            if clipped:
-                t = target
-                recorded.append(x)
-                # a clipped step must not shrink the controller's proposal
-                h = max(h, h_try * factor)
+    # a stage that overflows makes the matmuls in _dp_step warn; x_new is
+    # checked below, so the failure is reported once, as IntegrationFailure
+    with np.errstate(invalid="ignore", over="ignore"):
+        while len(recorded) < len(targets):
+            target = targets[len(recorded)]
+            clipped = t + h >= target
+            h_try = target - t if clipped else h
+            attempts += 1
+            if attempts > settings.max_steps:
+                raise StepLimitExceeded(
+                    f"exceeded {settings.max_steps} steps at t={t} "
+                    f"(reached sample {len(recorded)})")
+            x_new, err = _dp_step(f, t, x, h_try)
+            if not all(map(isfinite, x_new)):
+                raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
+            # x_new is finite, so every stage is (the 5th-order sum carries a
+            # non-finite stage into it, zero weights included), and so is ratio
+            ratio = max(abs(e) / (abstol + reltol * max(abs(a), abs(b)))
+                        for e, a, b in zip(err, x, x_new))
+            factor = _GROWTH_LIMIT if ratio == 0.0 else _SAFETY * ratio ** _ERR_EXPONENT
+            factor = min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
+            if ratio <= 1.0:
+                x = x_new
+                if clipped:
+                    t = target
+                    recorded.append(x)
+                    # a clipped step must not shrink the controller's proposal
+                    h = max(h, h_try * factor)
+                else:
+                    t = t + h_try
+                    h = h_try * factor
             else:
-                t = t + h_try
                 h = h_try * factor
-        else:
-            h = h_try * factor
     return Trajectory(sample, recorded)

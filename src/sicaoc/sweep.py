@@ -26,10 +26,9 @@ from .model import (ControlBounds, FloatState, ModelParams, controlled_field,
 class SweepNonConvergence(RuntimeError):
     """Iteration budget exhausted; carries the last iterate for inspection."""
 
-    def __init__(self, message: str, result: "SweepResult", margin: float):
+    def __init__(self, message: str, result: "SweepResult"):
         super().__init__(message)
         self.result = result
-        self.margin = margin
 
 
 @dataclass
@@ -42,9 +41,9 @@ class OcProblem:
     sequences and a control value and return a tuple of four floats.
     ``control_law(x, lam)`` takes the ``(n, 4)`` state and costate
     arrays of all n grid nodes and returns the n control values, or one
-    value for every node, already clamped to ``bounds``.  The terminal
-    costate is zero for the free-endpoint problems handled here but is
-    kept explicit.
+    value for every node, already clamped to ``bounds``.  There is no
+    terminal cost and the end state is free, so the costate always ends
+    at zero.
     """
 
     state_field: Callable[[Sequence[float], float], FloatState]
@@ -52,13 +51,11 @@ class OcProblem:
     control_law: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
     bounds: ControlBounds
     x0: np.ndarray
-    terminal_adjoint: np.ndarray
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
-        self.terminal_adjoint = np.asarray(self.terminal_adjoint, dtype=float)
-        if self.x0.shape != (4,) or self.terminal_adjoint.shape != (4,):
-            raise ValueError("state and terminal costate must have four components")
+        if self.x0.shape != (4,):
+            raise ValueError("initial state must have four components")
 
 
 def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
@@ -70,7 +67,6 @@ def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
         control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
         bounds=bounds,
         x0=x0,
-        terminal_adjoint=np.zeros(4),
     )
 
 
@@ -102,8 +98,7 @@ class SweepResult:
     ``control`` holds the pointwise control-law evaluation at the final
     state/costate pair, so it satisfies the Hamiltonian maximality
     condition exactly at every node; the relaxed iterate is internal to
-    the iteration.  The costate trajectory ends exactly on the terminal
-    data.
+    the iteration.  The costate trajectory ends exactly at zero.
     """
 
     states: Trajectory
@@ -177,7 +172,7 @@ def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
 
 
 def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
-    """Integrate the costate backward from the terminal transversality data.
+    """Integrate the costate backward from its zero terminal value (free end point).
 
     Stage values of the state and control at the half node are the
     arithmetic means of the two neighbouring grid nodes.
@@ -192,7 +187,7 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
     h = grid.h
     stages = list(zip(x.states.tolist(), u.tolist()))
     mids = list(zip(_midpoints(x.states), _midpoints(u)))
-    lam = prob.terminal_adjoint.tolist()
+    lam = [0.0] * 4
     rows = [lam]
     for j in range(grid.steps, 0, -1):
         lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
@@ -291,5 +286,5 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
     if not converged:
         raise SweepNonConvergence(
             f"sweep did not converge within {settings.max_iterations} iterations "
-            f"(margin {margin:.3e})", result=result, margin=margin)
+            f"(margin {margin:.3e})", result=result)
     return result

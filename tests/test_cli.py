@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sicaoc
 from sicaoc.cli import (ConfigError, IoFailure, emit_plot_script, load_config,
                         main, parse_config)
 
@@ -358,3 +363,30 @@ class TestHostileConfig:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: config: ")
         assert not out.exists()
+
+
+class TestOverflowingStages:
+    """A DP45 stage that overflows is reported in one stderr line.
+
+    numpy prints its floating-point warnings straight to stderr, and
+    pytest's warning capture hides them in-process, so the command runs
+    in a child interpreter.
+    """
+
+    @pytest.mark.parametrize("doc", [{"params": {"beta": 1e308}},
+                                     {"horizon": 1.797e308}],
+                             ids=["beta-1e308", "horizon-1.797e308"])
+    @pytest.mark.parametrize("argv", [["orders"], ["compare"],
+                                      ["simulate", "--method", "dp45"]],
+                             ids=["orders", "compare", "simulate-dp45"])
+    def test_one_error_line(self, tmp_path, doc, argv):
+        cfg = write_config(tmp_path, doc)
+        package_root = str(Path(sicaoc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv + ["--config", cfg],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        err_lines = proc.stderr.splitlines()
+        assert proc.returncode == 3
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: numeric: ")

@@ -20,8 +20,7 @@ def zero_problem():
     return OcProblem(state_field=lambda x, u: (0.0, 0.0, 0.0, 0.0),
                      adjoint_field=lambda x, lam, u: (0.0, 0.0, 0.0, 0.0),
                      control_law=lambda x, lam: 0.0,
-                     bounds=ControlBounds(0.5), x0=X0,
-                     terminal_adjoint=np.zeros(4))
+                     bounds=ControlBounds(0.5), x0=X0)
 
 
 class TestForwardPass:
@@ -207,7 +206,7 @@ class TestSolve:
                                  delta_error=1e-12, max_iterations=1)
         with pytest.raises(SweepNonConvergence) as exc:
             solve(prob, settings)
-        assert exc.value.margin < 0.0
+        assert exc.value.result.final_margin < 0.0
         result = exc.value.result
         assert not result.converged
         assert result.iterations == 1
