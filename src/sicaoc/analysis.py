@@ -10,7 +10,7 @@ import numpy as np
 
 from .integrators import (AdaptiveSettings, TimeGrid, Trajectory,
                           integrate_dp45, integrate_fixed)
-from .model import ModelParams, fraction_field, hamiltonian
+from .model import ControlBounds, ModelParams, fraction_field, hamiltonian
 from .sweep import SweepResult
 
 VARIABLES = ("S", "I", "C", "A")
@@ -61,14 +61,11 @@ class NormTriple:
 
 @dataclass
 class NormTable:
-    method: str
-    grid: TimeGrid
     per_variable: dict[str, NormTriple]
 
 
 @dataclass
 class OrderStudy:
-    method: str
     refinements: tuple[int, ...]
     step_sizes: tuple[float, ...]
     terminal_errors: tuple[float, ...]      # max over components at tf
@@ -113,13 +110,12 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
     Norms run over all grid nodes including t0, where the difference is
     zero by construction.
     """
-    grid = reference.grid
-    traj = integrate_fixed(method, fraction_field(params), grid, x0)
+    traj = integrate_fixed(method, fraction_field(params), reference.grid, x0)
     per_var = {
         var: diff_norms(traj.states[:, k], reference.states[:, k])
         for k, var in enumerate(VARIABLES)
     }
-    return NormTable(method=method, grid=grid, per_variable=per_var)
+    return NormTable(per_variable=per_var)
 
 
 def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
@@ -149,7 +145,7 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
         hs.append(grid.h)
         errs.append(err)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return OrderStudy(method=method, refinements=tuple(int(m) for m in refinements),
+    return OrderStudy(refinements=tuple(int(m) for m in refinements),
                       step_sizes=tuple(hs), terminal_errors=tuple(errs), slope=slope)
 
 
@@ -158,13 +154,15 @@ def simplex_drift(traj: Trajectory) -> float:
     return float(np.abs(traj.states.sum(axis=1) - 1.0).max())
 
 
-def stationarity_residual(result: SweepResult, p: ModelParams) -> float | None:
-    """Largest |dH/du| at nodes where the control is strictly interior.
+def stationarity_residual(result: SweepResult, p: ModelParams,
+                          bounds: ControlBounds) -> float | None:
+    """Largest |dH/du| at nodes where the control is strictly inside ``bounds``.
 
+    ``bounds`` are the ones the solved problem's control law clamps to.
     Central finite difference of the Hamiltonian in u.  Returns None
     when the control touches a bound at every node.
     """
-    u_max = result.bounds.u_max
+    u_max = bounds.u_max
     worst = None
     for k in range(result.states.grid.node_count):
         u = float(result.control[k])

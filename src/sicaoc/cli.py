@@ -13,16 +13,21 @@ file outputs (CSV trajectories, JSON manifests, gnuplot scripts) are
 byte-deterministic for a fixed configuration, and each manifest embeds
 the fully resolved configuration needed to reproduce the run.
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure or
-non-convergence, 4 I/O failure.  Errors print one machine-parsable line
-``error: <category>: <message>`` on stderr.
+Output paths are resolved and checked before anything is computed.
+Exit codes: 0 success, 2 invalid configuration (output paths included),
+3 numerical failure or non-convergence, 4 I/O failure (any OSError).
+Errors print one machine-parsable line ``error: <category>: <message>``
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -45,7 +50,6 @@ from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
 
 SIMULATE_HEADER = ("t", "s", "i", "c", "a")
 OPTIMIZE_HEADER = SIMULATE_HEADER + ("u", "lambda1", "lambda2", "lambda3", "lambda4")
-PLOT_KINDS = ("states", "states-vs-uncontrolled", "control")
 
 # Largest `steps` or `refinements` entry a config may ask for (1000 times
 # optimize's default grid), so a typo cannot make a run allocate gigabytes.
@@ -54,10 +58,6 @@ MAX_GRID_STEPS = 1_000_000
 
 class ConfigError(ValueError):
     """Configuration file is malformed or violates an invariant."""
-
-
-class IoFailure(RuntimeError):
-    """A required input file is missing or unreadable."""
 
 
 @dataclass
@@ -248,28 +248,55 @@ def write_manifest(path: Path, manifest: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _emit(command: str, config: RunConfig, out: str | None, stem: str, header, rows,
-          fields: dict, plot=None) -> None:
-    """Write a run's CSV and manifest, and print a ``wrote`` line per file.
+def _output_paths(config: RunConfig, out: str | None, stem: str,
+                  suffixes=()) -> list[Path]:
+    """Resolve a run's output paths and check them before it computes anything.
 
     The CSV goes to ``out``, else to the config's ``output.csv``, else to
     ``<stem>.csv``; the manifest to ``output.manifest``, else beside the
-    CSV.  It holds the tool, the command and the resolved config, then
-    ``fields``, then ``outputs``.  ``plot(csv_path, outputs)`` writes
-    any further files and records them in ``outputs``, in the order
-    their ``wrote`` lines are printed.
+    CSV.  Each of ``suffixes`` replaces the CSV's suffix to name one more
+    file.  Returns ``[csv, manifest, *more]``.  A path without a file
+    name, or two paths naming one file, is a config error; a path whose
+    directory is missing raises the OSError that writing it would.
     """
     csv_path = Path(out or config.output.get("csv", f"{stem}.csv"))
-    if config.output.get("manifest"):
-        manifest_path = Path(config.output["manifest"])
-    elif csv_path.name.endswith(".csv"):
-        manifest_path = csv_path.with_name(csv_path.name[:-4] + ".manifest.json")
-    else:
-        manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
+    manifest_path = Path(config.output.get("manifest") or csv_path.parent
+                         / (csv_path.name.removesuffix(".csv") + ".manifest.json"))
+    for path in (csv_path, manifest_path):
+        if not path.name:
+            raise ConfigError(f"output path {str(path)!r} names no file")
+    paths = [csv_path, manifest_path] + [csv_path.with_suffix(s) for s in suffixes]
+    seen = {}
+    for path in paths:
+        first = seen.setdefault(os.path.realpath(path), path)
+        if first is not path:
+            raise ConfigError(f"output paths {str(first)!r} and {str(path)!r} "
+                              "name the same file")
+    for path in paths:
+        try:
+            code = (errno.ENOTDIR if not stat.S_ISDIR(os.stat(path.parent).st_mode)
+                    else errno.EISDIR if path.is_dir() else 0)
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            raise OSError(code, os.strerror(code), str(path))
+    return paths
+
+
+def _emit(command: str, config: RunConfig, paths: list[Path], header, rows,
+          fields: dict, plot=None) -> None:
+    """Write a run's CSV and manifest, and print a ``wrote`` line per file.
+
+    ``paths`` come from ``_output_paths``.  The manifest holds the tool,
+    the command and the resolved config, then ``fields``, then
+    ``outputs``.  ``plot(outputs)`` writes any further files and records
+    them in ``outputs``, in the order their ``wrote`` lines are printed.
+    """
+    csv_path, manifest_path = paths[:2]
     write_csv(csv_path, header, rows)
     outputs = {"csv": str(csv_path)}
     if plot is not None:
-        plot(csv_path, outputs)
+        plot(outputs)
     write_manifest(manifest_path, {
         "tool": {"name": "sicaoc", "version": __version__},
         "command": command,
@@ -284,35 +311,15 @@ def _emit(command: str, config: RunConfig, out: str | None, stem: str, header, r
         print(f"wrote {path}")
 
 
-def _read_csv_header(path: Path) -> list[str]:
-    if not path.is_file():
-        raise IoFailure(f"csv file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        first = fh.readline().strip()
-    return first.split(",") if first else []
-
-
 def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None) -> Path:
     """Write ``<csv stem>.<kind>.gp``, a gnuplot script of one figure kind.
 
-    The script text depends only on the input paths, so repeated calls
-    are byte-stable.
+    ``kind`` is ``states`` (the s, i, c, a columns of ``csv_path``),
+    ``states-vs-uncontrolled`` (the same against ``baseline_csv``) or
+    ``control`` (its u column).  The script text depends only on the
+    arguments, so repeated calls are byte-stable.
     """
     csv_path = Path(csv_path)
-    if kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind {kind!r}")
-    header = _read_csv_header(csv_path)
-    needed = OPTIMIZE_HEADER[:6] if kind == "control" else SIMULATE_HEADER
-    if list(header[:len(needed)]) != list(needed):
-        raise IoFailure(f"{csv_path} lacks the expected header {','.join(needed)}")
-    if kind == "states-vs-uncontrolled":
-        if baseline_csv is None:
-            raise ValueError("states-vs-uncontrolled needs a baseline csv")
-        baseline_csv = Path(baseline_csv)
-        base_header = _read_csv_header(baseline_csv)
-        if list(base_header[:5]) != list(SIMULATE_HEADER):
-            raise IoFailure(
-                f"{baseline_csv} lacks the expected header {','.join(SIMULATE_HEADER)}")
     out_path = csv_path.with_suffix(f".{kind}.gp")
     png = out_path.with_suffix(".png").name
     lines = [
@@ -334,7 +341,7 @@ def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None
         curves = [f'"{csv_path.name}" using "t":"{v}" with lines lw 2 title "{v}{label}"'
                   for v in "sica"]
         if kind == "states-vs-uncontrolled":
-            curves += [f'"{baseline_csv.name}" using "t":"{v}" with lines dt 2 lw 2 '
+            curves += [f'"{Path(baseline_csv).name}" using "t":"{v}" with lines dt 2 lw 2 '
                        f'title "{v} (no control)"' for v in "sica"]
         lines.append("plot " + ", \\\n     ".join(curves))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -346,6 +353,8 @@ def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None
 
 def cmd_simulate(config: RunConfig, method: str, out: str | None,
                  plot: bool) -> int:
+    paths = _output_paths(config, out, f"simulate_{method}",
+                          (".states.gp",) if plot else ())
     grid = config.grid
     integrator: dict = {"sampling": "clip-to-node"}
     if method == "dp45":
@@ -363,10 +372,10 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
     print(f"simulate method={method} steps={grid.steps} horizon={grid.tf}")
     print(f"max |s+i+c+a-1| = {_fmt(drift)}")
 
-    def plot_states(csv_path, outputs):
-        outputs["plots"] = [str(emit_plot_script(csv_path, "states"))]
+    def plot_states(outputs):
+        outputs["plots"] = [str(emit_plot_script(paths[0], "states"))]
 
-    _emit("simulate", config, out, f"simulate_{method}", SIMULATE_HEADER,
+    _emit("simulate", config, paths, SIMULATE_HEADER,
           np.column_stack((traj.times(), traj.states)).tolist(),
           {"method": method, "integrator": integrator,
            "diagnostics": {"simplex_drift": drift}},
@@ -375,6 +384,8 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
 
 
 def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
+    paths = _output_paths(config, out, "optimize", (
+        ".uncontrolled.csv", ".states-vs-uncontrolled.gp", ".control.gp") if plot else ())
     grid = config.grid
     problem = sica_problem(config.params, config.bounds, config.initial,
                            config.adjoint_mode)
@@ -394,8 +405,8 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
           f"margin={_fmt(result.final_margin)}")
     print(f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}")
 
-    def plot_against_uncontrolled(csv_path, outputs):
-        baseline = csv_path.with_suffix(".uncontrolled.csv")
+    def plot_against_uncontrolled(outputs):
+        csv_path, baseline = paths[0], paths[2]
         write_csv(baseline, SIMULATE_HEADER,
                   np.column_stack((times, uncontrolled.states)).tolist())
         outputs["uncontrolled_csv"] = str(baseline)
@@ -409,12 +420,13 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
         "final_margin": result.final_margin,
         "objective": result.objective,
         "objective_zero_control": j_zero,
-        "stationarity_residual": stationarity_residual(result, config.params),
+        "stationarity_residual": stationarity_residual(result, config.params,
+                                                       config.bounds),
         "simplex_drift": simplex_drift(result.states),
         "terminal_adjoint": [float(v) for v in result.adjoints.states[-1]],
         "control_range": [float(result.control.min()), float(result.control.max())],
     }
-    _emit("optimize", config, out, "optimize", OPTIMIZE_HEADER,
+    _emit("optimize", config, paths, OPTIMIZE_HEADER,
           np.column_stack((times, result.states.states, result.control,
                            result.adjoints.states)).tolist(),
           {"integrator": {"scheme": "forward-backward rk4", "step_size": grid.h},
@@ -427,6 +439,7 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
 
 
 def cmd_compare(config: RunConfig, out: str | None) -> int:
+    paths = _output_paths(config, out, "compare_norms")
     grid = config.grid
     settings = AdaptiveSettings()
     reference = reference_trajectory(config.params, config.initial, grid, settings)
@@ -449,7 +462,7 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
                 print(f"{method:7s} {var:3s} {norm_name:4s} {got:14.7f} "
                       f"{ref:14.7f} {dev:+9.4f}")
                 rows.append((method, var, norm_name, got, ref, dev))
-    _emit("compare", config, out, "compare_norms",
+    _emit("compare", config, paths,
           ("method", "variable", "norm", "computed", "baseline", "rel_dev"), rows,
           {"integrator": {"reltol": settings.reltol, "abstol": settings.abstol,
                           "sampling": "clip-to-node"},
@@ -458,6 +471,7 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
 
 
 def cmd_orders(config: RunConfig, out: str | None) -> int:
+    paths = _output_paths(config, out, "orders")
     horizon = config.grid.tf
     ref_end = terminal_reference(config.params, config.initial, 0.0, horizon)
     studies = {m: convergence_order(m, config.params, config.initial,
@@ -477,7 +491,7 @@ def cmd_orders(config: RunConfig, out: str | None) -> int:
     rows = [(method, str(m), h, err) for method, study in studies.items()
             for m, h, err in zip(study.refinements, study.step_sizes,
                                  study.terminal_errors)]
-    _emit("orders", config, out, "orders",
+    _emit("orders", config, paths,
           ("method", "steps", "step_size", "terminal_error"), rows,
           {"diagnostics": {"slopes": slopes}})
     return 0
@@ -542,7 +556,7 @@ def main(argv=None) -> int:
             DegenerateStudy) as exc:
         print(f"error: numeric: {_one_line(exc)}", file=sys.stderr)
         return 3
-    except (IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"error: io: {_one_line(exc)}", file=sys.stderr)
         return 4
 

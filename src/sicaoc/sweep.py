@@ -5,9 +5,10 @@ RK4 scheme whose stages interpolate the grid-resident control (endpoint
 values at stages 1 and 4, the arithmetic mean at stages 2 and 3), then
 integrates the costate backward from its zero transversality data with
 the same stage interpolation of states and control, and finally relaxes
-the control toward the pointwise law by a convex combination.  The loop
-stops once the relative change of all nine tracked vectors (four
-states, the control, four costates) falls below the tolerance.
+the control toward the pointwise law (which owns the control bounds) by
+a convex combination.  The loop stops once the relative change of all
+nine tracked vectors (four states, the control, four costates) falls
+below the tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .integrators import IntegrationFailure, TimeGrid, Trajectory
+from .integrators import IntegrationFailure, TimeGrid, Trajectory, nonfinite_nodes
 from .model import (ControlBounds, FloatState, ModelParams, controlled_field,
                     costate_field, objective, optimal_control_law)
 
@@ -40,16 +41,15 @@ class OcProblem:
     ``adjoint_field(x, lam, u)`` take length-4 state and costate
     sequences and a control value and return a tuple of four floats.
     ``control_law(x, lam)`` takes the ``(n, 4)`` state and costate
-    arrays of all n grid nodes and returns the n control values, or one
-    value for every node, already clamped to ``bounds``.  There is no
+    arrays of all n grid nodes and returns an array of the n admissible
+    control values; the law owns the control bounds.  There is no
     terminal cost and the end state is free, so the costate always ends
     at zero.
     """
 
     state_field: Callable[[Sequence[float], float], FloatState]
     adjoint_field: Callable[[Sequence[float], Sequence[float], float], FloatState]
-    control_law: Callable[[np.ndarray, np.ndarray], np.ndarray | float]
-    bounds: ControlBounds
+    control_law: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x0: np.ndarray
 
     def __post_init__(self):
@@ -65,7 +65,6 @@ def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
         state_field=controlled_field(params),
         adjoint_field=costate_field(params, adjoint_mode),
         control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
-        bounds=bounds,
         x0=x0,
     )
 
@@ -104,7 +103,6 @@ class SweepResult:
     states: Trajectory
     adjoints: Trajectory
     control: np.ndarray
-    bounds: ControlBounds
     iterations: int
     converged: bool
     objective: float
@@ -139,15 +137,6 @@ def _midpoints(v: np.ndarray) -> list:
     return (0.5 * (v[1:] + v[:-1])).tolist()
 
 
-def _nonfinite_nodes(out: np.ndarray) -> np.ndarray:
-    """Nodes with a non-finite entry.
-
-    Non-finite values propagate through float arithmetic without
-    raising, so one check after a pass finds the node where it failed.
-    """
-    return np.flatnonzero(~np.isfinite(out).all(axis=1))
-
-
 def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled state forward across the grid."""
     u = np.asarray(u, dtype=float)
@@ -162,7 +151,7 @@ def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
         x = _rk4_step(f, x, h, start, mid, end)
         rows.append(x)
     out = np.array(rows)
-    bad = _nonfinite_nodes(out)
+    bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[0])
         raise IntegrationFailure(
@@ -193,7 +182,7 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
         lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
         rows.append(lam)
     out = np.array(rows[::-1])
-    bad = _nonfinite_nodes(out)
+    bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[-1])
         raise IntegrationFailure(
@@ -209,14 +198,8 @@ def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,
     n = x.grid.node_count
     if lam.grid.node_count != n or u_old.shape != (n,):
         raise ValueError("state, costate and control grids must agree")
-    law = _law_values(prob, x, lam)
+    law = prob.control_law(x.states, lam.states)
     return weight * law + (1.0 - weight) * u_old
-
-
-def _law_values(prob: OcProblem, x: Trajectory, lam: Trajectory) -> np.ndarray:
-    law = np.empty(x.grid.node_count)
-    law[...] = prob.control_law(x.states, lam.states)
-    return law
 
 
 def relative_change_test(tracked: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -272,12 +255,11 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
         if margin >= 0.0:
             converged = True
             break
-    control = _law_values(prob, x_traj, lam_traj)
+    control = prob.control_law(x_traj.states, lam_traj.states)
     result = SweepResult(
         states=x_traj,
         adjoints=lam_traj,
         control=control,
-        bounds=prob.bounds,
         iterations=iterations,
         converged=converged,
         objective=objective(x_traj, control),

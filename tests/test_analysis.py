@@ -104,10 +104,11 @@ class TestStationarityResidual:
         prob = sica_problem(params, ControlBounds(0.0), X0)
         result = solve(prob, SweepSettings(grid=TimeGrid(0.0, 20.0, 100)))
         assert np.all(result.control == 0.0)
-        assert stationarity_residual(result, params) is None
+        assert stationarity_residual(result, params, ControlBounds(0.0)) is None
 
     def test_converged_default_run(self, params, default_sweep):
-        residual = stationarity_residual(default_sweep["result"], params)
+        residual = stationarity_residual(default_sweep["result"], params,
+                                         ControlBounds(0.5))
         assert residual is not None
         # within ten times the sweep tolerance scale
         assert residual <= 10 * default_sweep["settings"].delta_error

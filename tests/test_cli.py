@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sicaoc
-from sicaoc.cli import (ConfigError, IoFailure, emit_plot_script, load_config,
-                        main, parse_config)
+from sicaoc.cli import (ConfigError, emit_plot_script, load_config, main,
+                        parse_config)
 
 
 def run(argv):
@@ -304,22 +304,6 @@ class TestOrders:
 
 
 class TestPlotEmission:
-    def test_missing_csv(self, tmp_path):
-        with pytest.raises(IoFailure):
-            emit_plot_script(tmp_path / "absent.csv", "states")
-
-    def test_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(IoFailure):
-            emit_plot_script(path, "states")
-
-    def test_unknown_kind(self, tmp_path):
-        path = tmp_path / "ok.csv"
-        path.write_text("t,s,i,c,a\n0,0.6,0.2,0.1,0.1\n")
-        with pytest.raises(ValueError):
-            emit_plot_script(path, "surfaces")
-
     def test_byte_stable(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("t,s,i,c,a\n0,0.6,0.2,0.1,0.1\n")
@@ -366,20 +350,19 @@ class TestHostileConfig:
 
 
 class TestOverflowingStages:
-    """A DP45 stage that overflows is reported in one stderr line.
+    """A stage or step that overflows is reported in one stderr line.
 
     numpy prints its floating-point warnings straight to stderr, and
     pytest's warning capture hides them in-process, so the command runs
     in a child interpreter.
     """
 
-    @pytest.mark.parametrize("doc", [{"params": {"beta": 1e308}},
-                                     {"horizon": 1.797e308}],
-                             ids=["beta-1e308", "horizon-1.797e308"])
-    @pytest.mark.parametrize("argv", [["orders"], ["compare"],
-                                      ["simulate", "--method", "dp45"]],
-                             ids=["orders", "compare", "simulate-dp45"])
-    def test_one_error_line(self, tmp_path, doc, argv):
+    CONFIGS = pytest.mark.parametrize(
+        "doc", [{"params": {"beta": 1e308}}, {"horizon": 1.797e308}],
+        ids=["beta-1e308", "horizon-1.797e308"])
+
+    @staticmethod
+    def run_child(tmp_path, doc, argv):
         cfg = write_config(tmp_path, doc)
         package_root = str(Path(sicaoc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -390,3 +373,89 @@ class TestOverflowingStages:
         assert proc.returncode == 3
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: numeric: ")
+        return err_lines[0]
+
+    @CONFIGS
+    @pytest.mark.parametrize("argv", [["orders"], ["compare"],
+                                      ["simulate", "--method", "dp45"]],
+                             ids=["orders", "compare", "simulate-dp45"])
+    def test_one_error_line(self, tmp_path, doc, argv):
+        self.run_child(tmp_path, doc, argv)
+
+    @CONFIGS
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--method", "euler"], "euler produced a non-finite state at node 2"),
+        (["simulate", "--method", "rk4"], "rk4 produced a non-finite state at node 1"),
+        (["optimize"], "forward pass produced a non-finite state at node 1"),
+    ], ids=["simulate-euler", "simulate-rk4", "optimize"])
+    def test_first_failing_node_is_named(self, tmp_path, doc, argv, message):
+        # one check after each march finds the node where the states overflowed
+        assert self.run_child(tmp_path, doc, argv) == f"error: numeric: {message}"
+
+
+def one_error_line(capsys, category):
+    captured = capsys.readouterr()
+    err_lines = captured.err.strip().splitlines()
+    assert len(err_lines) == 1
+    assert err_lines[0].startswith(f"error: {category}: ")
+    return captured.out, err_lines[0]
+
+
+class TestOutputPaths:
+    """Output paths are resolved and checked before anything is computed."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+    def test_missing_directory_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
+        cfg = write_config(tmp_path, {"output": {"csv": "x/y.dat"}})
+        assert run(["optimize", "--config", cfg]) == 4
+        out, err = one_error_line(capsys, "io")
+        assert err == "error: io: [Errno 2] No such file or directory: 'x/y.dat'"
+        assert out == ""
+
+    def test_compare_fails_before_computing(self, capsys, monkeypatch):
+        monkeypatch.setattr("sicaoc.cli.reference_trajectory",
+                            lambda *args: pytest.fail("compare ran"))
+        assert run(["compare", "--out", "nodir/c.csv"]) == 4
+        out, err = one_error_line(capsys, "io")
+        assert err == "error: io: [Errno 2] No such file or directory: 'nodir/c.csv'"
+        assert out == ""
+
+    def test_directory_as_output_is_io_error(self, tmp_path, capsys):
+        (tmp_path / "taken").mkdir()
+        assert run(["simulate", "--method", "rk4", "--out", "taken"]) == 4
+        out, err = one_error_line(capsys, "io")
+        assert err == "error: io: [Errno 21] Is a directory: 'taken'"
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["simulate", "--method", "rk4", "--out", "."], {}),
+        (["simulate", "--method", "rk4"], {"output": {"csv": ""}}),
+        (["orders"], {"output": {"manifest": "."}}),
+        (["simulate", "--method", "rk4"], {"output": {"csv": "a.csv", "manifest": "a.csv"}}),
+        (["optimize", "--plot", "--out", "m.csv"], {"output": {"manifest": "m.csv"}}),
+        (["optimize", "--plot", "--out", "m.csv"], {"output": {"manifest": "m.control.gp"}}),
+        (["optimize", "--plot", "--out", "m.csv"],
+         {"output": {"manifest": "sub/../m.uncontrolled.csv"}}),
+        (["simulate", "--method", "euler", "--plot", "--out", "m.csv"],
+         {"output": {"manifest": "m.states.gp"}}),
+    ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
+            "manifest-is-control-script", "manifest-is-uncontrolled-csv",
+            "manifest-is-states-script"])
+    def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
+                                                           argv, doc):
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path, {"steps": 10, **doc}, "cfg.json")
+        assert run(argv + ["--config", cfg]) == 2
+        out, _ = one_error_line(capsys, "config")
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+    def test_plot_files_may_share_a_name_without_plot(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"steps": 10,
+                                      "output": {"manifest": "m.control.gp"}})
+        assert run(["optimize", "--out", "m.csv", "--config", cfg]) == 0
+        assert capsys.readouterr().out.endswith("wrote m.csv\nwrote m.control.gp\n")

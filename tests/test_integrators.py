@@ -132,10 +132,16 @@ class TestSteps:
         assert out == pytest.approx([0.5], rel=1e-15)
 
     def test_step_raises_on_overflow(self):
-        blower = lambda t, x: [v ** 3 for v in x]
-        x = np.array([1e200])
-        with np.errstate(over="ignore"), pytest.raises(IntegrationFailure):
-            step_euler(blower, 0.0, x, 1e200)
+        # x' = x^3 from 1e100: Euler reaches 1e300 at node 1 and overflows
+        # at node 2; the stages of RK2 and RK4 overflow within the first step
+        blower = lambda t, x: [v * v * v for v in x]
+        grid = TimeGrid(0.0, 4.0, 4)
+        for method, node in (("euler", 2), ("rk2", 1), ("rk4", 1)):
+            with pytest.raises(IntegrationFailure) as exc:
+                integrate_fixed(method, blower, grid, [1e100])
+            assert exc.value.node == node
+            assert exc.value.t == float(node)
+            assert str(exc.value) == f"{method} produced a non-finite state at node {node}"
 
 
 class TestIntegrateFixed:

@@ -19,8 +19,7 @@ def problem(params):
 def zero_problem():
     return OcProblem(state_field=lambda x, u: (0.0, 0.0, 0.0, 0.0),
                      adjoint_field=lambda x, lam, u: (0.0, 0.0, 0.0, 0.0),
-                     control_law=lambda x, lam: 0.0,
-                     bounds=ControlBounds(0.5), x0=X0)
+                     control_law=lambda x, lam: np.zeros(len(x)), x0=X0)
 
 
 class TestForwardPass:
@@ -104,8 +103,7 @@ class TestUpdateControl:
         u = np.full(5, 0.2)
         x = forward_pass(problem, u, grid)
         lam = backward_pass(problem, x, u)
-        law = np.array([problem.control_law(x.states[k], lam.states[k])
-                        for k in range(5)])
+        law = problem.control_law(x.states, lam.states)
         out = update_control(problem, x, lam, law, 0.5)
         np.testing.assert_allclose(out, law, rtol=1e-15)
 
@@ -191,7 +189,7 @@ class TestSolve:
 
     def test_constant_law_with_full_weight_converges_fast(self, params):
         prob = sica_problem(params, ControlBounds(0.5), X0)
-        prob.control_law = lambda x, lam: 0.3
+        prob.control_law = lambda x, lam: np.full(len(x), 0.3)
         grid = TimeGrid(0.0, 20.0, 100)
         settings = SweepSettings(grid=grid, relaxation=1.0,
                                  initial_control=np.full(101, 0.3))

@@ -180,7 +180,7 @@ def test_sweep_matches_reference_bitwise(name):
 def test_constant_law_matches_reference_bitwise(params):
     x0 = np.array([0.6, 0.2, 0.1, 0.1])
     prob = sica_problem(params, ControlBounds(0.5), x0)
-    prob.control_law = lambda x, lam: 0.3
+    prob.control_law = lambda x, lam: np.full(len(x), 0.3)
     settings = SweepSettings(grid=TimeGrid(0.0, 20.0, 100), relaxation=1.0,
                              initial_control=np.full(101, 0.3))
     result, reference = solve_both(
