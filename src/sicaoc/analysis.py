@@ -42,6 +42,8 @@ OCTAVE_ODE45_BASELINE = {
 }
 
 ORDER_BANDS = {"euler": (0.9, 1.1), "rk2": (1.8, 2.2), "rk4": (3.5, 4.5)}
+# grid sizes of the default order study
+REFINEMENTS = (100, 200, 400, 800)
 
 # step of the central difference in u that stationarity_residual takes
 FD_STEP = 1e-6
@@ -119,7 +121,7 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
 
 
 def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
-                      refinements: Sequence[int] = (100, 200, 400, 800),
+                      refinements: Sequence[int] = REFINEMENTS,
                       t0: float = 0.0, tf: float = 20.0,
                       reference: np.ndarray | None = None) -> OrderStudy:
     """Empirical order from terminal errors against a tight adaptive run.

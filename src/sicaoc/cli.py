@@ -8,16 +8,17 @@ compare    difference-norm tables of the fixed-step methods vs the baseline
 orders     empirical convergence-order report
 
 Configuration is a single JSON document; every field is optional and
-falls back to the default scenario.  Unknown keys are rejected.  All
+falls back to the default scenario, ``control`` to the defaults of
+``ControlBounds`` and ``SweepSettings``.  Unknown keys are rejected.  All
 file outputs (CSV trajectories, JSON manifests, gnuplot scripts) are
 byte-deterministic for a fixed configuration, and each manifest embeds
 the fully resolved configuration needed to reproduce the run.
 
 Output paths are resolved and checked before anything is computed.
-Exit codes: 0 success, 2 invalid configuration (output paths included),
-3 numerical failure or non-convergence, 4 I/O failure (any OSError).
-Errors print one machine-parsable line ``error: <category>: <message>``
-on stderr.
+Exit codes: 0 success, 2 bad command line or configuration (output paths
+included), 3 numerical failure or non-convergence, 4 I/O failure (any
+OSError).  Errors print one line ``error: <category>: <message>`` on
+stderr, the category ``usage``, ``config``, ``numeric`` or ``io``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, VARIABLES,
+from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, VARIABLES,
                        DegenerateStudy, build_norm_table, convergence_order,
                        reference_trajectory, simplex_drift,
                        stationarity_residual, terminal_reference)
@@ -58,6 +59,13 @@ MAX_GRID_STEPS = 1_000_000
 
 class ConfigError(ValueError):
     """Configuration file is malformed or violates an invariant."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # raise rather than print usage and exit; add_subparsers builds the
+    # subcommand parsers with this class too
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 @dataclass
@@ -166,22 +174,23 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
 
     raw_control = _section(doc, "control",
                            ("u_max", "relaxation", "delta_error", "max_iterations"))
-    max_iterations = _number(raw_control, "max_iterations", "control", 500)
-    if not max_iterations.is_integer():
-        raise ConfigError(
-            f"control.max_iterations must be an integer, got {max_iterations!r}")
-    bounds = _build("control", ControlBounds, _number(raw_control, "u_max", "control", 0.5))
-    sweep = _build("control", SweepSettings, grid=grid,
-                   delta_error=_number(raw_control, "delta_error", "control", 1e-3),
-                   relaxation=_number(raw_control, "relaxation", "control", 0.5),
-                   max_iterations=int(max_iterations))
+    # absent keys keep the ControlBounds and SweepSettings defaults
+    control = {k: _number(raw_control, k, "control") for k in raw_control}
+    if "max_iterations" in control:
+        iterations = control["max_iterations"]
+        if not iterations.is_integer():
+            raise ConfigError(f"control.max_iterations must be an integer, got {iterations!r}")
+        control["max_iterations"] = int(iterations)
+    u_max = {"u_max": control.pop("u_max")} if "u_max" in control else {}
+    bounds = _build("control", ControlBounds, **u_max)
+    sweep = _build("control", SweepSettings, grid=grid, **control)
 
     adjoint_mode = doc.get("adjoint_mode", "derived")
     if adjoint_mode not in ADJOINT_MODES:
         raise ConfigError(
             f"adjoint_mode must be one of {ADJOINT_MODES}, got {adjoint_mode!r}")
 
-    refinements = doc.get("refinements", [100, 200, 400, 800])
+    refinements = doc.get("refinements", list(REFINEMENTS))
     if (not isinstance(refinements, list) or not all(map(_is_grid_size, refinements))
             or len(refinements) < 3 or len(set(refinements)) != len(refinements)):
         raise ConfigError("refinements must be a list of at least 3 distinct "
@@ -192,6 +201,8 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
     output = _section(doc, "output", ("csv", "manifest"))
     if not all(isinstance(path, str) for path in output.values()):
         raise ConfigError("config.output paths must be strings")
+    if any("\0" in path for path in output.values()):
+        raise ConfigError("config.output paths must not contain a NUL character")
 
     return RunConfig(params=params, initial=initial, bounds=bounds, sweep=sweep,
                      adjoint_mode=adjoint_mode, refinements=tuple(refinements),
@@ -203,7 +214,7 @@ def load_config(path: str | None, default_steps: int = 100) -> RunConfig:
         return parse_config({}, default_steps)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text, parse_constant=_JsonConstant)
@@ -284,44 +295,36 @@ def _output_paths(config: RunConfig, out: str | None, stem: str,
 
 
 def _emit(command: str, config: RunConfig, paths: list[Path], header, rows,
-          fields: dict, plot=None) -> None:
-    """Write a run's CSV and manifest, and print a ``wrote`` line per file.
+          fields: dict, extra: dict) -> None:
+    """Write a run's CSV and manifest, and print a ``wrote`` line per path.
 
-    ``paths`` come from ``_output_paths``.  The manifest holds the tool,
-    the command and the resolved config, then ``fields``, then
-    ``outputs``.  ``plot(outputs)`` writes any further files and records
-    them in ``outputs``, in the order their ``wrote`` lines are printed.
+    ``paths`` come from ``_output_paths``; the command writes those past
+    the first two.  The manifest holds the tool, the command, the resolved
+    config, ``fields`` and ``outputs``: the CSV, then ``extra``.
     """
     csv_path, manifest_path = paths[:2]
     write_csv(csv_path, header, rows)
-    outputs = {"csv": str(csv_path)}
-    if plot is not None:
-        plot(outputs)
     write_manifest(manifest_path, {
         "tool": {"name": "sicaoc", "version": __version__},
         "command": command,
         "config": config.resolved_dict(),
         **fields,
-        "outputs": outputs,
+        "outputs": {"csv": str(csv_path), **extra},
     })
-    written = [outputs.pop("csv"), str(manifest_path)]
-    for value in outputs.values():
-        written += value if isinstance(value, list) else [value]
-    for path in written:
+    for path in paths:
         print(f"wrote {path}")
 
 
-def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None) -> Path:
-    """Write ``<csv stem>.<kind>.gp``, a gnuplot script of one figure kind.
+def emit_plot_script(out_path: Path, csv_path: Path, kind: str,
+                     baseline_csv: Path | None = None) -> None:
+    """Write ``out_path``, a gnuplot script drawing one figure kind to its ``.png``.
 
     ``kind`` is ``states`` (the s, i, c, a columns of ``csv_path``),
     ``states-vs-uncontrolled`` (the same against ``baseline_csv``) or
     ``control`` (its u column).  The script text depends only on the
     arguments, so repeated calls are byte-stable.
     """
-    csv_path = Path(csv_path)
-    out_path = csv_path.with_suffix(f".{kind}.gp")
-    png = out_path.with_suffix(".png").name
+    png, data = _gp_string(out_path.with_suffix(".png").name), _gp_string(csv_path.name)
     lines = [
         f"# generated by sicaoc {__version__}",
         'set datafile separator ","',
@@ -329,35 +332,38 @@ def emit_plot_script(csv_path: Path, kind: str, baseline_csv: Path | None = None
         'set xlabel "t (years)"',
         "set grid",
         "set terminal pngcairo size 900,600",
-        f'set output "{png}"',
+        f"set output {png}",
     ]
     if kind == "control":
         lines.append('set ylabel "prevention effort u"')
         lines.append("set yrange [0:*]")
-        lines.append(f'plot "{csv_path.name}" using "t":"u" with lines lw 2 title "u"')
+        lines.append(f'plot {data} using "t":"u" with lines lw 2 title "u"')
     else:
         lines.append('set ylabel "population fraction"')
         label = "" if kind == "states" else " (control)"
-        curves = [f'"{csv_path.name}" using "t":"{v}" with lines lw 2 title "{v}{label}"'
+        curves = [f'{data} using "t":"{v}" with lines lw 2 title "{v}{label}"'
                   for v in "sica"]
         if kind == "states-vs-uncontrolled":
-            curves += [f'"{Path(baseline_csv).name}" using "t":"{v}" with lines dt 2 lw 2 '
+            curves += [f'{_gp_string(baseline_csv.name)} using "t":"{v}" with lines dt 2 lw 2 '
                        f'title "{v} (no control)"' for v in "sica"]
         lines.append("plot " + ", \\\n     ".join(curves))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return out_path
+
+
+def _gp_string(name: str) -> str:
+    """``name`` as a double-quoted gnuplot string, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # ------------------------------------------------------------ subcommands
 
 
-def cmd_simulate(config: RunConfig, method: str, out: str | None,
-                 plot: bool) -> int:
-    paths = _output_paths(config, out, f"simulate_{method}",
-                          (".states.gp",) if plot else ())
+def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
+    paths = _output_paths(config, args.out, f"simulate_{args.method}",
+                          (".states.gp",) if args.plot else ())
     grid = config.grid
     integrator: dict = {"sampling": "clip-to-node"}
-    if method == "dp45":
+    if args.method == "dp45":
         # the integrator's own default first step, made explicit for the manifest
         settings = AdaptiveSettings(initial_step=(grid.tf - grid.t0) / 100.0)
         traj = reference_trajectory(config.params, config.initial, grid, settings)
@@ -365,36 +371,34 @@ def cmd_simulate(config: RunConfig, method: str, out: str | None,
                            "initial_step": settings.initial_step,
                            "max_steps": settings.max_steps})
     else:
-        traj = integrate_fixed(method, fraction_field(config.params), grid,
+        traj = integrate_fixed(args.method, fraction_field(config.params), grid,
                                config.initial)
         integrator.update({"step_size": grid.h})
     drift = simplex_drift(traj)
-    print(f"simulate method={method} steps={grid.steps} horizon={grid.tf}")
+    print(f"simulate method={args.method} steps={grid.steps} horizon={grid.tf}")
     print(f"max |s+i+c+a-1| = {_fmt(drift)}")
-
-    def plot_states(outputs):
-        outputs["plots"] = [str(emit_plot_script(paths[0], "states"))]
-
+    extra = {}
+    if args.plot:
+        emit_plot_script(paths[2], paths[0], "states")
+        extra = {"plots": [str(paths[2])]}
     _emit("simulate", config, paths, SIMULATE_HEADER,
           np.column_stack((traj.times(), traj.states)).tolist(),
-          {"method": method, "integrator": integrator,
-           "diagnostics": {"simplex_drift": drift}},
-          plot_states if plot else None)
+          {"method": args.method, "integrator": integrator,
+           "diagnostics": {"simplex_drift": drift}}, extra)
     return 0
 
 
-def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
-    paths = _output_paths(config, out, "optimize", (
-        ".uncontrolled.csv", ".states-vs-uncontrolled.gp", ".control.gp") if plot else ())
+def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
+    """Solve and write the result; a non-convergence is re-raised after writing."""
+    paths = _output_paths(config, args.out, "optimize", (
+        ".uncontrolled.csv", ".states-vs-uncontrolled.gp", ".control.gp") if args.plot else ())
     grid = config.grid
     problem = sica_problem(config.params, config.bounds, config.initial,
                            config.adjoint_mode)
     try:
-        result = solve(problem, config.sweep)
-        failure = None
+        result, failure = solve(problem, config.sweep), None
     except SweepNonConvergence as exc:
-        result = exc.result
-        failure = str(exc)
+        result, failure = exc.result, exc
     zero_u = np.zeros(grid.node_count)
     uncontrolled = forward_pass(problem, zero_u, grid)
     j_zero = objective(uncontrolled, zero_u)
@@ -404,16 +408,14 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
     print(f"converged={result.converged} iterations={result.iterations} "
           f"margin={_fmt(result.final_margin)}")
     print(f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}")
-
-    def plot_against_uncontrolled(outputs):
-        csv_path, baseline = paths[0], paths[2]
+    extra = {}
+    if args.plot:
+        csv_path, _, baseline, versus, control = paths
         write_csv(baseline, SIMULATE_HEADER,
                   np.column_stack((times, uncontrolled.states)).tolist())
-        outputs["uncontrolled_csv"] = str(baseline)
-        outputs["plots"] = [
-            str(emit_plot_script(csv_path, "states-vs-uncontrolled", baseline_csv=baseline)),
-            str(emit_plot_script(csv_path, "control"))]
-
+        emit_plot_script(versus, csv_path, "states-vs-uncontrolled", baseline)
+        emit_plot_script(control, csv_path, "control")
+        extra = {"uncontrolled_csv": str(baseline), "plots": [str(versus), str(control)]}
     diagnostics = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -430,16 +432,14 @@ def cmd_optimize(config: RunConfig, out: str | None, plot: bool) -> int:
           np.column_stack((times, result.states.states, result.control,
                            result.adjoints.states)).tolist(),
           {"integrator": {"scheme": "forward-backward rk4", "step_size": grid.h},
-           "diagnostics": diagnostics},
-          plot_against_uncontrolled if plot else None)
+           "diagnostics": diagnostics}, extra)
     if failure is not None:
-        print(f"error: numeric: {failure}", file=sys.stderr)
-        return 3
+        raise failure
     return 0
 
 
-def cmd_compare(config: RunConfig, out: str | None) -> int:
-    paths = _output_paths(config, out, "compare_norms")
+def cmd_compare(config: RunConfig, args: argparse.Namespace) -> int:
+    paths = _output_paths(config, args.out, "compare_norms")
     grid = config.grid
     settings = AdaptiveSettings()
     reference = reference_trajectory(config.params, config.initial, grid, settings)
@@ -466,12 +466,12 @@ def cmd_compare(config: RunConfig, out: str | None) -> int:
           ("method", "variable", "norm", "computed", "baseline", "rel_dev"), rows,
           {"integrator": {"reltol": settings.reltol, "abstol": settings.abstol,
                           "sampling": "clip-to-node"},
-           "diagnostics": {"max_abs_rel_dev": worst}})
+           "diagnostics": {"max_abs_rel_dev": worst}}, {})
     return 0
 
 
-def cmd_orders(config: RunConfig, out: str | None) -> int:
-    paths = _output_paths(config, out, "orders")
+def cmd_orders(config: RunConfig, args: argparse.Namespace) -> int:
+    paths = _output_paths(config, args.out, "orders")
     horizon = config.grid.tf
     ref_end = terminal_reference(config.params, config.initial, 0.0, horizon)
     studies = {m: convergence_order(m, config.params, config.initial,
@@ -493,7 +493,7 @@ def cmd_orders(config: RunConfig, out: str | None) -> int:
                                  study.terminal_errors)]
     _emit("orders", config, paths,
           ("method", "steps", "step_size", "terminal_error"), rows,
-          {"diagnostics": {"slopes": slopes}})
+          {"diagnostics": {"slopes": slopes}}, {})
     return 0
 
 
@@ -501,54 +501,49 @@ def cmd_orders(config: RunConfig, out: str | None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sicaoc",
         description="SICA HIV/AIDS model simulation and optimal-control toolkit")
     parser.add_argument("--version", action="version",
                         version=f"sicaoc {__version__}")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config")
+    files.add_argument("--out")
+    plot = argparse.ArgumentParser(add_help=False)
+    plot.add_argument("--plot", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="integrate the fraction model")
+    p_sim = sub.add_parser("simulate", parents=[files, plot],
+                           help="integrate the fraction model")
     p_sim.add_argument("--method", required=True,
                        choices=list(FIXED_METHODS) + ["dp45"])
-    p_sim.add_argument("--config")
-    p_sim.add_argument("--out")
-    p_sim.add_argument("--plot", action="store_true")
-
-    p_opt = sub.add_parser("optimize", help="solve the prevention control problem")
-    p_opt.add_argument("--config")
-    p_opt.add_argument("--out")
-    p_opt.add_argument("--plot", action="store_true")
+    p_opt = sub.add_parser("optimize", parents=[files, plot],
+                           help="solve the prevention control problem")
     p_opt.add_argument("--adjoint", choices=list(ADJOINT_MODES))
-
-    p_cmp = sub.add_parser("compare", help="norm tables vs the ode45 baseline")
-    p_cmp.add_argument("--config")
-    p_cmp.add_argument("--out")
-
-    p_ord = sub.add_parser("orders", help="convergence-order report")
-    p_ord.add_argument("--config")
-    p_ord.add_argument("--out")
+    p_cmp = sub.add_parser("compare", parents=[files],
+                           help="norm tables vs the ode45 baseline")
+    p_ord = sub.add_parser("orders", parents=[files], help="convergence-order report")
+    # optimize's sweep resolves the control on a finer default grid
+    p_sim.set_defaults(run=cmd_simulate, steps=100)
+    p_opt.set_defaults(run=cmd_optimize, steps=1000)
+    p_cmp.set_defaults(run=cmd_compare, steps=100)
+    p_ord.set_defaults(run=cmd_orders, steps=100)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+        args = _build_parser().parse_args(argv)
+    except SystemExit:   # --help or --version, printed to stdout
+        return 0
+    except argparse.ArgumentError as exc:
+        print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
+        return 2
     try:
-        # optimize's sweep resolves the control on a finer default grid
-        config = load_config(args.config, 1000 if args.command == "optimize" else 100)
-        if args.command == "optimize" and args.adjoint:
+        config = load_config(args.config, args.steps)
+        if getattr(args, "adjoint", None):
             config.adjoint_mode = args.adjoint
-        if args.command == "simulate":
-            return cmd_simulate(config, args.method, args.out, args.plot)
-        if args.command == "optimize":
-            return cmd_optimize(config, args.out, args.plot)
-        if args.command == "compare":
-            return cmd_compare(config, args.out)
-        return cmd_orders(config, args.out)
+        return args.run(config, args)
     except ConfigError as exc:
         print(f"error: config: {_one_line(exc)}", file=sys.stderr)
         return 2

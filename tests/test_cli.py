@@ -125,6 +125,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_config_file_must_be_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"horizon": 20.0, "output": {"csv": "\xe9.csv"}}')
+        with pytest.raises(ConfigError, match="^cannot read config .*utf-8"):
+            load_config(str(path))
+
 
 class TestSimulate:
     def test_default_rk4_run(self, tmp_path, capsys):
@@ -307,9 +313,26 @@ class TestPlotEmission:
     def test_byte_stable(self, tmp_path):
         path = tmp_path / "ok.csv"
         path.write_text("t,s,i,c,a\n0,0.6,0.2,0.1,0.1\n")
-        first = emit_plot_script(path, "states").read_bytes()
-        second = emit_plot_script(path, "states").read_bytes()
-        assert first == second
+        script = tmp_path / "ok.states.gp"
+        emit_plot_script(script, path, "states")
+        first = script.read_bytes()
+        emit_plot_script(script, path, "states")
+        assert script.read_bytes() == first
+
+    @pytest.mark.parametrize("stem, quoted", [('a"b', 'a\\"b'), ("a\\b", "a\\\\b")],
+                             ids=["quote", "backslash"])
+    def test_file_names_are_escaped(self, tmp_path, monkeypatch, stem, quoted):
+        # gnuplot reads a backslash escape inside a double-quoted string
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"steps": 10})
+        assert run(["optimize", "--plot", "--config", cfg, "--out", f"{stem}.csv"]) == 0
+        versus = (tmp_path / f"{stem}.states-vs-uncontrolled.gp").read_text()
+        assert f'set output "{quoted}.states-vs-uncontrolled.png"' in versus
+        assert f'plot "{quoted}.csv" using "t":"s"' in versus
+        assert f'"{quoted}.uncontrolled.csv" using "t":"a" with lines dt 2' in versus
+        control = (tmp_path / f"{stem}.control.gp").read_text()
+        assert f'set output "{quoted}.control.png"' in control
+        assert f'plot "{quoted}.csv" using "t":"u"' in control
 
 
 class TestUsageErrors:
@@ -318,6 +341,23 @@ class TestUsageErrors:
                     "--out", str(tmp_path / "x.csv")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--method", "rk3"], ["simulate"], [],
+        ["simulate", "--method", "rk4", "--bogus"], ["optimize", "--adjoint", "x"],
+    ], ids=["unknown-method", "no-method", "no-command", "unknown-option", "unknown-adjoint"])
+    def test_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        out, _ = one_error_line(capsys, "usage")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["--version"]])
+    def test_help_and_version_exit_zero_on_stdout(self, capsys, argv):
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out and not captured.err
 
 
 class TestHostileConfig:
@@ -329,11 +369,12 @@ class TestHostileConfig:
         '{"steps": 1' + "0" * 400 + "}", '{"steps": 1000001}',
         '{"refinements": [100, 200, 1' + "0" * 400 + "]}", '{"refinements": [100, 100, 100]}',
         '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
+        '{"output": {"csv": "a\\u0000b"}}',
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
             "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
             "steps-past-bound", "refinement-400-digits", "refinements-repeated",
-            "horizon-null", "refinement-step-underflow"])
+            "horizon-null", "refinement-step-underflow", "output-nul"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])

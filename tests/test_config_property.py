@@ -1,20 +1,28 @@
-"""Property test of the config path: hostile documents never escape as tracebacks.
+"""Property tests of the config path: hostile documents never escape as tracebacks.
 
 Documents are drawn in the shape of the schema, with leaves that are
 sometimes plausible and sometimes hostile (NaN/Infinity tokens, 400-digit
 integers, bools, strings, lists, zero, negatives, grid sizes past the
 bound).  Each one goes through ``load_config`` as a JSON file, exactly as
-the CLI reads it, and must either parse or raise ``ConfigError``.
+the CLI reads it, and must either parse or raise ``ConfigError``.  Small
+documents of the same shape also run whole subcommands through
+``cli.main``, which must keep the README's exit-code and stderr contract.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sicaoc.cli import MAX_GRID_STEPS, ConfigError, load_config, parse_config
+from sicaoc.cli import MAX_GRID_STEPS, ConfigError, load_config, main, parse_config
 from sicaoc.integrators import TimeGrid
 from sicaoc.model import ADJOINT_MODES
 
@@ -47,28 +55,35 @@ fraction_sets = st.sampled_from([
 grid_size = st.one_of(st.integers(min_value=-2, max_value=300),
                       st.sampled_from([0, -1, MAX_GRID_STEPS, MAX_GRID_STEPS + 1, HUGE]))
 
-documents = st.fixed_dictionaries({}, optional={
-    "params": section({k: leaf(rate) for k in
-                       ("mu", "b", "beta", "eta_c", "eta_a", "phi", "rho", "alpha",
-                        "omega", "d")}),
-    "initial": st.one_of(fraction_sets,
-                         section({k: leaf(st.floats(0.0, 1.0)) for k in "sica"})),
-    "horizon": leaf(st.one_of(st.floats(min_value=1e-3, max_value=60.0),
-                              st.integers(min_value=1, max_value=60))),
-    "steps": leaf(grid_size),
-    "control": section({
-        "u_max": leaf(st.floats(min_value=0.0, max_value=0.99)),
-        "relaxation": leaf(st.floats(min_value=0.01, max_value=1.0)),
-        "delta_error": leaf(st.floats(min_value=1e-9, max_value=1.0)),
-        "max_iterations": leaf(st.one_of(st.integers(min_value=1, max_value=1000),
-                                         st.sampled_from([3.0, 2.7, 1e300]))),
-    }),
-    "adjoint_mode": leaf(st.sampled_from(ADJOINT_MODES)),
-    "refinements": leaf(st.one_of(st.lists(grid_size, min_size=3, max_size=5, unique=True),
-                                  st.lists(grid_size, max_size=4))),
-    "output": section({"csv": leaf(st.just("run.csv")),
-                       "manifest": leaf(st.just("run.manifest.json"))}),
-})
+
+def config_documents(sizes, max_iterations):
+    """Documents in the schema's shape; ``steps`` and refinements come from ``sizes``."""
+    return st.fixed_dictionaries({}, optional={
+        "params": section({k: leaf(rate) for k in
+                           ("mu", "b", "beta", "eta_c", "eta_a", "phi", "rho", "alpha",
+                            "omega", "d")}),
+        "initial": st.one_of(fraction_sets,
+                             section({k: leaf(st.floats(0.0, 1.0)) for k in "sica"})),
+        "horizon": leaf(st.one_of(st.floats(min_value=1e-3, max_value=60.0),
+                                  st.integers(min_value=1, max_value=60))),
+        "steps": leaf(sizes),
+        "control": section({
+            "u_max": leaf(st.floats(min_value=0.0, max_value=0.99)),
+            "relaxation": leaf(st.floats(min_value=0.01, max_value=1.0)),
+            "delta_error": leaf(st.floats(min_value=1e-9, max_value=1.0)),
+            "max_iterations": max_iterations,
+        }),
+        "adjoint_mode": leaf(st.sampled_from(ADJOINT_MODES)),
+        "refinements": leaf(st.one_of(
+            st.lists(sizes, min_size=3, max_size=5, unique=True),
+            st.lists(sizes, max_size=4))),
+        "output": section({"csv": leaf(st.just("run.csv")),
+                           "manifest": leaf(st.just("run.manifest.json"))}),
+    })
+
+
+documents = config_documents(grid_size, leaf(st.one_of(
+    st.integers(min_value=1, max_value=1000), st.sampled_from([3.0, 2.7, 1e300]))))
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +108,49 @@ def test_config_parses_or_is_a_config_error(config_path, doc, default_steps):
     assert replay == resolved
     # the manifest-replay promise: the recorded config resolves to itself
     assert parse_config(replay, default_steps).resolved_dict() == resolved
+
+
+# Grids and iteration budgets small enough that a few hundred whole runs
+# take seconds; a hostile max_iterations is drawn from values the config
+# rejects, since a huge one would let a sweep that never converges run on.
+small_grid_size = st.one_of(st.integers(min_value=-2, max_value=40),
+                            st.sampled_from([0, -1, MAX_GRID_STEPS + 1, HUGE]))
+small_documents = config_documents(small_grid_size, st.one_of(
+    st.integers(min_value=1, max_value=25),
+    st.sampled_from([0, -1, 2.7, 3.0, math.nan, True, "3", None, [], HUGE])))
+commands = st.sampled_from([["simulate", "--method", m] for m in
+                            ("euler", "rk2", "rk4", "dp45")]
+                           + [["compare"], ["orders"], ["optimize"]])
+ERROR_LINE = re.compile(r"^error: (usage|config|numeric|io): ")
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(doc=small_documents, argv=commands)
+# a sweep that stops short writes its CSV and manifest, then exits 3;
+# few drawn documents reach it
+@example(doc={"steps": 10, "control": {"max_iterations": 1}}, argv=["optimize"])
+def test_cli_keeps_its_exit_contract(doc, argv):
+    with tempfile.TemporaryDirectory() as scratch:
+        config = Path(scratch) / "config.json"
+        config.write_text(json.dumps(doc))
+        workdir = Path(scratch) / "run"
+        workdir.mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", str(config)])
+            written = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
+                       if line.startswith("wrote ")]
+            assert all(Path(path).is_file() for path in written)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4)
+        err_lines = err.getvalue().splitlines()
+        if code == 0:
+            assert err_lines == []
+        else:
+            assert len(err_lines) == 1 and ERROR_LINE.match(err_lines[0])
+        if code == 2:
+            assert list(workdir.iterdir()) == []
