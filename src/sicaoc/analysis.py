@@ -45,6 +45,9 @@ ORDER_BANDS = {"euler": (0.9, 1.1), "rk2": (1.8, 2.2), "rk4": (3.5, 4.5)}
 # grid sizes of the default order study
 REFINEMENTS = (100, 200, 400, 800)
 
+# error control of the tight adaptive run that order studies measure against
+TIGHT_REFERENCE = AdaptiveSettings(reltol=1e-12, abstol=1e-14)
+
 # step of the central difference in u that stationarity_residual takes
 FD_STEP = 1e-6
 
@@ -99,9 +102,8 @@ def reference_trajectory(params: ModelParams, x0: np.ndarray, grid: TimeGrid,
 
 def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
                        tf: float = 20.0) -> np.ndarray:
-    """State at tf of a tight (reltol 1e-12) adaptive run, the order studies' truth."""
-    tight = AdaptiveSettings(reltol=1e-12, abstol=1e-14)
-    return reference_trajectory(params, x0, TimeGrid(t0, tf, 1), tight).states[-1]
+    """State at tf of a ``TIGHT_REFERENCE`` adaptive run, the order studies' truth."""
+    return reference_trajectory(params, x0, TimeGrid(t0, tf, 1), TIGHT_REFERENCE).states[-1]
 
 
 def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,

@@ -36,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, VARIABLES,
-                       DegenerateStudy, build_norm_table, convergence_order,
+from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_REFERENCE,
+                       VARIABLES, DegenerateStudy, build_norm_table, convergence_order,
                        reference_trajectory, simplex_drift,
                        stationarity_residual, terminal_reference)
 # integrate_dp45 is imported for code that wraps this module's integrator
@@ -201,8 +201,6 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
     output = _section(doc, "output", ("csv", "manifest"))
     if not all(isinstance(path, str) for path in output.values()):
         raise ConfigError("config.output paths must be strings")
-    if any("\0" in path for path in output.values()):
-        raise ConfigError("config.output paths must not contain a NUL character")
 
     return RunConfig(params=params, initial=initial, bounds=bounds, sweep=sweep,
                      adjoint_mode=adjoint_mode, refinements=tuple(refinements),
@@ -213,28 +211,12 @@ def load_config(path: str | None, default_steps: int = 100) -> RunConfig:
     if path is None:
         return parse_config({}, default_steps)
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: not UTF-8, malformed JSON, an integer past int's digit
+    # limit, or a NUL in the path; RecursionError: arrays nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        doc = json.loads(text, parse_constant=_JsonConstant)
-    except ValueError as exc:   # malformed, or an integer past int's digit limit
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return parse_config(doc, default_steps)
-
-
-class _JsonConstant:
-    """NaN, Infinity or -Infinity in a config file, which strict JSON lacks.
-
-    Read as this marker rather than as a float, it fails the type check
-    of whichever key holds it, and the error names that key.
-    """
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
 
 
 # ---------------------------------------------------------------- output
@@ -267,9 +249,14 @@ def _output_paths(config: RunConfig, out: str | None, stem: str,
     ``<stem>.csv``; the manifest to ``output.manifest``, else beside the
     CSV.  Each of ``suffixes`` replaces the CSV's suffix to name one more
     file.  Returns ``[csv, manifest, *more]``.  A path without a file
-    name, or two paths naming one file, is a config error; a path whose
-    directory is missing raises the OSError that writing it would.
+    name, two paths naming one file, or a control character (U+0000 to
+    U+001F, or DEL) in ``out`` or any ``output`` path, used or not, is a
+    config error; a path whose directory is missing raises the OSError
+    that writing it would.
     """
+    for path in filter(None, (out, *config.output.values())):
+        if any(c < " " or c == "\x7f" for c in path):
+            raise ConfigError(f"output path {path!r} holds a control character")
     csv_path = Path(out or config.output.get("csv", f"{stem}.csv"))
     manifest_path = Path(config.output.get("manifest") or csv_path.parent
                          / (csv_path.name.removesuffix(".csv") + ".manifest.json"))
@@ -478,8 +465,8 @@ def cmd_orders(config: RunConfig, args: argparse.Namespace) -> int:
                                     config.refinements, 0.0, horizon,
                                     reference=ref_end)
                for m in FIXED_METHODS}
-    print(f"terminal-error convergence at t={horizon} over "
-          f"M={list(config.refinements)} (reference: adaptive 5(4), reltol=1e-12)")
+    print(f"terminal-error convergence at t={horizon} over M={list(config.refinements)} "
+          f"(reference: adaptive 5(4), reltol={TIGHT_REFERENCE.reltol})")
     print(f"{'method':7s} {'slope':>7s} {'band':>12s} {'status':>7s}")
     slopes = {}
     for method, study in studies.items():

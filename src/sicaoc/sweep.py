@@ -82,8 +82,9 @@ class SweepSettings:
             raise ValueError("delta_error must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
-        if not 1 <= self.max_iterations < math.inf:
-            raise ValueError("max_iterations must be finite and at least 1")
+        n = self.max_iterations
+        if isinstance(n, bool) or not (isinstance(n, int) or float(n).is_integer()) or n < 1:
+            raise ValueError("max_iterations must be an integer of at least 1")
         if self.initial_control is not None:
             self.initial_control = np.asarray(self.initial_control, dtype=float)
             if self.initial_control.shape != (self.grid.node_count,):
@@ -156,7 +157,7 @@ def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
         node = int(bad[0])
         raise IntegrationFailure(
             f"forward pass produced a non-finite state at node {node}",
-            node=node, t=grid.t0 + (node - 1) * h + h)
+            node=node, t=grid.t0 + node * h)
     return Trajectory(grid, out)
 
 
@@ -187,7 +188,7 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
         node = int(bad[-1])
         raise IntegrationFailure(
             f"backward pass produced a non-finite costate at node {node}",
-            node=node, t=grid.t0 + (node + 1) * h - h)
+            node=node, t=grid.t0 + node * h)
     return Trajectory(grid, out)
 
 

@@ -122,7 +122,14 @@ class TestConfig:
     def test_config_file_must_be_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^cannot read config "):
+            load_config(str(path))
+
+    def test_json_constants_fail_the_number_check(self, tmp_path):
+        # Python's json reads NaN and Infinity as floats; the key's own check names them
+        path = tmp_path / "nan.json"
+        path.write_text('{"horizon": NaN}')
+        with pytest.raises(ConfigError, match=r"^config\.horizon .* finite .*, got nan$"):
             load_config(str(path))
 
     def test_config_file_must_be_utf8(self, tmp_path):
@@ -369,12 +376,14 @@ class TestHostileConfig:
         '{"steps": 1' + "0" * 400 + "}", '{"steps": 1000001}',
         '{"refinements": [100, 200, 1' + "0" * 400 + "]}", '{"refinements": [100, 100, 100]}',
         '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
-        '{"output": {"csv": "a\\u0000b"}}',
+        '{"output": {"csv": "a\\u0000b"}}', '{"output": {"csv": "a\\nb.csv"}}',
+        '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}",
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
             "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
             "steps-past-bound", "refinement-400-digits", "refinements-repeated",
-            "horizon-null", "refinement-step-underflow", "output-nul"])
+            "horizon-null", "refinement-step-underflow", "output-nul", "output-newline",
+            "nested-past-recursion-limit"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
@@ -483,9 +492,14 @@ class TestOutputPaths:
          {"output": {"manifest": "sub/../m.uncontrolled.csv"}}),
         (["simulate", "--method", "euler", "--plot", "--out", "m.csv"],
          {"output": {"manifest": "m.states.gp"}}),
+        # a newline would split the gnuplot strings and the `wrote` line
+        (["simulate", "--method", "euler", "--plot", "--out", "a\nb.csv"], {}),
+        (["optimize", "--plot", "--out", "a\nb.csv"], {}),
+        (["simulate", "--method", "rk4", "--out", "a\0b.csv"], {}),
     ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
-            "manifest-is-states-script"])
+            "manifest-is-states-script", "simulate-plot-out-newline",
+            "optimize-plot-out-newline", "out-nul"])
     def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
                                                            argv, doc):
         (tmp_path / "sub").mkdir()
@@ -494,6 +508,13 @@ class TestOutputPaths:
         out, _ = one_error_line(capsys, "config")
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+    def test_config_path_with_nul_is_a_config_error(self, tmp_path, capsys):
+        assert run(["simulate", "--method", "rk4", "--config", "a\0b.json"]) == 2
+        out, err = one_error_line(capsys, "config")
+        assert err.startswith("error: config: cannot read config ")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_files_may_share_a_name_without_plot(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"steps": 10,

@@ -56,6 +56,11 @@ grid_size = st.one_of(st.integers(min_value=-2, max_value=300),
                       st.sampled_from([0, -1, MAX_GRID_STEPS, MAX_GRID_STEPS + 1, HUGE]))
 
 
+def output_path(name):
+    """``name`` most of the time, else a name holding a control character."""
+    return st.sampled_from([name, name, "a\nb.csv", "a\x00b.csv"])
+
+
 def config_documents(sizes, max_iterations):
     """Documents in the schema's shape; ``steps`` and refinements come from ``sizes``."""
     return st.fixed_dictionaries({}, optional={
@@ -77,8 +82,8 @@ def config_documents(sizes, max_iterations):
         "refinements": leaf(st.one_of(
             st.lists(sizes, min_size=3, max_size=5, unique=True),
             st.lists(sizes, max_size=4))),
-        "output": section({"csv": leaf(st.just("run.csv")),
-                           "manifest": leaf(st.just("run.manifest.json"))}),
+        "output": section({"csv": leaf(output_path("run.csv")),
+                           "manifest": leaf(output_path("run.manifest.json"))}),
     })
 
 
@@ -129,6 +134,9 @@ ERROR_LINE = re.compile(r"^error: (usage|config|numeric|io): ")
 # a sweep that stops short writes its CSV and manifest, then exits 3;
 # few drawn documents reach it
 @example(doc={"steps": 10, "control": {"max_iterations": 1}}, argv=["optimize"])
+# a newline in a written path used to split its `wrote` line
+@example(doc={"steps": 10, "output": {"csv": "a\nb.csv"}},
+         argv=["simulate", "--method", "rk4"])
 def test_cli_keeps_its_exit_contract(doc, argv):
     with tempfile.TemporaryDirectory() as scratch:
         config = Path(scratch) / "config.json"

@@ -87,6 +87,7 @@ class TestBackwardPass:
         with pytest.raises(IntegrationFailure) as exc:
             backward_pass(prob, x, np.zeros(101))
         assert exc.value.node == 53
+        assert exc.value.t == pytest.approx(5.3, rel=1e-15)
         assert "non-finite costate at node 53" in str(exc.value)
 
     def test_terminal_costate_slope(self, problem):
@@ -235,7 +236,9 @@ class TestSweepSettings:
             # a NaN budget used to run no iteration and report non-convergence
             with pytest.raises(ValueError):
                 SweepSettings(max_iterations=bad)
-        with pytest.raises(ValueError):
-            SweepSettings(max_iterations=0)
+        # a float budget used to run its ceiling, a bool one iteration
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError):
+                SweepSettings(max_iterations=bad)
         with pytest.raises(ValueError):
             SweepSettings(initial_control=np.zeros(3))
