@@ -215,7 +215,7 @@ def load_config(path: str | None, default_steps: int = 100) -> RunConfig:
     # ValueError: not UTF-8, malformed JSON, an integer past int's digit
     # limit, or a NUL in the path; RecursionError: arrays nested too deep
     except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(doc, default_steps)
 
 
@@ -250,13 +250,15 @@ def _output_paths(config: RunConfig, out: str | None, stem: str,
     CSV.  Each of ``suffixes`` replaces the CSV's suffix to name one more
     file.  Returns ``[csv, manifest, *more]``.  A path without a file
     name, two paths naming one file, or a control character (U+0000 to
-    U+001F, or DEL) in ``out`` or any ``output`` path, used or not, is a
-    config error; a path whose directory is missing raises the OSError
-    that writing it would.
+    U+001F, DEL, U+0080 to U+009F) or line separator (U+2028, U+2029) in
+    ``out`` or any ``output`` path, used or not, is a config error: these
+    include every character ``str.splitlines`` breaks a line on.  A path
+    whose directory is missing raises the OSError that writing it would.
     """
     for path in filter(None, (out, *config.output.values())):
-        if any(c < " " or c == "\x7f" for c in path):
-            raise ConfigError(f"output path {path!r} holds a control character")
+        if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
+            raise ConfigError(f"output path {path!r} holds a control character "
+                              "or line separator")
     csv_path = Path(out or config.output.get("csv", f"{stem}.csv"))
     manifest_path = Path(config.output.get("manifest") or csv_path.parent
                          / (csv_path.name.removesuffix(".csv") + ".manifest.json"))

@@ -12,9 +12,10 @@ State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
 ``(lambda1, ..., lambda4)`` for costates.  The public functions take
 and return numpy arrays; ``controlled_field`` and ``costate_field``
-build the float kernels behind them, which the sweep (and, through
-``fraction_field``, the integrators) call directly with Python floats
-to avoid numpy's per-call overhead.
+build the float kernels behind them, which the integrators call
+(through ``fraction_field``) with Python floats to avoid numpy's
+per-call overhead.  ``controlled_march`` and ``costate_march`` write the
+same arithmetic out inside the sweep's RK4 passes, one call per pass.
 """
 
 from __future__ import annotations
@@ -195,6 +196,36 @@ def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float) -> flo
     return float(running_cost(x, u) + np.dot(lam, rhs))
 
 
+def _costate_terms(p: ModelParams, mode: str):
+    """The (x, u)-only terms of the costate field, ``terms(s, i, c, a, u)``.
+
+    Returns the eleven terms the field multiplies the costate by, in the
+    order ``costate_field`` reads them; ``c`` is one of them, for the
+    ``l3 * d * c`` product.  The arithmetic is elementwise, so Python
+    floats and float64 arrays of nodes give the same bits.
+    """
+    if mode not in ADJOINT_MODES:
+        raise ValueError(f"unknown adjoint mode {mode!r}")
+    verbatim = mode == "verbatim"
+    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
+    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+    rpb, abd = rho + phi + b, alpha + b + d
+
+    def terms(s, i, c, a, u):
+        ucb = (1.0 - u) * beta
+        forc = ucb * (i + eta_c * c + eta_a * a)
+        da = d * a
+        g = ucb * s
+        gc = ucb * eta_c * s
+        ga = ucb * eta_a * s
+        ds = d * s if verbatim else -(d * s)
+        return (b + forc - da, forc,
+                g, g - rpb + da,
+                gc, gc + omega, omega + b - da,
+                ga + ds, ga + alpha + d * i, c, abd - 2.0 * da)
+    return terms
+
+
 def costate_field(p: ModelParams, mode: str = "derived"
                   ) -> Callable[[Sequence[float], Sequence[float], float], FloatState]:
     """Float kernel ``(x, lam, u) -> lam'`` of the costate dynamics.
@@ -204,31 +235,19 @@ def costate_field(p: ModelParams, mode: str = "derived"
     the reference GNU Octave routine for this problem, which carries the
     opposite sign on the d*s coupling inside the lambda1 factor of the
     fourth equation; it fails a finite-difference gradient check there
-    and exists for comparison runs only.
+    and exists for comparison runs only.  The field is linear in lam,
+    with the coefficients of ``_costate_terms``.
     """
-    if mode not in ADJOINT_MODES:
-        raise ValueError(f"unknown adjoint mode {mode!r}")
-    verbatim = mode == "verbatim"
-    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
-    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+    terms = _costate_terms(p, mode)
+    phi, rho, d = p.phi, p.rho, p.d
 
     def field(x, lam, u):
-        s, i, c, a = x
+        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = terms(*x, u)
         l1, l2, l3, l4 = lam
-        uc = 1.0 - u
-        forc = uc * beta * (i + eta_c * c + eta_a * a)
-        da = d * a
-        dl1 = -1.0 + l1 * (b + forc - da) - l2 * forc
-        g = uc * beta * s
-        dl2 = (1.0 + l1 * g - l2 * (g - (rho + phi + b) + da)
-               - l3 * phi - l4 * rho)
-        gc = uc * beta * eta_c * s
-        dl3 = l1 * gc - l2 * (gc + omega) + l3 * (omega + b - da)
-        ga = uc * beta * eta_a * s
-        ds = d * s if verbatim else -(d * s)
-        dl4 = (l1 * (ga + ds) - l2 * (ga + alpha + d * i)
-               - l3 * d * c + l4 * (alpha + b + d - 2.0 * da))
-        return (dl1, dl2, dl3, dl4)
+        return (-1.0 + l1 * k11 - l2 * k12,
+                1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho,
+                l1 * k31 - l2 * k32 + l3 * k33,
+                l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44)
     return field
 
 
@@ -236,6 +255,129 @@ def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
                 mode: str = "derived") -> np.ndarray:
     """Time derivative of the costate vector; see ``costate_field``."""
     return np.array(costate_field(p, mode)(_floats(x), _floats(lam), u))
+
+
+def midpoints(v: np.ndarray) -> np.ndarray:
+    """Arithmetic means of neighbouring grid nodes, one per interval."""
+    return 0.5 * (v[1:] + v[:-1])
+
+
+def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float], list]:
+    """The sweep's forward pass as one kernel ``(x0, u, h) -> rows``.
+
+    Takes RK4 steps of h from x0 under the node controls u, each step
+    with the stage controls of the sweep (endpoint values at stages 1
+    and 4, their mean at stages 2 and 3), and returns one state tuple
+    per node, finite or not.  It is the ``controlled_field`` arithmetic
+    written out inside the four stages, bit for bit the RK4 loop over
+    that field.
+    """
+    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
+    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+    rpb, ob, abd = rho + phi + b, omega + b, alpha + b + d
+
+    def march(x0, u, h):
+        h2, h6 = h / 2.0, h / 6.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = ((1.0 - u) * beta).tolist()
+            mids = ((1.0 - midpoints(u)) * beta).tolist()
+        x1, x2, x3, x4 = x0.tolist()
+        rows = [(x1, x2, x3, x4)]
+        for start, mid, end in zip(nodes, mids, nodes[1:]):
+            s, i, c, a = x1, x2, x3, x4
+            aux1 = start * (i + eta_c * c + eta_a * a) * s
+            aux2 = d * a
+            a1 = b * (1.0 - s) - aux1 + aux2 * s
+            a2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+            a3 = phi * i - (ob - aux2) * c
+            a4 = rho * i - (abd - aux2) * a
+            s, i, c, a = x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3, x4 + h2 * a4
+            aux1 = mid * (i + eta_c * c + eta_a * a) * s
+            aux2 = d * a
+            b1 = b * (1.0 - s) - aux1 + aux2 * s
+            b2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+            b3 = phi * i - (ob - aux2) * c
+            b4 = rho * i - (abd - aux2) * a
+            s, i, c, a = x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3, x4 + h2 * b4
+            aux1 = mid * (i + eta_c * c + eta_a * a) * s
+            aux2 = d * a
+            c1 = b * (1.0 - s) - aux1 + aux2 * s
+            c2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+            c3 = phi * i - (ob - aux2) * c
+            c4 = rho * i - (abd - aux2) * a
+            s, i, c, a = x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4
+            aux1 = end * (i + eta_c * c + eta_a * a) * s
+            aux2 = d * a
+            d1 = b * (1.0 - s) - aux1 + aux2 * s
+            d2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+            d3 = phi * i - (ob - aux2) * c
+            d4 = rho * i - (abd - aux2) * a
+            x1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+            x2 = x2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
+            x3 = x3 + h6 * (a3 + 2.0 * (b3 + c3) + d3)
+            x4 = x4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)
+            rows.append((x1, x2, x3, x4))
+        return rows
+    return march
+
+
+def costate_march(p: ModelParams, mode: str = "derived"
+                  ) -> Callable[[np.ndarray, np.ndarray, float], list]:
+    """The sweep's backward pass as one kernel ``(states, u, h) -> rows``.
+
+    Takes RK4 steps of -h from the zero costate at the last node, with
+    the states and controls of the nodes at stages 1 and 4 and their
+    means at stages 2 and 3, and returns one costate tuple per node in
+    node order, finite or not.  The (x, u)-only terms of
+    ``costate_field`` are computed for every node and midpoint in one
+    array pass; each stage then does only the arithmetic linear in the
+    costate, bit for bit the RK4 loop over ``costate_field``.
+    """
+    terms = _costate_terms(p, mode)
+    phi, rho, d = p.phi, p.rho, p.d
+
+    def table(x, u):
+        return list(zip(*(t.tolist() for t in terms(*x.T, u))))
+
+    def march(states, u, h):
+        h = -h
+        h2, h6 = h / 2.0, h / 6.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            nodes = table(states, u)
+            mids = table(midpoints(states), midpoints(u))
+        l1 = l2 = l3 = l4 = 0.0
+        rows = [(l1, l2, l3, l4)]
+        # each step's stage 4 leaves the terms of the node the next step starts at
+        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = nodes[-1]
+        for mid, end in zip(mids[::-1], nodes[-2::-1]):
+            a1 = -1.0 + l1 * k11 - l2 * k12
+            a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
+            a3 = l1 * k31 - l2 * k32 + l3 * k33
+            a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
+            k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = mid
+            m1, m2, m3, m4 = l1 + h2 * a1, l2 + h2 * a2, l3 + h2 * a3, l4 + h2 * a4
+            b1 = -1.0 + m1 * k11 - m2 * k12
+            b2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
+            b3 = m1 * k31 - m2 * k32 + m3 * k33
+            b4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
+            m1, m2, m3, m4 = l1 + h2 * b1, l2 + h2 * b2, l3 + h2 * b3, l4 + h2 * b4
+            c1 = -1.0 + m1 * k11 - m2 * k12
+            c2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
+            c3 = m1 * k31 - m2 * k32 + m3 * k33
+            c4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
+            k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = end
+            m1, m2, m3, m4 = l1 + h * c1, l2 + h * c2, l3 + h * c3, l4 + h * c4
+            d1 = -1.0 + m1 * k11 - m2 * k12
+            d2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
+            d3 = m1 * k31 - m2 * k32 + m3 * k33
+            d4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
+            l1 = l1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
+            l2 = l2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
+            l3 = l3 + h6 * (a3 + 2.0 * (b3 + c3) + d3)
+            l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)
+            rows.append((l1, l2, l3, l4))
+        return rows[::-1]
+    return march
 
 
 def optimal_control_law(p: ModelParams, x: np.ndarray, lam: np.ndarray,

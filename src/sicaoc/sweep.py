@@ -20,8 +20,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .integrators import IntegrationFailure, TimeGrid, Trajectory, nonfinite_nodes
-from .model import (ControlBounds, FloatState, ModelParams, controlled_field,
-                    costate_field, objective, optimal_control_law)
+from .model import (ControlBounds, FloatState, ModelParams, controlled_march,
+                    costate_march, midpoints, objective, optimal_control_law)
 
 
 class SweepNonConvergence(RuntimeError):
@@ -34,7 +34,7 @@ class SweepNonConvergence(RuntimeError):
 
 @dataclass
 class OcProblem:
-    """A control problem in the form the sweep consumes.
+    """A control problem in the form the sweep consumes, given by stage fields.
 
     The system is autonomous, has four state components, and its fields
     work on Python floats: ``state_field(x, u)`` and
@@ -45,6 +45,10 @@ class OcProblem:
     control values; the law owns the control bounds.  There is no
     terminal cost and the end state is free, so the costate always ends
     at zero.
+
+    The sweep calls a problem once per pass, through ``state_march`` and
+    ``costate_march``; here they run the RK4 loops over the stage
+    fields.  ``MarchProblem`` takes whole passes instead.
     """
 
     state_field: Callable[[Sequence[float], float], FloatState]
@@ -57,13 +61,63 @@ class OcProblem:
         if self.x0.shape != (4,):
             raise ValueError("initial state must have four components")
 
+    def state_march(self, u: np.ndarray, h: float) -> list:
+        """States at every node: RK4 steps of h from x0 under the node controls u."""
+        f = self.state_field
+        nodes = u.tolist()
+        x = self.x0.tolist()
+        rows = [x]
+        for start, mid, end in zip(nodes, midpoints(u).tolist(), nodes[1:]):
+            x = _rk4_step(f, x, h, start, mid, end)
+            rows.append(x)
+        return rows
+
+    def costate_march(self, states: np.ndarray, u: np.ndarray, h: float) -> list:
+        """Costates at every node: RK4 steps of -h from zero at the last node.
+
+        Stage values of the state and control at the half node are the
+        arithmetic means of the two neighbouring grid nodes.
+        """
+        g = self.adjoint_field
+        # the step passes the costate first and the (state, control) stage second
+        f = lambda lam, stage: g(stage[0], lam, stage[1])
+        stages = list(zip(states.tolist(), u.tolist()))
+        mids = list(zip(midpoints(states).tolist(), midpoints(u).tolist()))
+        lam = [0.0] * 4
+        rows = [lam]
+        for j in range(len(mids), 0, -1):
+            lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
+            rows.append(lam)
+        return rows[::-1]
+
+
+@dataclass
+class MarchProblem(OcProblem):
+    """An ``OcProblem`` whose fields are whole passes of the sweep.
+
+    ``state_field(x0, u, h)`` and ``adjoint_field(states, u, h)`` take
+    the arrays of the initial state, the n node controls and the n node
+    states, and return the n rows of ``OcProblem.state_march`` and
+    ``OcProblem.costate_march``: the same RK4 steps with the same stage
+    inputs, in one call per pass.
+    """
+
+    state_field: Callable[[np.ndarray, np.ndarray, float], list]
+    adjoint_field: Callable[[np.ndarray, np.ndarray, float], list]
+
+    def state_march(self, u: np.ndarray, h: float) -> list:
+        return self.state_field(self.x0, u, h)
+
+    def costate_march(self, states: np.ndarray, u: np.ndarray, h: float) -> list:
+        return self.adjoint_field(states, u, h)
+
 
 def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
-                 adjoint_mode: str = "derived") -> OcProblem:
-    """Wire the HIV prevention problem into the generic sweep interface."""
-    return OcProblem(
-        state_field=controlled_field(params),
-        adjoint_field=costate_field(params, adjoint_mode),
+                 adjoint_mode: str = "derived") -> MarchProblem:
+    """Wire the HIV prevention problem into the sweep as fused passes."""
+    return MarchProblem(
+        state_field=controlled_march(params),
+        adjoint_field=costate_march(params, adjoint_mode),
         control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
         x0=x0,
     )
@@ -116,7 +170,7 @@ def _rk4_step(f, y, h: float, start, mid, end) -> FloatState:
     ``start``, ``mid`` and ``end`` are the stage inputs at the step's
     start, midpoint and end.  The step h is signed: in IEEE arithmetic
     ``y + (-h / 2.0) * k`` equals ``y - (h / 2.0) * k`` exactly, so the
-    backward pass takes this step with -h bit for bit.  The stage
+    costate march takes this step with -h bit for bit.  The stage
     arithmetic is written out per component because a loop over four
     floats costs more than the floating-point work it does.
     """
@@ -133,62 +187,34 @@ def _rk4_step(f, y, h: float, start, mid, end) -> FloatState:
             y4 + h6 * (a4 + 2.0 * (b4 + c4) + d4))
 
 
-def _midpoints(v: np.ndarray) -> list:
-    """Arithmetic means of neighbouring grid nodes, one per interval."""
-    return (0.5 * (v[1:] + v[:-1])).tolist()
-
-
 def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled state forward across the grid."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    f = prob.state_field
-    h = grid.h
-    nodes = u.tolist()
-    x = prob.x0.tolist()
-    rows = [x]
-    for start, mid, end in zip(nodes, _midpoints(u), nodes[1:]):
-        x = _rk4_step(f, x, h, start, mid, end)
-        rows.append(x)
-    out = np.array(rows)
+    out = np.array(prob.state_march(u, grid.h), dtype=float)
     bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[0])
         raise IntegrationFailure(
             f"forward pass produced a non-finite state at node {node}",
-            node=node, t=grid.t0 + node * h)
+            node=node, t=grid.t0 + node * grid.h)
     return Trajectory(grid, out)
 
 
 def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
-    """Integrate the costate backward from its zero terminal value (free end point).
-
-    Stage values of the state and control at the half node are the
-    arithmetic means of the two neighbouring grid nodes.
-    """
+    """Integrate the costate backward from its zero terminal value (free end point)."""
     u = np.asarray(u, dtype=float)
     grid = x.grid
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    g = prob.adjoint_field
-    # the step passes the costate first and the (state, control) stage second
-    f = lambda lam, stage: g(stage[0], lam, stage[1])
-    h = grid.h
-    stages = list(zip(x.states.tolist(), u.tolist()))
-    mids = list(zip(_midpoints(x.states), _midpoints(u)))
-    lam = [0.0] * 4
-    rows = [lam]
-    for j in range(grid.steps, 0, -1):
-        lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
-        rows.append(lam)
-    out = np.array(rows[::-1])
+    out = np.array(prob.costate_march(x.states, u, grid.h), dtype=float)
     bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[-1])
         raise IntegrationFailure(
             f"backward pass produced a non-finite costate at node {node}",
-            node=node, t=grid.t0 + node * h)
+            node=node, t=grid.t0 + node * grid.h)
     return Trajectory(grid, out)
 
 

@@ -442,6 +442,14 @@ class TestOverflowingStages:
         # one check after each march finds the node where the states overflowed
         assert self.run_child(tmp_path, doc, argv) == f"error: numeric: {message}"
 
+    def test_overflowing_costate_terms_add_no_warning(self, tmp_path):
+        # the costate march computes its (x, u)-only terms as arrays, where an
+        # overflow must not print a numpy warning before the error line
+        doc = {"params": {"beta": 1e10, "eta_a": 1e300},
+               "initial": {"s": 1, "i": 0, "c": 0, "a": 0}, "steps": 50}
+        assert self.run_child(tmp_path, doc, ["optimize"]) == (
+            "error: numeric: backward pass produced a non-finite costate at node 49")
+
 
 def one_error_line(capsys, category):
     captured = capsys.readouterr()
@@ -496,10 +504,15 @@ class TestOutputPaths:
         (["simulate", "--method", "euler", "--plot", "--out", "a\nb.csv"], {}),
         (["optimize", "--plot", "--out", "a\nb.csv"], {}),
         (["simulate", "--method", "rk4", "--out", "a\0b.csv"], {}),
+        # str.splitlines also breaks on these, so each would split a `wrote` line
+        (["simulate", "--method", "rk4", "--out", "a\x85b.csv"], {}),
+        (["simulate", "--method", "rk4"], {"output": {"csv": "a\u2028b.csv"}}),
+        (["orders"], {"output": {"manifest": "a\u2029b.json"}}),
     ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
             "manifest-is-states-script", "simulate-plot-out-newline",
-            "optimize-plot-out-newline", "out-nul"])
+            "optimize-plot-out-newline", "out-nul", "out-next-line",
+            "csv-line-separator", "manifest-paragraph-separator"])
     def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
                                                            argv, doc):
         (tmp_path / "sub").mkdir()
@@ -515,6 +528,14 @@ class TestOutputPaths:
         assert err.startswith("error: config: cannot read config ")
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_config_path_is_quoted_in_the_error(self, tmp_path, capsys):
+        # an escape sequence in the path must not reach the terminal
+        assert run(["simulate", "--method", "rk4", "--config", "a\x1b[31mb.json"]) == 2
+        out, err = one_error_line(capsys, "config")
+        assert err.startswith("error: config: cannot read config 'a\\x1b[31mb.json': ")
+        assert "\x1b" not in err
+        assert out == ""
 
     def test_plot_files_may_share_a_name_without_plot(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"steps": 10,

@@ -57,8 +57,9 @@ grid_size = st.one_of(st.integers(min_value=-2, max_value=300),
 
 
 def output_path(name):
-    """``name`` most of the time, else a name holding a control character."""
-    return st.sampled_from([name, name, "a\nb.csv", "a\x00b.csv"])
+    """``name`` most of the time, else a name holding a line break or control character."""
+    return st.sampled_from([name] * 5 + ["a\nb.csv", "a\x00b.csv", "a\x85b.csv",
+                                         "a\u2028b.csv", "a\u2029b.csv"])
 
 
 def config_documents(sizes, max_iterations):
@@ -134,8 +135,11 @@ ERROR_LINE = re.compile(r"^error: (usage|config|numeric|io): ")
 # a sweep that stops short writes its CSV and manifest, then exits 3;
 # few drawn documents reach it
 @example(doc={"steps": 10, "control": {"max_iterations": 1}}, argv=["optimize"])
-# a newline in a written path used to split its `wrote` line
+# a newline, or another line break of str.splitlines, in a written path
+# used to split its `wrote` line
 @example(doc={"steps": 10, "output": {"csv": "a\nb.csv"}},
+         argv=["simulate", "--method", "rk4"])
+@example(doc={"steps": 10, "output": {"csv": "a\u2028b.csv"}},
          argv=["simulate", "--method", "rk4"])
 def test_cli_keeps_its_exit_contract(doc, argv):
     with tempfile.TemporaryDirectory() as scratch:

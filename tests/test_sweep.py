@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sicaoc import (ControlBounds, IntegrationFailure, OcProblem,
+from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid,
                     integrate_fixed)
-from sicaoc.model import rhs_normalized
+from sicaoc.model import (controlled_field, costate_field, optimal_control_law,
+                          rhs_normalized)
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
 
@@ -30,12 +31,12 @@ class TestForwardPass:
                                 grid, X0)
         assert np.array_equal(swept.states, plain.states)
 
-    def test_single_interval_uses_endpoint_and_midpoint_controls(self, problem):
+    def test_single_interval_uses_endpoint_and_midpoint_controls(self, params, problem):
         grid = TimeGrid(0.0, 0.02, 1)
         u = np.array([0.1, 0.3])
         out = forward_pass(problem, u, grid).states[1]
         h = grid.h
-        f = problem.state_field
+        f = controlled_field(params)
         um = 0.5 * (u[0] + u[1])
         k1 = np.asarray(f(X0, u[0]))
         k2 = np.asarray(f(X0 + (h / 2) * k1, um))
@@ -90,12 +91,82 @@ class TestBackwardPass:
         assert exc.value.t == pytest.approx(5.3, rel=1e-15)
         assert "non-finite costate at node 53" in str(exc.value)
 
-    def test_terminal_costate_slope(self, problem):
+    def test_terminal_costate_slope(self, params, problem):
         # with lam(T) = 0 only the cost gradient survives in the field
         grid = TimeGrid(0.0, 20.0, 50)
         x = forward_pass(problem, np.zeros(51), grid)
-        slope = problem.adjoint_field(x.states[-1], np.zeros(4), 0.0)
+        slope = costate_field(params)(x.states[-1], np.zeros(4), 0.0)
         np.testing.assert_array_equal(slope, [-1.0, 1.0, 0.0, 0.0])
+
+
+def stage_problem(params, bounds, x0, mode="derived"):
+    """The SICA problem through the stage-field adapter of ``OcProblem``."""
+    return OcProblem(state_field=controlled_field(params),
+                     adjoint_field=costate_field(params, mode),
+                     control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
+                     x0=x0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFusedMarches:
+    """``sica_problem``'s marches against the stage-field adapter, bit for bit."""
+
+    # horizon, steps, u_max, beta, x0, adjoint mode, max_iterations
+    SCENARIOS = {
+        "T10-umax0.2-beta1.0": (10.0, 50, 0.2, 1.0, (0.7, 0.1, 0.1, 0.1), "derived", 500),
+        "T20-umax0.5-verbatim": (20.0, 100, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "verbatim", 500),
+        "T60-umax0.95-verbatim-budget": (60.0, 300, 0.95, 2.0, (0.8, 0.1, 0.05, 0.05),
+                                         "verbatim", 25),
+        "zero-bound": (10.0, 50, 0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "negative-zero-bound": (10.0, 50, -0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "one-step-grid": (1.0, 1, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "no-infection": (10.0, 50, 0.3, 1.6, (1.0, 0.0, 0.0, 0.0), "derived", 500),
+    }
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_solve_matches_stage_fields(self, name):
+        horizon, steps, u_max, beta, x0, mode, budget = self.SCENARIOS[name]
+        p = ModelParams(beta=beta)
+        settings = SweepSettings(grid=TimeGrid(0.0, horizon, steps), max_iterations=budget)
+        results = []
+        for make in (sica_problem, stage_problem):
+            try:
+                results.append(solve(make(p, ControlBounds(u_max), np.array(x0), mode),
+                                     settings))
+            except SweepNonConvergence as exc:
+                results.append(exc.result)
+        fused, staged = results
+        assert_same_bits(fused.states.states, staged.states.states)
+        assert_same_bits(fused.adjoints.states, staged.adjoints.states)
+        assert_same_bits(fused.control, staged.control)
+        assert (fused.iterations, fused.final_margin) == (staged.iterations,
+                                                          staged.final_margin)
+
+    @pytest.mark.parametrize("mode", ["derived", "verbatim"])
+    @pytest.mark.parametrize("steps", [1, 2, 37])
+    def test_passes_match_stage_fields_for_any_control(self, mode, steps):
+        # no rate of 1.0, which would hide a regrouped product such as d * c
+        params = ModelParams(mu=0.017, beta=1.7, eta_c=0.04, eta_a=1.35, phi=0.93,
+                             rho=0.11, alpha=0.31, omega=0.087, d=0.77)
+        rng = np.random.default_rng(steps)
+        grid = TimeGrid(0.0, 5.0, steps)
+        x0 = rng.dirichlet(np.ones(4))
+        fused = sica_problem(params, ControlBounds(0.5), x0, mode)
+        staged = stage_problem(params, ControlBounds(0.5), x0, mode)
+        for _ in range(20):
+            # controls off the admissible set, and signed zeros, included
+            u = rng.uniform(-1.0, 2.0, size=grid.node_count)
+            pick = rng.random(grid.node_count) < 0.3
+            u[pick] = rng.choice([-0.0, 0.0, 0.5, 1.0], size=pick.sum())
+            x = forward_pass(fused, u, grid)
+            assert_same_bits(x.states, forward_pass(staged, u, grid).states)
+            assert_same_bits(backward_pass(fused, x, u).states,
+                             backward_pass(staged, x, u).states)
 
 
 class TestUpdateControl:
