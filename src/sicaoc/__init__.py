@@ -10,9 +10,9 @@ from .model import (ControlBounds, DegeneratePopulation, ModelParams,
                     adjoint_rhs, force_of_infection, hamiltonian, objective,
                     optimal_control_law, rhs_absolute, rhs_controlled,
                     rhs_normalized, running_cost)
-from .sweep import (MarchProblem, OcProblem, SweepNonConvergence, SweepResult,
-                    SweepSettings, backward_pass, forward_pass,
-                    relative_change_test, sica_problem, solve, update_control)
+from .sweep import (OcProblem, SweepNonConvergence, SweepResult, SweepSettings,
+                    backward_pass, forward_pass, relative_change_test,
+                    sica_problem, solve, update_control)
 from .analysis import (NormTable, NormTriple, OrderStudy, build_norm_table,
                        convergence_order, diff_norms, simplex_drift,
                        stationarity_residual)

@@ -14,8 +14,9 @@ fractions, ``(S, I, C, A)`` for absolute counts and
 and return numpy arrays; ``controlled_field`` and ``costate_field``
 build the float kernels behind them, which the integrators call
 (through ``fraction_field``) with Python floats to avoid numpy's
-per-call overhead.  ``controlled_march`` and ``costate_march`` write the
-same arithmetic out inside the sweep's RK4 passes, one call per pass.
+per-call overhead.  ``controlled_march`` and ``costate_march`` are the
+sweep's forward and backward RK4 passes, one call per pass, with the
+same arithmetic written out inside the four stages.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float]
     with the stage controls of the sweep (endpoint values at stages 1
     and 4, their mean at stages 2 and 3), and returns one state tuple
     per node, finite or not.  It is the ``controlled_field`` arithmetic
-    written out inside the four stages, bit for bit the RK4 loop over
-    that field.
+    written out inside the four stages, bit for bit an RK4 loop that
+    calls that field four times per step.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
@@ -331,7 +332,7 @@ def costate_march(p: ModelParams, mode: str = "derived"
     node order, finite or not.  The (x, u)-only terms of
     ``costate_field`` are computed for every node and midpoint in one
     array pass; each stage then does only the arithmetic linear in the
-    costate, bit for bit the RK4 loop over ``costate_field``.
+    costate, bit for bit an RK4 loop over ``costate_field``.
     """
     terms = _costate_terms(p, mode)
     phi, rho, d = p.phi, p.rho, p.d

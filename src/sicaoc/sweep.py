@@ -1,10 +1,12 @@
 """Forward-backward RK4 sweep for Pontryagin two-point boundary problems.
 
-Each iteration integrates the controlled state forward with a classical
-RK4 scheme whose stages interpolate the grid-resident control (endpoint
-values at stages 1 and 4, the arithmetic mean at stages 2 and 3), then
-integrates the costate backward from its zero transversality data with
-the same stage interpolation of states and control, and finally relaxes
+Each iteration runs the problem's two passes, one call each: the
+forward pass integrates the controlled state with a classical RK4
+scheme whose stages interpolate the grid-resident control (endpoint
+values at stages 1 and 4, the arithmetic mean at stages 2 and 3), and
+the backward pass integrates the costate from its zero transversality
+data with the same stage interpolation of states and control.  Each
+pass is checked once for non-finite values.  The iteration then relaxes
 the control toward the pointwise law (which owns the control bounds) by
 a convex combination.  The loop stops once the relative change of all
 nine tracked vectors (four states, the control, four costates) falls
@@ -21,7 +23,7 @@ import numpy as np
 
 from .integrators import IntegrationFailure, TimeGrid, Trajectory, nonfinite_nodes
 from .model import (ControlBounds, FloatState, ModelParams, controlled_march,
-                    costate_march, midpoints, objective, optimal_control_law)
+                    costate_march, objective, optimal_control_law)
 
 
 class SweepNonConvergence(RuntimeError):
@@ -34,25 +36,22 @@ class SweepNonConvergence(RuntimeError):
 
 @dataclass
 class OcProblem:
-    """A control problem in the form the sweep consumes, given by stage fields.
+    """A control problem in the form the sweep consumes: its two passes and its law.
 
-    The system is autonomous, has four state components, and its fields
-    work on Python floats: ``state_field(x, u)`` and
-    ``adjoint_field(x, lam, u)`` take length-4 state and costate
-    sequences and a control value and return a tuple of four floats.
+    The system is autonomous and has four state components.  Each pass
+    takes RK4 steps of the grid step h, with the node values at stages 1
+    and 4 and their means at stages 2 and 3: ``state_field(x0, u, h)``
+    from x0 under the n node controls u, ``adjoint_field(states, u, h)``
+    backward from the zero costate at the last node.  Both take numpy
+    arrays and return n rows of four floats, finite or not.
     ``control_law(x, lam)`` takes the ``(n, 4)`` state and costate
-    arrays of all n grid nodes and returns an array of the n admissible
-    control values; the law owns the control bounds.  There is no
-    terminal cost and the end state is free, so the costate always ends
-    at zero.
-
-    The sweep calls a problem once per pass, through ``state_march`` and
-    ``costate_march``; here they run the RK4 loops over the stage
-    fields.  ``MarchProblem`` takes whole passes instead.
+    arrays and returns the n admissible controls; the law owns the
+    control bounds.  There is no terminal cost and the end state is
+    free, so the costate always ends at zero.
     """
 
-    state_field: Callable[[Sequence[float], float], FloatState]
-    adjoint_field: Callable[[Sequence[float], Sequence[float], float], FloatState]
+    state_field: Callable[[np.ndarray, np.ndarray, float], Sequence[FloatState]]
+    adjoint_field: Callable[[np.ndarray, np.ndarray, float], Sequence[FloatState]]
     control_law: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x0: np.ndarray
 
@@ -61,61 +60,11 @@ class OcProblem:
         if self.x0.shape != (4,):
             raise ValueError("initial state must have four components")
 
-    def state_march(self, u: np.ndarray, h: float) -> list:
-        """States at every node: RK4 steps of h from x0 under the node controls u."""
-        f = self.state_field
-        nodes = u.tolist()
-        x = self.x0.tolist()
-        rows = [x]
-        for start, mid, end in zip(nodes, midpoints(u).tolist(), nodes[1:]):
-            x = _rk4_step(f, x, h, start, mid, end)
-            rows.append(x)
-        return rows
-
-    def costate_march(self, states: np.ndarray, u: np.ndarray, h: float) -> list:
-        """Costates at every node: RK4 steps of -h from zero at the last node.
-
-        Stage values of the state and control at the half node are the
-        arithmetic means of the two neighbouring grid nodes.
-        """
-        g = self.adjoint_field
-        # the step passes the costate first and the (state, control) stage second
-        f = lambda lam, stage: g(stage[0], lam, stage[1])
-        stages = list(zip(states.tolist(), u.tolist()))
-        mids = list(zip(midpoints(states).tolist(), midpoints(u).tolist()))
-        lam = [0.0] * 4
-        rows = [lam]
-        for j in range(len(mids), 0, -1):
-            lam = _rk4_step(f, lam, -h, stages[j], mids[j - 1], stages[j - 1])
-            rows.append(lam)
-        return rows[::-1]
-
-
-@dataclass
-class MarchProblem(OcProblem):
-    """An ``OcProblem`` whose fields are whole passes of the sweep.
-
-    ``state_field(x0, u, h)`` and ``adjoint_field(states, u, h)`` take
-    the arrays of the initial state, the n node controls and the n node
-    states, and return the n rows of ``OcProblem.state_march`` and
-    ``OcProblem.costate_march``: the same RK4 steps with the same stage
-    inputs, in one call per pass.
-    """
-
-    state_field: Callable[[np.ndarray, np.ndarray, float], list]
-    adjoint_field: Callable[[np.ndarray, np.ndarray, float], list]
-
-    def state_march(self, u: np.ndarray, h: float) -> list:
-        return self.state_field(self.x0, u, h)
-
-    def costate_march(self, states: np.ndarray, u: np.ndarray, h: float) -> list:
-        return self.adjoint_field(states, u, h)
-
 
 def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,
-                 adjoint_mode: str = "derived") -> MarchProblem:
-    """Wire the HIV prevention problem into the sweep as fused passes."""
-    return MarchProblem(
+                 adjoint_mode: str = "derived") -> OcProblem:
+    """Wire the HIV prevention problem into the sweep: the model's marches and law."""
+    return OcProblem(
         state_field=controlled_march(params),
         adjoint_field=costate_march(params, adjoint_mode),
         control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
@@ -143,6 +92,8 @@ class SweepSettings:
             self.initial_control = np.asarray(self.initial_control, dtype=float)
             if self.initial_control.shape != (self.grid.node_count,):
                 raise ValueError("initial control must have one value per grid node")
+            if not np.isfinite(self.initial_control).all():
+                raise ValueError("initial control must be finite")
 
 
 @dataclass
@@ -164,35 +115,14 @@ class SweepResult:
     final_margin: float
 
 
-def _rk4_step(f, y, h: float, start, mid, end) -> FloatState:
-    """One classical RK4 step of the four-component y' = f(y, stage).
-
-    ``start``, ``mid`` and ``end`` are the stage inputs at the step's
-    start, midpoint and end.  The step h is signed: in IEEE arithmetic
-    ``y + (-h / 2.0) * k`` equals ``y - (h / 2.0) * k`` exactly, so the
-    costate march takes this step with -h bit for bit.  The stage
-    arithmetic is written out per component because a loop over four
-    floats costs more than the floating-point work it does.
-    """
-    y1, y2, y3, y4 = y
-    h2 = h / 2.0
-    a1, a2, a3, a4 = f(y, start)
-    b1, b2, b3, b4 = f((y1 + h2 * a1, y2 + h2 * a2, y3 + h2 * a3, y4 + h2 * a4), mid)
-    c1, c2, c3, c4 = f((y1 + h2 * b1, y2 + h2 * b2, y3 + h2 * b3, y4 + h2 * b4), mid)
-    d1, d2, d3, d4 = f((y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4), end)
-    h6 = h / 6.0
-    return (y1 + h6 * (a1 + 2.0 * (b1 + c1) + d1),
-            y2 + h6 * (a2 + 2.0 * (b2 + c2) + d2),
-            y3 + h6 * (a3 + 2.0 * (b3 + c3) + d3),
-            y4 + h6 * (a4 + 2.0 * (b4 + c4) + d4))
-
-
 def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled state forward across the grid."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    out = np.array(prob.state_march(u, grid.h), dtype=float)
+    # the callables are read off the problem at each call, so a profiler may
+    # replace them by name, as perfbench's Tracer.wrap_problem does
+    out = np.array(prob.state_field(prob.x0, u, grid.h), dtype=float)
     bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[0])
@@ -208,7 +138,7 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
     grid = x.grid
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    out = np.array(prob.costate_march(x.states, u, grid.h), dtype=float)
+    out = np.array(prob.adjoint_field(x.states, u, grid.h), dtype=float)
     bad = nonfinite_nodes(out)
     if bad.size:
         node = int(bad[-1])

@@ -7,6 +7,8 @@ bound).  Each one goes through ``load_config`` as a JSON file, exactly as
 the CLI reads it, and must either parse or raise ``ConfigError``.  Small
 documents of the same shape also run whole subcommands through
 ``cli.main``, which must keep the README's exit-code and stderr contract.
+A character the output-path rule rejects, in any output path of an
+otherwise valid document, must be a config error that writes nothing.
 """
 
 import contextlib
@@ -130,18 +132,12 @@ commands = st.sampled_from([["simulate", "--method", m] for m in
 ERROR_LINE = re.compile(r"^error: (usage|config|numeric|io): ")
 
 
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
-@given(doc=small_documents, argv=commands)
-# a sweep that stops short writes its CSV and manifest, then exits 3;
-# few drawn documents reach it
-@example(doc={"steps": 10, "control": {"max_iterations": 1}}, argv=["optimize"])
-# a newline, or another line break of str.splitlines, in a written path
-# used to split its `wrote` line
-@example(doc={"steps": 10, "output": {"csv": "a\nb.csv"}},
-         argv=["simulate", "--method", "rk4"])
-@example(doc={"steps": 10, "output": {"csv": "a\u2028b.csv"}},
-         argv=["simulate", "--method", "rk4"])
-def test_cli_keeps_its_exit_contract(doc, argv):
+def run_main(doc, argv):
+    """Run ``main`` on ``doc`` as its config file, from a new empty work directory.
+
+    Returns the exit code, the stderr lines, the work directory's entries
+    and the paths of stdout's ``wrote`` lines that name no file there.
+    """
     with tempfile.TemporaryDirectory() as scratch:
         config = Path(scratch) / "config.json"
         config.write_text(json.dumps(doc))
@@ -155,14 +151,57 @@ def test_cli_keeps_its_exit_contract(doc, argv):
                 code = main(argv + ["--config", str(config)])
             written = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
                        if line.startswith("wrote ")]
-            assert all(Path(path).is_file() for path in written)
+            missing = [path for path in written if not Path(path).is_file()]
         finally:
             os.chdir(cwd)
-        assert code in (0, 2, 3, 4)
-        err_lines = err.getvalue().splitlines()
-        if code == 0:
-            assert err_lines == []
-        else:
-            assert len(err_lines) == 1 and ERROR_LINE.match(err_lines[0])
-        if code == 2:
-            assert list(workdir.iterdir()) == []
+        return code, err.getvalue().splitlines(), list(workdir.iterdir()), missing
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(doc=small_documents, argv=commands)
+# a sweep that stops short writes its CSV and manifest, then exits 3;
+# few drawn documents reach it
+@example(doc={"steps": 10, "control": {"max_iterations": 1}}, argv=["optimize"])
+# a newline, or another line break of str.splitlines, in a written path
+# used to split its `wrote` line
+@example(doc={"steps": 10, "output": {"csv": "a\nb.csv"}},
+         argv=["simulate", "--method", "rk4"])
+@example(doc={"steps": 10, "output": {"csv": "a\u2028b.csv"}},
+         argv=["simulate", "--method", "rk4"])
+def test_cli_keeps_its_exit_contract(doc, argv):
+    code, err_lines, entries, missing = run_main(doc, argv)
+    assert missing == []
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err_lines == []
+    else:
+        assert len(err_lines) == 1 and ERROR_LINE.match(err_lines[0])
+    if code == 2:
+        assert entries == []
+
+
+# Every character the output-path rule rejects, one strategy per branch of
+# the rule: the C0 controls, DEL and the C1 controls, the line separators.
+rejected_characters = st.one_of(
+    st.sampled_from([chr(c) for c in range(0x20)]),
+    st.sampled_from([chr(c) for c in range(0x7f, 0xa0)]),
+    st.sampled_from(["\u2028", "\u2029"]))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(argv=commands, char=rejected_characters,
+       template=st.sampled_from(["{}run.csv", "run{}.csv", "run.csv{}", "sub{}dir/run.csv"]),
+       where=st.sampled_from(["--out", "csv", "manifest"]))
+def test_rejected_character_in_any_output_path_is_a_config_error(argv, char, template,
+                                                                 where):
+    # the document is valid and runs every command without the path
+    doc = {"steps": 10, "refinements": [10, 20, 40]}
+    path = template.format(char)
+    if where == "--out":
+        argv = argv + ["--out", path]
+    else:
+        doc["output"] = {where: path}
+    code, err_lines, entries, _ = run_main(doc, argv)
+    assert code == 2
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: config: ")
+    assert entries == []

@@ -5,7 +5,8 @@ length-4 numpy array per call, forward and backward RK4 passes on numpy
 rows, and a control law evaluated node by node with builtin ``min`` and
 ``max``.  The package runs the same arithmetic on Python floats, so
 every state, costate, control (with the sign of its zeros), iteration
-count and margin must agree exactly, not within a tolerance.
+count and margin must agree exactly, not within a tolerance, and so must
+single forward and backward passes under any control.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from sicaoc import (ControlBounds, ModelParams, SweepNonConvergence,
                     SweepSettings, TimeGrid)
 from sicaoc.model import (adjoint_rhs, hamiltonian, optimal_control_law,
                           rhs_controlled, rhs_normalized)
-from sicaoc.sweep import sica_problem, solve
+from sicaoc.sweep import backward_pass, forward_pass, sica_problem, solve
 
 
 # ------------------------------------------------------------- reference
@@ -140,6 +141,7 @@ SCENARIOS = {
                                              (0.8, 0.1, 0.05, 0.05), "verbatim", 25),
     "one-step-grid": (1.0, 1, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
     "no-infection": (10.0, 50, 0.3, 1.6, (1.0, 0.0, 0.0, 0.0), "derived", 500),
+    "zero-bound": (10.0, 50, 0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
     # the builtin clamp returns u_max = -0.0 wherever the stationary point is positive
     "negative-zero-bound": (10.0, 50, -0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
 }
@@ -175,6 +177,34 @@ def test_sweep_matches_reference_bitwise(name):
         lambda x, lam, u: ref_adjoint(p, x, lam, u, mode),
         lambda x, lam: ref_law(p, x, lam, u_max), x0)
     assert_same(result, reference)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("mode", ["derived", "verbatim"])
+@pytest.mark.parametrize("steps", [1, 2, 37])
+def test_passes_match_reference_bitwise_for_any_control(mode, steps):
+    # no rate of 1.0, which would hide a regrouped product such as d * c
+    p = ModelParams(mu=0.017, beta=1.7, eta_c=0.04, eta_a=1.35, phi=0.93,
+                    rho=0.11, alpha=0.31, omega=0.087, d=0.77)
+    rng = np.random.default_rng(steps)
+    grid = TimeGrid(0.0, 5.0, steps)
+    x0 = rng.dirichlet(np.ones(4))
+    prob = sica_problem(p, ControlBounds(0.5), x0, mode)
+    f = lambda x, u: ref_rhs(p, x, u)
+    g = lambda x, lam, u: ref_adjoint(p, x, lam, u, mode)
+    for _ in range(20):
+        # controls off the admissible set, and signed zeros, included
+        u = rng.uniform(-1.0, 2.0, size=grid.node_count)
+        pick = rng.random(grid.node_count) < 0.3
+        u[pick] = rng.choice([-0.0, 0.0, 0.5, 1.0], size=pick.sum())
+        x = forward_pass(prob, u, grid)
+        assert_same_bits(x.states, ref_forward(f, x0, u, grid))
+        assert_same_bits(backward_pass(prob, x, u).states,
+                         ref_backward(g, x.states, u, grid))
 
 
 def test_constant_law_matches_reference_bitwise(params):
