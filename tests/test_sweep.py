@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sicaoc import (ControlBounds, IntegrationFailure, OcProblem,
+from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid,
                     integrate_fixed, step_rk4)
-from sicaoc.model import controlled_field, costate_field, rhs_normalized
+from sicaoc.model import (controlled_field, costate_field, midpoints,
+                          optimal_control_law, rhs_normalized)
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
 
@@ -23,12 +24,23 @@ def zero_problem():
                      control_law=lambda x, lam: np.zeros(len(x)), x0=X0)
 
 
+def stage_pass(field, y0, h, stages):
+    """The rows of RK4 steps of h on y' = field(y, s) from y0, as a pass returns them.
+
+    ``stages`` holds one (start, mid, end) triple of stage inputs s per
+    step: ``step_rk4`` evaluates the field at t = 0 (stage 1), h / 2
+    (stages 2 and 3) and h (stage 4), so t picks the input.
+    """
+    rows = [list(y0)]
+    for start, mid, end in stages:
+        by_t = {0.0: start, h: end}
+        rows.append(step_rk4(lambda t, y: field(y, by_t.get(t, mid)), 0.0, rows[-1], h))
+    return rows
+
+
 def rk4_pass(f, y0, h, steps):
     """The rows of ``steps`` RK4 steps of h on y' = f(y) from y0, as a pass returns them."""
-    rows = [list(y0)]
-    for _ in range(steps):
-        rows.append(step_rk4(lambda t, y: f(y), 0.0, rows[-1], h))
-    return rows
+    return stage_pass(lambda y, s: f(y), y0, h, [(None, None, None)] * steps)
 
 
 class TestForwardPass:
@@ -107,6 +119,71 @@ class TestBackwardPass:
         x = forward_pass(problem, np.zeros(51), grid)
         slope = costate_field(params)(x.states[-1], np.zeros(4), 0.0)
         np.testing.assert_array_equal(slope, [-1.0, 1.0, 0.0, 0.0])
+
+
+def stage_problem(params, bounds, x0, mode="derived"):
+    """The SICA problem as RK4 loops over the model's stage fields.
+
+    The passes step ``controlled_field`` and ``costate_field`` with
+    ``step_rk4``, the stage inputs being the node values at stages 1 and
+    4 and their means at stages 2 and 3, as the sweep's passes take them.
+    """
+    f, g = controlled_field(params), costate_field(params, mode)
+
+    def state_pass(x0, u, h):
+        nodes = u.tolist()
+        return stage_pass(f, x0.tolist(), h, zip(nodes, midpoints(u).tolist(), nodes[1:]))
+
+    def adjoint_pass(states, u, h):
+        nodes = list(zip(states.tolist(), u.tolist()))
+        mids = list(zip(midpoints(states).tolist(), midpoints(u).tolist()))
+        steps = [(nodes[j], mids[j - 1], nodes[j - 1]) for j in range(len(mids), 0, -1)]
+        return stage_pass(lambda lam, s: g(s[0], lam, s[1]), [0.0] * 4, -h, steps)[::-1]
+
+    return OcProblem(state_field=state_pass, adjoint_field=adjoint_pass,
+                     control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),
+                     x0=x0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestFusedMarches:
+    """``sica_problem``'s marches against RK4 loops over the stage fields, bit for bit."""
+
+    # horizon, steps, u_max, beta, x0, adjoint mode, max_iterations
+    SCENARIOS = {
+        "T10-umax0.2-beta1.0": (10.0, 50, 0.2, 1.0, (0.7, 0.1, 0.1, 0.1), "derived", 500),
+        "T20-umax0.5-verbatim": (20.0, 100, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "verbatim", 500),
+        "T60-umax0.95-verbatim-budget": (60.0, 300, 0.95, 2.0, (0.8, 0.1, 0.05, 0.05),
+                                         "verbatim", 25),
+        "zero-bound": (10.0, 50, 0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "negative-zero-bound": (10.0, 50, -0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "one-step-grid": (1.0, 1, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
+        "no-infection": (10.0, 50, 0.3, 1.6, (1.0, 0.0, 0.0, 0.0), "derived", 500),
+    }
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_solve_matches_stage_fields(self, name):
+        horizon, steps, u_max, beta, x0, mode, budget = self.SCENARIOS[name]
+        p = ModelParams(beta=beta)
+        settings = SweepSettings(grid=TimeGrid(0.0, horizon, steps), max_iterations=budget)
+        results = []
+        for make in (sica_problem, stage_problem):
+            try:
+                results.append(solve(make(p, ControlBounds(u_max), np.array(x0), mode),
+                                     settings))
+            except SweepNonConvergence as exc:
+                results.append(exc.result)
+        fused, staged = results
+        assert_same_bits(fused.states.states, staged.states.states)
+        assert_same_bits(fused.adjoints.states, staged.adjoints.states)
+        assert_same_bits(fused.control, staged.control)
+        assert (fused.iterations, fused.final_margin) == (staged.iterations,
+                                                          staged.final_margin)
 
 
 class TestUpdateControl:
