@@ -138,18 +138,18 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
     f = fraction_field(params)
     if reference is None:
         reference = terminal_reference(params, x0, t0, tf)
-    hs, errs = [], []
-    for m in refinements:
-        grid = TimeGrid(t0, tf, int(m))
+    grids = [TimeGrid(t0, tf, m) for m in refinements]
+    errs = []
+    for grid in grids:
         end = integrate_fixed(method, f, grid, x0).states[-1]
         err = float(np.abs(end - reference).max())
         if err == 0.0:
-            raise DegenerateStudy(
-                f"{method} terminal error is exactly 0 at M={m}, so no order can be fitted")
-        hs.append(grid.h)
+            raise DegenerateStudy(f"{method} terminal error is exactly 0 at "
+                                  f"M={grid.steps}, so no order can be fitted")
         errs.append(err)
+    hs = [grid.h for grid in grids]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
-    return OrderStudy(refinements=tuple(int(m) for m in refinements),
+    return OrderStudy(refinements=tuple(grid.steps for grid in grids),
                       step_sizes=tuple(hs), terminal_errors=tuple(errs), slope=slope)
 
 

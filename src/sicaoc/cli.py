@@ -43,8 +43,8 @@ from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_RE
 # integrate_dp45 is imported for code that wraps this module's integrator
 # attributes; the subcommands reach it through reference_trajectory
 from .integrators import (FIXED_METHODS, AdaptiveSettings, IntegrationFailure,  # noqa: F401
-                          StepLimitExceeded, TimeGrid, integrate_dp45,
-                          integrate_fixed)
+                          StepLimitExceeded, TimeGrid, first_step,
+                          integrate_dp45, integrate_fixed)
 from .model import ADJOINT_MODES, ControlBounds, ModelParams, fraction_field, objective
 from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
                     sica_problem, solve)
@@ -180,7 +180,6 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
         iterations = control["max_iterations"]
         if not iterations.is_integer():
             raise ConfigError(f"control.max_iterations must be an integer, got {iterations!r}")
-        control["max_iterations"] = int(iterations)
     u_max = {"u_max": control.pop("u_max")} if "u_max" in control else {}
     bounds = _build("control", ControlBounds, **u_max)
     sweep = _build("control", SweepSettings, grid=grid, **control)
@@ -353,11 +352,10 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     grid = config.grid
     integrator: dict = {"sampling": "clip-to-node"}
     if args.method == "dp45":
-        # the integrator's own default first step, made explicit for the manifest
-        settings = AdaptiveSettings(initial_step=(grid.tf - grid.t0) / 100.0)
+        settings = AdaptiveSettings()
         traj = reference_trajectory(config.params, config.initial, grid, settings)
         integrator.update({"reltol": settings.reltol, "abstol": settings.abstol,
-                           "initial_step": settings.initial_step,
+                           "initial_step": first_step(grid.t0, grid.tf),
                            "max_steps": settings.max_steps})
     else:
         traj = integrate_fixed(args.method, fraction_field(config.params), grid,

@@ -2,7 +2,7 @@
 
 Fixed-step Euler, Heun (RK2) and classical RK4 steps (pure arithmetic),
 ``integrate_fixed``, which walks them across a uniform time grid and
-checks the states once, and an adaptive embedded
+checks the states once (``march_trajectory``), and an adaptive embedded
 Dormand-Prince 5(4) integrator whose output is sampled on a requested
 grid.  All routines are pure functions of their arguments and are safe
 to call concurrently.
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,8 +56,7 @@ class TimeGrid:
             raise ValueError(f"grid requires finite end points, got [{self.t0}, {self.tf}]")
         if not self.tf > self.t0:
             raise ValueError(f"grid requires tf > t0, got [{self.t0}, {self.tf}]")
-        if self.steps < 1:
-            raise ValueError(f"grid requires at least 1 step, got {self.steps}")
+        object.__setattr__(self, "steps", whole_count("grid steps", self.steps))
         try:
             h = self.h
         except OverflowError:   # an integer step count too large for a float
@@ -97,23 +97,25 @@ class Trajectory:
 
 @dataclass
 class AdaptiveSettings:
-    """Error control for the Dormand-Prince integrator.
-
-    ``initial_step=None`` selects one hundredth of the integration span.
-    """
+    """Error control and step budget of the Dormand-Prince integrator."""
 
     reltol: float = 1e-6
     abstol: float = 1e-9
-    initial_step: float | None = None
     max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (0 < self.reltol < inf and 0 < self.abstol < inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.initial_step is not None and not 0 < self.initial_step < inf:
-            raise ValueError("initial step must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        self.max_steps = whole_count("max_steps", self.max_steps)
+
+
+def whole_count(name: str, value) -> int:
+    """``value`` as an int of at least 1; not a bool, and a float only if integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def step_euler(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
@@ -158,23 +160,29 @@ def integrate_fixed(method: str, f: VectorField, grid: TimeGrid,
     for k in range(grid.steps):
         x = step(f, t0 + k * h, x, h)
         rows.append(x)
-    out = np.array(rows)
-    bad = nonfinite_nodes(out)
+    return march_trajectory(grid, rows, f"{method} produced a non-finite state")
+
+
+def march_trajectory(grid: TimeGrid, rows, failure: str, backward=False) -> Trajectory:
+    """The node rows of a fixed-step march on ``grid`` as a Trajectory.
+
+    Each step adds to the previous row, and a non-finite value stays
+    non-finite without raising, so one check finds where the march failed:
+    ``IntegrationFailure(f"{failure} at node {node}")`` names the first
+    non-finite node, or the last one for a backward march, and its time.
+    """
+    out = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
     if bad.size:
-        node = int(bad[0])
-        raise IntegrationFailure(f"{method} produced a non-finite state at node {node}",
-                                 node=node, t=t0 + node * h)
+        node = int(bad[-1] if backward else bad[0])
+        raise IntegrationFailure(f"{failure} at node {node}",
+                                 node=node, t=grid.t0 + node * grid.h)
     return Trajectory(grid, out)
 
 
-def nonfinite_nodes(out: np.ndarray) -> np.ndarray:
-    """Nodes (rows of ``out``) with a non-finite entry.
-
-    Each step adds to the previous state, and a non-finite value stays
-    non-finite without raising, so one check after a march finds the
-    node where it failed.
-    """
-    return np.flatnonzero(~np.isfinite(out).all(axis=1))
+def first_step(t0: float, tf: float) -> float:
+    """The adaptive integrator's first trial step: one hundredth of the span."""
+    return (tf - t0) / 100.0
 
 
 # Dormand-Prince 5(4) tableau.  The last stage row equals the 5th-order
@@ -248,7 +256,7 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
     x = np.asarray(x0, dtype=float).tolist()
     abstol, reltol = settings.abstol, settings.reltol
     t = t0
-    h = settings.initial_step if settings.initial_step is not None else (tf - t0) / 100.0
+    h = first_step(t0, tf)
     targets = sample.nodes().tolist()
     recorded = []
     if targets[0] == t0:

@@ -171,9 +171,9 @@ def _floats(v) -> list[float]:
     return np.asarray(v, dtype=float).tolist()
 
 
-def running_cost(x: np.ndarray, u: float) -> float:
-    """Integrand s - i - u^2 of the maximized objective."""
-    return x[0] - x[1] - u * u
+def running_cost(x: np.ndarray, u: float | np.ndarray) -> float | np.ndarray:
+    """Integrand s - i - u^2 of the maximized objective; one value per node of stacks."""
+    return x[..., 0] - x[..., 1] - u * u
 
 
 def objective(traj: Trajectory, u: np.ndarray) -> float:
@@ -183,8 +183,7 @@ def objective(traj: Trajectory, u: np.ndarray) -> float:
         raise ValueError(
             f"control vector has {u.shape} entries for a "
             f"{traj.grid.node_count}-node grid")
-    cost = traj.states[:, 0] - traj.states[:, 1] - u * u
-    return float(np.trapezoid(cost, dx=traj.grid.h))
+    return float(np.trapezoid(running_cost(traj.states, u), dx=traj.grid.h))
 
 
 def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float) -> float:

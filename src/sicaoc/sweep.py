@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .integrators import IntegrationFailure, TimeGrid, Trajectory, nonfinite_nodes
+from .integrators import TimeGrid, Trajectory, march_trajectory, whole_count
 from .model import (ControlBounds, FloatState, ModelParams, controlled_march,
                     costate_march, objective, optimal_control_law)
 
@@ -85,9 +85,7 @@ class SweepSettings:
             raise ValueError("delta_error must be positive and finite")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
-        n = self.max_iterations
-        if isinstance(n, bool) or not (isinstance(n, int) or float(n).is_integer()) or n < 1:
-            raise ValueError("max_iterations must be an integer of at least 1")
+        self.max_iterations = whole_count("max_iterations", self.max_iterations)
         if self.initial_control is not None:
             self.initial_control = np.asarray(self.initial_control, dtype=float)
             if self.initial_control.shape != (self.grid.node_count,):
@@ -122,14 +120,8 @@ def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
         raise ValueError("control vector must have one value per grid node")
     # the callables are read off the problem at each call, so a profiler may
     # replace them by name, as perfbench's Tracer.wrap_problem does
-    out = np.array(prob.state_field(prob.x0, u, grid.h), dtype=float)
-    bad = nonfinite_nodes(out)
-    if bad.size:
-        node = int(bad[0])
-        raise IntegrationFailure(
-            f"forward pass produced a non-finite state at node {node}",
-            node=node, t=grid.t0 + node * grid.h)
-    return Trajectory(grid, out)
+    return march_trajectory(grid, prob.state_field(prob.x0, u, grid.h),
+                            "forward pass produced a non-finite state")
 
 
 def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
@@ -138,14 +130,8 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
     grid = x.grid
     if u.shape != (grid.node_count,):
         raise ValueError("control vector must have one value per grid node")
-    out = np.array(prob.adjoint_field(x.states, u, grid.h), dtype=float)
-    bad = nonfinite_nodes(out)
-    if bad.size:
-        node = int(bad[-1])
-        raise IntegrationFailure(
-            f"backward pass produced a non-finite costate at node {node}",
-            node=node, t=grid.t0 + node * grid.h)
-    return Trajectory(grid, out)
+    return march_trajectory(grid, prob.adjoint_field(x.states, u, grid.h),
+                            "backward pass produced a non-finite costate", backward=True)
 
 
 def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,

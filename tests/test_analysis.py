@@ -63,6 +63,14 @@ class TestConvergenceOrder:
         with pytest.raises(ValueError):
             convergence_order("euler", params, X0, refinements=(100, 200))
 
+    def test_refinements_follow_the_grid_integer_rule(self, params):
+        # a fractional refinement used to be truncated to an integer
+        with pytest.raises(ValueError, match="integer"):
+            convergence_order("euler", params, X0, refinements=(100.5, 200, 400))
+        floats = convergence_order("euler", params, X0, refinements=(100.0, 200.0, 400.0))
+        assert floats == convergence_order("euler", params, X0, refinements=(100, 200, 400))
+        assert all(type(m) is int for m in floats.refinements)
+
     def test_euler_slope_near_one(self, params):
         study = convergence_order("euler", params, X0)
         assert 0.9 <= study.slope <= 1.1

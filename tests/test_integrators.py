@@ -38,6 +38,18 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, 20.0, 0)
 
+    @pytest.mark.parametrize("steps", [2.5, 100.5, np.nan, np.inf, True, "10"])
+    def test_rejects_a_non_integer_step_count(self, steps):
+        # 2.5 used to fail later with a TypeError, True to pass as 1 step
+        with pytest.raises(ValueError, match="integer"):
+            TimeGrid(0.0, 20.0, steps)
+
+    def test_integral_float_steps_mean_that_integer(self):
+        grid = TimeGrid(0.0, 20.0, 100.0)
+        assert type(grid.steps) is int
+        assert grid == TimeGrid(0.0, 20.0, 100)
+        assert integrate_fixed("euler", zero_field, grid, [1.0]).states.shape == (101, 1)
+
     @pytest.mark.parametrize("t0, tf", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
                                         (0.0, np.nan), (-1e308, 1e308)])
     def test_rejects_non_finite_span(self, t0, tf):
@@ -86,11 +98,17 @@ class TestAdaptiveSettings:
 
     @pytest.mark.parametrize("kwargs", [
         {"reltol": np.nan}, {"reltol": np.inf}, {"abstol": np.nan},
-        {"initial_step": np.nan}, {"initial_step": np.inf}])
+        {"max_steps": np.nan}, {"max_steps": np.inf}])
     def test_rejects_non_finite_settings(self, kwargs):
-        # a NaN reltol used to reject every step until max_steps
-        with pytest.raises(ValueError, match="finite"):
+        # a NaN reltol used to reject every step until max_steps, and a NaN
+        # max_steps to never raise StepLimitExceeded
+        with pytest.raises(ValueError, match="integer" if "max_steps" in kwargs else "finite"):
             AdaptiveSettings(**kwargs)
+
+    @pytest.mark.parametrize("max_steps", [0, 2.5, True])
+    def test_max_steps_must_be_an_integer(self, max_steps):
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            AdaptiveSettings(max_steps=max_steps)
 
 
 class TestSteps:
@@ -240,6 +258,13 @@ class TestIntegrateDp45:
     def test_step_budget_enforced(self, params, x0):
         settings = AdaptiveSettings(max_steps=5)
         with pytest.raises(StepLimitExceeded):
+            integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
+                           x0, settings, TimeGrid(0.0, 20.0, 100))
+
+    def test_integral_float_budget_means_that_integer(self, params, x0):
+        settings = AdaptiveSettings(max_steps=5.0)
+        assert type(settings.max_steps) is int
+        with pytest.raises(StepLimitExceeded, match="exceeded 5 steps"):
             integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 

@@ -81,6 +81,16 @@ class TestForwardPass:
         assert exc.value.t == 4.7
         assert "non-finite state at node 47" in str(exc.value)
 
+    def test_overflowing_stage_controls_fail_at_the_node_not_as_a_warning(self, problem):
+        # (1 - u) * beta overflows at nodes 40 and 41 and at their midpoint;
+        # the march's stage-control precomputation must not warn about it
+        u = np.zeros(101)
+        u[40] = u[41] = -1.5e308
+        with pytest.raises(IntegrationFailure) as exc:
+            forward_pass(problem, u, TimeGrid(0.0, 20.0, 100))
+        assert exc.value.node == 40
+        assert exc.value.t == 8.0
+
     def test_control_length_checked(self, problem):
         with pytest.raises(ValueError):
             forward_pass(problem, np.zeros(5), TimeGrid(0.0, 1.0, 10))
@@ -328,6 +338,7 @@ class TestSweepSettings:
         for bad in (0, 2.5, True):
             with pytest.raises(ValueError):
                 SweepSettings(max_iterations=bad)
+        assert type(SweepSettings(max_iterations=3.0).max_iterations) is int
         with pytest.raises(ValueError):
             SweepSettings(initial_control=np.zeros(3))
         # rejected here, not reported later as a non-finite state of the forward pass
