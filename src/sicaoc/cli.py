@@ -122,17 +122,21 @@ def _finite(value: int | float) -> bool:
         return False
 
 
-def _is_grid_size(value) -> bool:
-    return (isinstance(value, int) and not isinstance(value, bool)
-            and value <= MAX_GRID_STEPS)
-
-
 def _build(section: str, cls, *args, **kwargs):
     """Construct a library object; the range checks it makes become config errors."""
     try:
         return cls(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid {section}: {exc}") from exc
+
+
+def _grid(section: str, horizon: float, steps) -> TimeGrid:
+    """The grid of ``steps`` on [0, horizon]: the library's count rule, then the cap."""
+    grid = _build(section, TimeGrid, 0.0, horizon, steps)
+    if grid.steps > MAX_GRID_STEPS:
+        raise ConfigError(f"invalid {section}: {grid.steps} steps exceed the cap "
+                          f"of {MAX_GRID_STEPS}")
+    return grid
 
 
 def _section(doc: dict, key: str, allowed) -> dict:
@@ -167,19 +171,14 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
 
     horizon = _number(doc, "horizon", "config", 20.0)
     steps = default_steps if doc.get("steps") is None else doc["steps"]
-    if not _is_grid_size(steps):
-        raise ConfigError(
-            f"steps must be an integer of at most {MAX_GRID_STEPS}, got {steps!r}")
-    grid = _build("grid", TimeGrid, 0.0, horizon, steps)
+    grid = _grid("grid", horizon, steps)
 
     raw_control = _section(doc, "control",
                            ("u_max", "relaxation", "delta_error", "max_iterations"))
-    # absent keys keep the ControlBounds and SweepSettings defaults
-    control = {k: _number(raw_control, k, "control") for k in raw_control}
-    if "max_iterations" in control:
-        iterations = control["max_iterations"]
-        if not iterations.is_integer():
-            raise ConfigError(f"control.max_iterations must be an integer, got {iterations!r}")
+    # absent keys keep the ControlBounds and SweepSettings defaults; the
+    # max_iterations count goes to SweepSettings as given, like steps to TimeGrid
+    control = {k: v if k == "max_iterations" else _number(raw_control, k, "control")
+               for k, v in raw_control.items()}
     u_max = {"u_max": control.pop("u_max")} if "u_max" in control else {}
     bounds = _build("control", ControlBounds, **u_max)
     sweep = _build("control", SweepSettings, grid=grid, **control)
@@ -190,19 +189,19 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
             f"adjoint_mode must be one of {ADJOINT_MODES}, got {adjoint_mode!r}")
 
     refinements = doc.get("refinements", list(REFINEMENTS))
-    if (not isinstance(refinements, list) or not all(map(_is_grid_size, refinements))
-            or len(refinements) < 3 or len(set(refinements)) != len(refinements)):
-        raise ConfigError("refinements must be a list of at least 3 distinct "
-                          f"integers of at most {MAX_GRID_STEPS}")
-    for m in refinements:
-        _build("refinements", TimeGrid, 0.0, horizon, m)
+    if not isinstance(refinements, list):
+        raise ConfigError("refinements must be a list of step counts")
+    refinements = tuple(_grid("refinements", horizon, m).steps for m in refinements)
+    if len(refinements) < 3 or len(set(refinements)) != len(refinements):
+        raise ConfigError(f"refinements must be at least 3 distinct step counts, "
+                          f"got {list(refinements)}")
 
     output = _section(doc, "output", ("csv", "manifest"))
     if not all(isinstance(path, str) for path in output.values()):
         raise ConfigError("config.output paths must be strings")
 
     return RunConfig(params=params, initial=initial, bounds=bounds, sweep=sweep,
-                     adjoint_mode=adjoint_mode, refinements=tuple(refinements),
+                     adjoint_mode=adjoint_mode, refinements=refinements,
                      output=output)
 
 
@@ -226,12 +225,8 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _cell(value) -> str:
-    return value if isinstance(value, str) else _fmt(value)
-
-
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    lines = [",".join(map(str, row)) for row in (header, *rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -354,9 +349,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     if args.method == "dp45":
         settings = AdaptiveSettings()
         traj = reference_trajectory(config.params, config.initial, grid, settings)
-        integrator.update({"reltol": settings.reltol, "abstol": settings.abstol,
-                           "initial_step": first_step(grid.t0, grid.tf),
-                           "max_steps": settings.max_steps})
+        integrator.update(asdict(settings), initial_step=first_step(grid.t0, grid.tf))
     else:
         traj = integrate_fixed(args.method, fraction_field(config.params), grid,
                                config.initial)

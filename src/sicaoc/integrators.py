@@ -75,6 +75,14 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(self.steps + 1)
 
+    def node_values(self, name: str, v) -> np.ndarray:
+        """``v`` as a float vector, which must hold one value per node."""
+        v = np.asarray(v, dtype=float)
+        if v.shape != (self.node_count,):
+            raise ValueError(f"{name} must have one value per grid node "
+                             f"({self.node_count}), got shape {v.shape}")
+        return v
+
 
 @dataclass
 class Trajectory:

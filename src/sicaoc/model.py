@@ -178,11 +178,7 @@ def running_cost(x: np.ndarray, u: float | np.ndarray) -> float | np.ndarray:
 
 def objective(traj: Trajectory, u: np.ndarray) -> float:
     """Composite-trapezoid value of the running cost along a trajectory."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (traj.grid.node_count,):
-        raise ValueError(
-            f"control vector has {u.shape} entries for a "
-            f"{traj.grid.node_count}-node grid")
+    u = traj.grid.node_values("control", u)
     return float(np.trapezoid(running_cost(traj.states, u), dx=traj.grid.h))
 
 

@@ -87,9 +87,8 @@ class SweepSettings:
             raise ValueError("relaxation weight must lie in (0, 1]")
         self.max_iterations = whole_count("max_iterations", self.max_iterations)
         if self.initial_control is not None:
-            self.initial_control = np.asarray(self.initial_control, dtype=float)
-            if self.initial_control.shape != (self.grid.node_count,):
-                raise ValueError("initial control must have one value per grid node")
+            self.initial_control = self.grid.node_values("initial control",
+                                                         self.initial_control)
             if not np.isfinite(self.initial_control).all():
                 raise ValueError("initial control must be finite")
 
@@ -115,9 +114,7 @@ class SweepResult:
 
 def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
     """Integrate the controlled state forward across the grid."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.node_count,):
-        raise ValueError("control vector must have one value per grid node")
+    u = grid.node_values("control", u)
     # the callables are read off the problem at each call, so a profiler may
     # replace them by name, as perfbench's Tracer.wrap_problem does
     return march_trajectory(grid, prob.state_field(prob.x0, u, grid.h),
@@ -126,10 +123,8 @@ def forward_pass(prob: OcProblem, u: np.ndarray, grid: TimeGrid) -> Trajectory:
 
 def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
     """Integrate the costate backward from its zero terminal value (free end point)."""
-    u = np.asarray(u, dtype=float)
     grid = x.grid
-    if u.shape != (grid.node_count,):
-        raise ValueError("control vector must have one value per grid node")
+    u = grid.node_values("control", u)
     return march_trajectory(grid, prob.adjoint_field(x.states, u, grid.h),
                             "backward pass produced a non-finite costate", backward=True)
 
@@ -137,10 +132,9 @@ def backward_pass(prob: OcProblem, x: Trajectory, u: np.ndarray) -> Trajectory:
 def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,
                    u_old: np.ndarray, weight: float) -> np.ndarray:
     """Relaxed control update: weight * clamped law + (1 - weight) * old."""
-    u_old = np.asarray(u_old, dtype=float)
-    n = x.grid.node_count
-    if lam.grid.node_count != n or u_old.shape != (n,):
-        raise ValueError("state, costate and control grids must agree")
+    u_old = x.grid.node_values("control", u_old)
+    if lam.grid.node_count != x.grid.node_count:
+        raise ValueError("state and costate grids must agree")
     law = prob.control_law(x.states, lam.states)
     return weight * law + (1.0 - weight) * u_old
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sicaoc
-from sicaoc.cli import (ConfigError, emit_plot_script, load_config, main,
-                        parse_config)
+from sicaoc.cli import (MAX_GRID_STEPS, ConfigError, emit_plot_script, load_config,
+                        main, parse_config)
 
 
 def run(argv):
@@ -111,13 +111,38 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [2.7, True, "3"])
     def test_max_iterations_must_be_an_integer(self, value):
-        with pytest.raises(ConfigError, match="control.max_iterations"):
+        with pytest.raises(ConfigError,
+                           match="^invalid control: max_iterations must be an integer"):
             parse_config({"control": {"max_iterations": value}})
 
     def test_integral_max_iterations_accepted(self):
         for value in (3, 3.0):
             iterations = parse_config({"control": {"max_iterations": value}}).sweep.max_iterations
             assert iterations == 3 and isinstance(iterations, int)
+
+    def test_integral_float_counts_are_recorded_as_integers(self):
+        cfg = parse_config({"steps": 100.0, "refinements": [100.0, 200, 400]})
+        assert cfg.grid.steps == 100 and isinstance(cfg.grid.steps, int)
+        assert cfg.refinements == (100, 200, 400)
+        assert all(isinstance(m, int) for m in cfg.refinements)
+        resolved = json.dumps(cfg.resolved_dict())
+        assert '"steps": 100,' in resolved and '"refinements": [100, 200, 400]' in resolved
+
+    @pytest.mark.parametrize("steps", [True, 2.5, "100"])
+    def test_steps_follow_the_library_count_rule(self, steps):
+        with pytest.raises(ConfigError, match="^invalid grid: "):
+            parse_config({"steps": steps})
+
+    def test_steps_past_the_cap_name_the_cap(self):
+        with pytest.raises(ConfigError, match=f"^invalid grid: .*{MAX_GRID_STEPS}"):
+            parse_config({"steps": MAX_GRID_STEPS + 1})
+        with pytest.raises(ConfigError, match=f"^invalid refinements: .*{MAX_GRID_STEPS}"):
+            parse_config({"refinements": [100, 200, MAX_GRID_STEPS + 1]})
+        assert parse_config({"steps": MAX_GRID_STEPS}).grid.steps == MAX_GRID_STEPS
+
+    def test_an_integral_float_refinement_repeats_its_integer(self):
+        with pytest.raises(ConfigError, match=r"distinct step counts, got \[100, 100, 200\]$"):
+            parse_config({"refinements": [100, 100.0, 200]})
 
     def test_config_file_must_be_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -4,7 +4,7 @@ import pytest
 from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid,
                     integrate_fixed, step_rk4)
-from sicaoc.model import (controlled_field, costate_field, midpoints,
+from sicaoc.model import (controlled_field, costate_field, midpoints, objective,
                           optimal_control_law, rhs_normalized)
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
@@ -347,3 +347,22 @@ class TestSweepSettings:
             u[50] = bad
             with pytest.raises(ValueError, match="initial control must be finite"):
                 SweepSettings(initial_control=u)
+
+
+NODE_VECTOR_CALLERS = {
+    "objective": lambda prob, x, lam, u: objective(x, u),
+    "initial_control": lambda prob, x, lam, u: SweepSettings(grid=x.grid,
+                                                             initial_control=u),
+    "forward_pass": lambda prob, x, lam, u: forward_pass(prob, u, x.grid),
+    "backward_pass": lambda prob, x, lam, u: backward_pass(prob, x, u),
+    "update_control": lambda prob, x, lam, u: update_control(prob, x, lam, u, 0.5),
+}
+
+
+@pytest.mark.parametrize("caller", NODE_VECTOR_CALLERS)
+def test_node_vectors_have_one_value_per_grid_node(problem, caller):
+    grid = TimeGrid(0.0, 2.0, 4)
+    x = forward_pass(problem, np.zeros(5), grid)
+    lam = backward_pass(problem, x, np.zeros(5))
+    with pytest.raises(ValueError, match=r"one value per grid node \(5\), got shape \(4,\)"):
+        NODE_VECTOR_CALLERS[caller](problem, x, lam, np.zeros(4))
