@@ -166,15 +166,11 @@ def stationarity_residual(result: SweepResult, p: ModelParams,
     Central finite difference of the Hamiltonian in u.  Returns None
     when the control touches a bound at every node.
     """
-    u_max = bounds.u_max
-    worst = None
-    for k in range(result.states.grid.node_count):
-        u = float(result.control[k])
-        if not 0.0 < u < u_max:
-            continue
-        x = result.states.states[k]
-        lam = result.adjoints.states[k]
-        grad = (hamiltonian(p, x, lam, u + FD_STEP)
-                - hamiltonian(p, x, lam, u - FD_STEP)) / (2.0 * FD_STEP)
-        worst = abs(grad) if worst is None else max(worst, abs(grad))
-    return worst
+    u = result.control
+    inside = (0.0 < u) & (u < bounds.u_max)
+    if not inside.any():
+        return None
+    u, x, lam = u[inside], result.states.states[inside], result.adjoints.states[inside]
+    grad = (hamiltonian(p, x, lam, u + FD_STEP)
+            - hamiltonian(p, x, lam, u - FD_STEP)) / (2.0 * FD_STEP)
+    return float(np.abs(grad).max())

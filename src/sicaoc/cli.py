@@ -55,6 +55,9 @@ OPTIMIZE_HEADER = SIMULATE_HEADER + ("u", "lambda1", "lambda2", "lambda3", "lamb
 # Largest `steps` or `refinements` entry a config may ask for (1000 times
 # optimize's default grid), so a typo cannot make a run allocate gigabytes.
 MAX_GRID_STEPS = 1_000_000
+# Largest control.max_iterations (1000 times the default budget), so a sweep
+# that never converges still stops and exits 3.
+MAX_ITERATIONS = 500_000
 
 
 class ConfigError(ValueError):
@@ -182,6 +185,9 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
     u_max = {"u_max": control.pop("u_max")} if "u_max" in control else {}
     bounds = _build("control", ControlBounds, **u_max)
     sweep = _build("control", SweepSettings, grid=grid, **control)
+    if sweep.max_iterations > MAX_ITERATIONS:
+        raise ConfigError(f"invalid control: max_iterations exceeds the cap "
+                          f"of {MAX_ITERATIONS}")
 
     adjoint_mode = doc.get("adjoint_mode", "derived")
     if adjoint_mode not in ADJOINT_MODES:

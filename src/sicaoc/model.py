@@ -182,14 +182,18 @@ def objective(traj: Trajectory, u: np.ndarray) -> float:
     return float(np.trapezoid(running_cost(traj.states, u), dx=traj.grid.h))
 
 
-def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float) -> float:
+def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray,
+                u: float | np.ndarray) -> float | np.ndarray:
     """Running cost plus inner product of the costate with the dynamics.
 
     Defined for any real u; the quadratic cost makes it strictly concave
-    in the control.
+    in the control.  Like ``optimal_control_law`` it takes one point or
+    ``(n, 4)`` stacks, with one u or one per node; ``np.vecdot`` runs
+    ``np.dot``'s loop, so each node gets the bits of its own call.
     """
-    rhs = np.array(controlled_field(p)(_floats(x), u))
-    return float(running_cost(x, u) + np.dot(lam, rhs))
+    x = np.asarray(x, dtype=float)
+    rhs = np.stack(controlled_field(p)(x.T, u), axis=-1)
+    return running_cost(x, u) + np.vecdot(lam, rhs)
 
 
 def _costate_terms(p: ModelParams, mode: str):

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sicaoc
-from sicaoc.cli import (MAX_GRID_STEPS, ConfigError, emit_plot_script, load_config,
-                        main, parse_config)
+from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, emit_plot_script,
+                        load_config, main, parse_config)
 
 
 def run(argv):
@@ -422,6 +422,33 @@ class TestHostileConfig:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: config: ")
         assert not out.exists()
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("budget", ["1e300", "1" + "0" * 400, str(MAX_ITERATIONS + 1)],
+                             ids=["1e300", "10**400", "cap-plus-one"])
+    def test_budget_past_the_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                   budget):
+        # a sweep that never converges would run on under such a budget
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"control": {"max_iterations": %s}}' % budget)
+        workdir = tmp_path / "run"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert run(["optimize", "--plot", "--config", str(cfg)]) == 2
+        out, line = one_error_line(capsys, "config")
+        assert out == ""
+        assert line == (f"error: config: invalid control: max_iterations exceeds the cap "
+                        f"of {MAX_ITERATIONS}")
+        assert list(workdir.iterdir()) == []
+
+    def test_budget_at_the_cap_is_accepted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"steps": 10, "control": {"max_iterations": MAX_ITERATIONS}})
+        assert run(["optimize", "--config", cfg, "--out", "run.csv"]) == 0
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        assert manifest["config"]["control"]["max_iterations"] == MAX_ITERATIONS
+        assert capsys.readouterr().err == ""
 
 
 class TestOverflowingStages:

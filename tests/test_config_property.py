@@ -24,7 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sicaoc.cli import MAX_GRID_STEPS, ConfigError, load_config, main, parse_config
+from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, load_config, main,
+                        parse_config)
 from sicaoc.integrators import TimeGrid
 from sicaoc.model import ADJOINT_MODES
 
@@ -120,13 +121,14 @@ def test_config_parses_or_is_a_config_error(config_path, doc, default_steps):
 
 # Grids and iteration budgets small enough that a few hundred whole runs
 # take seconds; a hostile max_iterations is drawn from values the config
-# rejects, since a huge one (1e300 or 10 ** 400, both whole counts) would
-# let a sweep that never converges run on.
+# rejects, huge budgets (1e300, 10 ** 400) included, since the config caps
+# the budget at MAX_ITERATIONS before anything runs.
 small_grid_size = st.one_of(st.integers(min_value=-2, max_value=40),
                             st.sampled_from([0, -1, MAX_GRID_STEPS + 1, HUGE]))
 small_documents = config_documents(small_grid_size, st.one_of(
     st.integers(min_value=1, max_value=25),
-    st.sampled_from([0, -1, 2.7, 3.0, math.nan, True, "3", None, [], -HUGE])))
+    st.sampled_from([0, -1, 2.7, 3.0, math.nan, True, "3", None, [], -HUGE, HUGE, 1e300,
+                     MAX_ITERATIONS + 1])))
 commands = st.sampled_from([["simulate", "--method", m] for m in
                             ("euler", "rk2", "rk4", "dp45")]
                            + [["compare"], ["orders"], ["optimize"]])

@@ -6,7 +6,9 @@ rows, and a control law evaluated node by node with builtin ``min`` and
 ``max``.  The package runs the same arithmetic on Python floats, so
 every state, costate, control (with the sign of its zeros), iteration
 count and margin must agree exactly, not within a tolerance, and so must
-single forward and backward passes under any control.
+single forward and backward passes under any control.  The Hamiltonian
+on node stacks, and the stationarity residual built on it, must agree
+bit for bit with a per-node loop.
 """
 
 import numpy as np
@@ -14,6 +16,8 @@ import pytest
 
 from sicaoc import (ControlBounds, ModelParams, SweepNonConvergence,
                     SweepSettings, TimeGrid)
+from sicaoc import analysis
+from sicaoc.analysis import FD_STEP, stationarity_residual
 from sicaoc.model import (adjoint_rhs, hamiltonian, optimal_control_law,
                           rhs_controlled, rhs_normalized)
 from sicaoc.sweep import backward_pass, forward_pass, sica_problem, solve
@@ -57,6 +61,25 @@ def ref_law(p, x, lam, u_max):
     s, i, c, a = x
     raw = p.beta * (i + p.eta_c * c + p.eta_a * a) * s * (lam[0] - lam[1]) / 2.0
     return min(max(0.0, raw), u_max)
+
+
+def ref_hamiltonian(p, x, lam, u):
+    return float(x[0] - x[1] - u * u + np.dot(lam, ref_rhs(p, x, u)))
+
+
+def ref_residual(result, p, bounds):
+    """The stationarity residual node by node: two Hamiltonian calls per inside node."""
+    worst = None
+    for k in range(result.states.grid.node_count):
+        u = float(result.control[k])
+        if not 0.0 < u < bounds.u_max:
+            continue
+        x = result.states.states[k]
+        lam = result.adjoints.states[k]
+        grad = (ref_hamiltonian(p, x, lam, u + FD_STEP)
+                - ref_hamiltonian(p, x, lam, u - FD_STEP)) / (2.0 * FD_STEP)
+        worst = abs(grad) if worst is None else max(worst, abs(grad))
+    return worst
 
 
 def ref_forward(f, x0, u, grid):
@@ -231,8 +254,51 @@ def test_public_kernels_match_reference_bitwise(params):
         for mode in ("derived", "verbatim"):
             assert np.array_equal(adjoint_rhs(params, x, lam, u, mode),
                                   ref_adjoint(params, x, lam, u, mode))
-        expected = float(x[0] - x[1] - u * u + np.dot(lam, ref_rhs(params, x, u)))
-        assert hamiltonian(params, x, lam, u) == expected
+        assert hamiltonian(params, x, lam, u) == ref_hamiltonian(params, x, lam, u)
+
+
+@pytest.mark.parametrize("per_node_u", [False, True], ids=["one-u", "u-per-node"])
+def test_hamiltonian_on_stacks_matches_per_node_calls(params, per_node_u):
+    rng = np.random.default_rng(13)
+    xs = rng.dirichlet(np.ones(4), size=300)
+    lams = rng.normal(scale=5.0, size=(300, 4))
+    # controls off the admissible set, and signed zeros, included
+    u = rng.uniform(-1.0, 2.0, size=300) if per_node_u else 0.3
+    if per_node_u:
+        u[:20] = -0.0
+    values = hamiltonian(params, xs, lams, u)
+    singles = [hamiltonian(params, xs[k], lams[k], u[k] if per_node_u else u)
+               for k in range(300)]
+    assert values.shape == (300,)
+    assert all(isinstance(h, float) for h in singles)
+    assert np.array_equal(values, singles)
+
+
+@pytest.mark.parametrize("name", ["default"] + list(SCENARIOS))
+def test_stationarity_residual_matches_per_node_reference(name, params, default_sweep,
+                                                          monkeypatch):
+    if name == "default":
+        p, bounds, result = params, ControlBounds(0.5), default_sweep["result"]
+    else:
+        horizon, steps, u_max, beta, x0, mode, budget = SCENARIOS[name]
+        p, bounds = ModelParams(beta=beta), ControlBounds(u_max)
+        settings = SweepSettings(grid=TimeGrid(0.0, horizon, steps), max_iterations=budget)
+        try:
+            result = solve(sica_problem(p, bounds, np.array(x0), mode), settings)
+        except SweepNonConvergence as exc:
+            result = exc.result
+    calls = []
+    monkeypatch.setattr(analysis, "hamiltonian",
+                        lambda *args: calls.append(args) or hamiltonian(*args))
+    residual = stationarity_residual(result, p, bounds)
+    expected = ref_residual(result, p, bounds)
+    assert residual == expected and type(residual) is type(expected)
+    # one array pass: two calls on the stacks of inside nodes, none without them
+    assert len(calls) == (0 if residual is None else 2)
+    if name in ("zero-bound", "negative-zero-bound"):
+        assert residual is None
+    if name.endswith("-budget"):
+        assert not result.converged and residual is not None
 
 
 @pytest.mark.parametrize("u_max", [0.5, 0.0, -0.0])
