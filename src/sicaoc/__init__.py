@@ -14,7 +14,7 @@ from .sweep import (OcProblem, SweepNonConvergence, SweepResult, SweepSettings,
                     backward_pass, forward_pass, relative_change_test,
                     sica_problem, solve, update_control)
 from .analysis import (NormTable, NormTriple, OrderStudy, build_norm_table,
-                       convergence_order, diff_norms, simplex_drift,
+                       convergence_order, diff_norms, refinement_grids, simplex_drift,
                        stationarity_residual)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -122,6 +122,15 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
     return NormTable(per_variable=per_var)
 
 
+def refinement_grids(refinements: Sequence[int], t0: float, tf: float) -> list[TimeGrid]:
+    """The order-study grids on [t0, tf]: at least 3, of distinct integer step counts."""
+    grids = [TimeGrid(t0, tf, m) for m in refinements]
+    steps = [grid.steps for grid in grids]
+    if len(steps) < 3 or len(set(steps)) != len(steps):
+        raise ValueError(f"refinements must be at least 3 distinct step counts, got {steps}")
+    return grids
+
+
 def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
                       refinements: Sequence[int] = REFINEMENTS,
                       t0: float = 0.0, tf: float = 20.0,
@@ -133,12 +142,10 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
     ``DegenerateStudy`` when a terminal error is exactly zero, as at an
     equilibrium, because the fit is on log-errors.
     """
-    if len(refinements) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    grids = refinement_grids(refinements, t0, tf)
     f = fraction_field(params)
     if reference is None:
         reference = terminal_reference(params, x0, t0, tf)
-    grids = [TimeGrid(t0, tf, m) for m in refinements]
     errs = []
     for grid in grids:
         end = integrate_fixed(method, f, grid, x0).states[-1]

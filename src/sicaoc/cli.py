@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__
 from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_REFERENCE,
                        VARIABLES, DegenerateStudy, build_norm_table, convergence_order,
-                       reference_trajectory, simplex_drift,
+                       reference_trajectory, refinement_grids, simplex_drift,
                        stationarity_residual, terminal_reference)
 # integrate_dp45 is imported for code that wraps this module's integrator
 # attributes; the subcommands reach it through reference_trajectory
@@ -133,9 +133,8 @@ def _build(section: str, cls, *args, **kwargs):
         raise ConfigError(f"invalid {section}: {exc}") from exc
 
 
-def _grid(section: str, horizon: float, steps) -> TimeGrid:
-    """The grid of ``steps`` on [0, horizon]: the library's count rule, then the cap."""
-    grid = _build(section, TimeGrid, 0.0, horizon, steps)
+def _capped(section: str, grid: TimeGrid) -> TimeGrid:
+    """``grid``, unless its step count exceeds ``MAX_GRID_STEPS``: then a config error."""
     if grid.steps > MAX_GRID_STEPS:
         raise ConfigError(f"invalid {section}: {grid.steps} steps exceed the cap "
                           f"of {MAX_GRID_STEPS}")
@@ -174,7 +173,7 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
 
     horizon = _number(doc, "horizon", "config", 20.0)
     steps = default_steps if doc.get("steps") is None else doc["steps"]
-    grid = _grid("grid", horizon, steps)
+    grid = _capped("grid", _build("grid", TimeGrid, 0.0, horizon, steps))
 
     raw_control = _section(doc, "control",
                            ("u_max", "relaxation", "delta_error", "max_iterations"))
@@ -197,10 +196,8 @@ def parse_config(doc: dict, default_steps: int = 100) -> RunConfig:
     refinements = doc.get("refinements", list(REFINEMENTS))
     if not isinstance(refinements, list):
         raise ConfigError("refinements must be a list of step counts")
-    refinements = tuple(_grid("refinements", horizon, m).steps for m in refinements)
-    if len(refinements) < 3 or len(set(refinements)) != len(refinements):
-        raise ConfigError(f"refinements must be at least 3 distinct step counts, "
-                          f"got {list(refinements)}")
+    grids = _build("refinements", refinement_grids, refinements, 0.0, horizon)
+    refinements = tuple(_capped("refinements", grid).steps for grid in grids)
 
     output = _section(doc, "output", ("csv", "manifest"))
     if not all(isinstance(path, str) for path in output.values()):

@@ -8,9 +8,12 @@ the backward pass integrates the costate from its zero transversality
 data with the same stage interpolation of states and control.  Each
 pass is checked once for non-finite values.  The iteration then relaxes
 the control toward the pointwise law (which owns the control bounds) by
-a convex combination.  The loop stops once the relative change of all
-nine tracked vectors (four states, the control, four costates) falls
-below the tolerance.
+a convex combination.  ``solve`` counts these iterations up to the
+budget and stops once the relative change of all nine tracked vectors
+(four state columns, the control, four costate columns) against the
+previous iterate falls below the tolerance.  The first test's previous
+iterate is zero arrays holding only the initial state, and the initial
+control; every later one is the last pass's arrays.
 """
 
 from __future__ import annotations
@@ -169,29 +172,21 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
         u = settings.initial_control.copy()
     else:
         u = np.zeros(n)
-    # previous-iterate buffers start as the zero arrays the first test runs
-    # against, with only the initial state filled in
     states = np.zeros((n, 4))
     states[0] = prob.x0
     adjoints = np.zeros((n, 4))
-    x_traj = Trajectory(grid, states)
-    lam_traj = Trajectory(grid, adjoints)
-    margin = -np.inf
-    converged = False
-    iterations = 0
-    while iterations < settings.max_iterations:
-        iterations += 1
-        old_states, old_adjoints, old_u = x_traj.states, lam_traj.states, u
+    # whole_count makes the budget at least 1, so the loop binds every name it sets
+    for iterations in range(1, settings.max_iterations + 1):
         x_traj = forward_pass(prob, u, grid)
         lam_traj = backward_pass(prob, x_traj, u)
-        u = update_control(prob, x_traj, lam_traj, u, settings.relaxation)
-        pairs = ([(old_states[:, j], x_traj.states[:, j]) for j in range(4)]
-                 + [(old_u, u)]
-                 + [(old_adjoints[:, j], lam_traj.states[:, j]) for j in range(4)])
-        margin = relative_change_test(pairs, settings.delta_error)
-        if margin >= 0.0:
-            converged = True
+        old_u, u = u, update_control(prob, x_traj, lam_traj, u, settings.relaxation)
+        old = (*states.T, old_u, *adjoints.T)
+        new = (*x_traj.states.T, u, *lam_traj.states.T)
+        margin = relative_change_test(zip(old, new), settings.delta_error)
+        converged = margin >= 0.0
+        if converged:
             break
+        states, adjoints = x_traj.states, lam_traj.states
     control = prob.control_law(x_traj.states, lam_traj.states)
     result = SweepResult(
         states=x_traj,

@@ -71,6 +71,13 @@ class TestConvergenceOrder:
         assert floats == convergence_order("euler", params, X0, refinements=(100, 200, 400))
         assert all(type(m) is int for m in floats.refinements)
 
+    @pytest.mark.parametrize("refinements", [(100, 100, 100), (100, 100.0, 200)])
+    def test_repeated_levels_are_rejected(self, params, refinements):
+        # a repeat used to be fitted as it stood, with only numpy's RankWarning
+        # when every level was the same
+        with pytest.raises(ValueError, match=r"distinct step counts, got \[100, 100, "):
+            convergence_order("euler", params, X0, refinements=refinements)
+
     def test_euler_slope_near_one(self, params):
         study = convergence_order("euler", params, X0)
         assert 0.9 <= study.slope <= 1.1

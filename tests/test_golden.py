@@ -27,6 +27,7 @@ COMMANDS = {
     "simulate-rk4-plot": ["simulate", "--method", "rk4", "--plot"],
     "simulate-dp45": ["simulate", "--method", "dp45"],
     "optimize-plot": ["optimize", "--plot"],
+    "optimize-verbatim-plot": ["optimize", "--adjoint", "verbatim", "--plot"],
     "compare": ["compare"],
     "orders": ["orders"],
 }
@@ -87,6 +88,20 @@ GOLDEN = {
             "f1abcd7ce04ff4e086bb8f5a5de744c97b9a81ffdb2242e5763edc85b9602be6",
         "stdout":
             "bfd2c5bb38f2d43d06305f692686a3a3781fb713ca06e2473d5bfe640ce0f482",
+    },
+    "optimize-verbatim-plot": {
+        "optimize.control.gp":
+            "5562ee48b4c113cccf80645ce8ad4d1094ff06ce98823f6c034895663bacc99c",
+        "optimize.csv":
+            "e7915e6ccb2e2b7aabe016c121f37b16e5043c01e80633ae6571239e80821295",
+        "optimize.manifest.json":
+            "4fb0891f08847e002ba216dd43f68512bc35131e6d683d2978fb6139ea789ab8",
+        "optimize.states-vs-uncontrolled.gp":
+            "3f329a2c4958ea66d755abc8b21e3bea9f369f3f413cfe4ecb28ca7c7a23fa29",
+        "optimize.uncontrolled.csv":
+            "f1abcd7ce04ff4e086bb8f5a5de744c97b9a81ffdb2242e5763edc85b9602be6",
+        "stdout":
+            "f63cdb734ae9e53ea98e2b7674c419c7671c07926083705e444ff02923e887c2",
     },
     "compare": {
         "compare_norms.csv":

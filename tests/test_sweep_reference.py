@@ -162,6 +162,10 @@ SCENARIOS = {
     # stops on its iteration budget: the margin of the last iterate is compared
     "T60-umax0.95-beta2.0-verbatim-budget": (60.0, 300, 0.95, 2.0,
                                              (0.8, 0.1, 0.05, 0.05), "verbatim", 25),
+    # one iteration: its margin is measured against the zero iterate holding x0,
+    # and on a short horizon the costates are small, so a state column sets it
+    "T0.5-first-iteration-budget": (0.5, 10, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1),
+                                    "derived", 1),
     "one-step-grid": (1.0, 1, 0.5, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
     "no-infection": (10.0, 50, 0.3, 1.6, (1.0, 0.0, 0.0, 0.0), "derived", 500),
     "zero-bound": (10.0, 50, 0.0, 1.6, (0.6, 0.2, 0.1, 0.1), "derived", 500),
