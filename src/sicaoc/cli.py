@@ -238,31 +238,31 @@ def write_manifest(path: Path, manifest: dict) -> None:
                     encoding="utf-8", newline="\n")
 
 
-def _output_paths(config: RunConfig, out: str | None, stem: str,
+def _output_paths(config: RunConfig, out: str | None, default_stem: str,
                   suffixes=()) -> list[Path]:
     """Resolve a run's output paths and check them before it computes anything.
 
-    The CSV goes to ``out``, else to the config's ``output.csv``, else to
-    ``<stem>.csv``; the manifest to ``output.manifest``, else beside the
-    CSV.  Each of ``suffixes`` replaces the CSV's suffix to name one more
-    file.  Returns ``[csv, manifest, *more]``.  A path without a file
-    name, two paths naming one file, or a control character (U+0000 to
-    U+001F, DEL, U+0080 to U+009F) or line separator (U+2028, U+2029) in
-    ``out`` or any ``output`` path, used or not, is a config error: these
-    include every character ``str.splitlines`` breaks a line on.  A path
-    whose directory is missing raises the OSError that writing it would.
+    Each given path (``out``, ``output.csv``, ``output.manifest``), used or
+    not, is a config error if it names no file (``""``, ``"."``, ``"/"``) or
+    holds a control character (U+0000 to U+001F, DEL, U+0080 to U+009F) or
+    line separator (U+2028, U+2029), every break of ``str.splitlines``; only
+    an absent one takes a default.  The CSV is ``out``, else ``output.csv``,
+    else ``<default_stem>.csv``; the manifest (unless given) and each of
+    ``suffixes`` are its name less a trailing ``.csv`` plus that suffix, in
+    its directory.  Returns ``[csv, manifest, *more]``.  Two paths naming one
+    file are a config error; a missing directory raises the OSError of a write.
     """
-    for path in filter(None, (out, *config.output.values())):
+    for path in (p for p in (out, *config.output.values()) if p is not None):
         if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
             raise ConfigError(f"output path {path!r} holds a control character "
                               "or line separator")
-    csv_path = Path(out or config.output.get("csv", f"{stem}.csv"))
-    manifest_path = Path(config.output.get("manifest") or csv_path.parent
-                         / (csv_path.name.removesuffix(".csv") + ".manifest.json"))
-    for path in (csv_path, manifest_path):
-        if not path.name:
-            raise ConfigError(f"output path {str(path)!r} names no file")
-    paths = [csv_path, manifest_path] + [csv_path.with_suffix(s) for s in suffixes]
+        if not Path(path).name:
+            raise ConfigError(f"output path {path!r} names no file")
+    csv_path = Path(config.output.get("csv", f"{default_stem}.csv") if out is None else out)
+    stem = csv_path.name.removesuffix(".csv")
+    paths = [csv_path] + [csv_path.with_name(stem + s) for s in (".manifest.json", *suffixes)]
+    if "manifest" in config.output:
+        paths[1] = Path(config.output["manifest"])
     seen = {}
     for path in paths:
         first = seen.setdefault(os.path.realpath(path), path)
@@ -471,7 +471,7 @@ def cmd_orders(config: RunConfig, args: argparse.Namespace) -> int:
         slopes[method] = {"slope": study.slope, "band": [lo, hi], "within_band": ok}
         print(f"{method:7s} {study.slope:7.3f} {f'[{lo}, {hi}]':>12s} "
               f"{'ok' if ok else 'FAIL':>7s}")
-    rows = [(method, str(m), h, err) for method, study in studies.items()
+    rows = [(method, m, h, err) for method, study in studies.items()
             for m, h, err in zip(study.refinements, study.step_sizes,
                                  study.terminal_errors)]
     _emit("orders", config, paths,

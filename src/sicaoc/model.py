@@ -10,13 +10,13 @@ objective of the control problem, the Hamiltonian, the costate
 
 State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
-``(lambda1, ..., lambda4)`` for costates.  The public functions take
-and return numpy arrays; ``controlled_field`` and ``costate_field``
-build the float kernels behind them, which the integrators call
-(through ``fraction_field``) with Python floats to avoid numpy's
-per-call overhead.  ``controlled_march`` and ``costate_march`` are the
-sweep's forward and backward RK4 passes, one call per pass, with the
-same arithmetic written out inside the four stages.
+``(lambda1, ..., lambda4)`` for costates.  The public functions take and
+return numpy arrays over the float kernels ``controlled_field`` and
+``costate_field``.  Only ``controlled_field`` reaches the integrators,
+through ``fraction_field``, with Python floats to skip numpy's per-call
+overhead; ``costate_field`` serves ``adjoint_rhs`` and the tests.  The
+sweep's RK4 passes are one call each to ``controlled_march`` (forward) and
+``costate_march`` (backward), the same arithmetic written out per stage.
 """
 
 from __future__ import annotations

@@ -213,16 +213,6 @@ class TestSimulate:
         assert '"t":"s"' in text and '"t":"a"' in text
         assert "pngcairo" in text
 
-    def test_manifest_round_trip_reproduces_csv(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        assert run(["simulate", "--method", "rk2", "--out", str(out1)]) == 0
-        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
-        cfg = write_config(tmp_path, manifest["config"], "replay.json")
-        out2 = tmp_path / "b.csv"
-        assert run(["simulate", "--method", manifest["method"],
-                    "--config", cfg, "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
 
 class TestOptimize:
     def test_default_run(self, tmp_path):
@@ -339,6 +329,32 @@ class TestOrders:
         assert err_lines[0].startswith("error: numeric: ")
         assert not out.exists()
         assert not (tmp_path / "orders.manifest.json").exists()
+
+
+class TestManifestReplay:
+    """Re-running a subcommand on ``manifest["config"]`` reproduces its CSV."""
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["simulate", "--method", "rk2"], None),
+        (["simulate", "--method", "dp45"], None),
+        # the resolved b and the flag's adjoint mode come back from the config
+        (["optimize", "--adjoint", "verbatim"], {"params": {"mu": 0.02}, "steps": 200}),
+        (["compare"], None),
+        (["orders"], {"refinements": [50, 100.0, 200]}),
+    ], ids=["simulate-rk2", "simulate-dp45", "optimize-verbatim", "compare", "orders"])
+    def test_manifest_round_trip_reproduces_csv(self, tmp_path, argv, doc):
+        out1 = tmp_path / "a.csv"
+        config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
+        assert run(argv + config + ["--out", str(out1)]) == 0
+        manifest = json.loads((tmp_path / "a.manifest.json").read_text())
+        cfg = write_config(tmp_path, manifest["config"], "replay.json")
+        method = ["--method", manifest["method"]] if "method" in manifest else []
+        out2 = tmp_path / "b.csv"
+        assert run([manifest["command"], *method, "--config", cfg,
+                    "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        replayed = json.loads((tmp_path / "b.manifest.json").read_text())
+        assert replayed["config"] == manifest["config"]
 
 
 class TestPlotEmission:
@@ -560,11 +576,16 @@ class TestOutputPaths:
         (["simulate", "--method", "rk4", "--out", "a\x85b.csv"], {}),
         (["simulate", "--method", "rk4"], {"output": {"csv": "a\u2028b.csv"}}),
         (["orders"], {"output": {"manifest": "a\u2029b.json"}}),
+        # an empty string is a given path, not an absent one, even when overridden
+        (["simulate", "--method", "rk4", "--out", ""], {}),
+        (["orders"], {"output": {"manifest": ""}}),
+        (["simulate", "--method", "rk4", "--out", "x.csv"], {"output": {"csv": ""}}),
     ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
             "manifest-is-states-script", "simulate-plot-out-newline",
             "optimize-plot-out-newline", "out-nul", "out-next-line",
-            "csv-line-separator", "manifest-paragraph-separator"])
+            "csv-line-separator", "manifest-paragraph-separator",
+            "out-empty", "manifest-empty", "overridden-csv-empty"])
     def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
                                                            argv, doc):
         (tmp_path / "sub").mkdir()
@@ -573,6 +594,49 @@ class TestOutputPaths:
         out, _ = one_error_line(capsys, "config")
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+
+    @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
+                                      ["compare"], ["orders"]],
+                             ids=["simulate", "optimize", "compare", "orders"])
+    @pytest.mark.parametrize("out, output", [
+        ("", {}), (None, {"manifest": ""}), ("x.csv", {"csv": ""}), (None, {"csv": ""}),
+    ], ids=["out", "manifest", "overridden-csv", "csv"])
+    def test_empty_path_names_no_file(self, tmp_path, capsys, monkeypatch, argv, out,
+                                      output):
+        cfg = write_config(tmp_path, {"steps": 10, "output": output})
+        (tmp_path / "work").mkdir()
+        monkeypatch.chdir(tmp_path / "work")
+        flag = [] if out is None else ["--out", out]
+        assert run(argv + flag + ["--config", cfg]) == 2
+        stdout, err = one_error_line(capsys, "config")
+        assert err == "error: config: output path '' names no file"
+        assert stdout == ""
+        assert list((tmp_path / "work").iterdir()) == []
+
+    @pytest.mark.parametrize("argv, written, outputs", [
+        (["optimize", "--plot", "--out", "run.dat"],
+         ["run.dat", "run.dat.manifest.json", "run.dat.uncontrolled.csv",
+          "run.dat.states-vs-uncontrolled.gp", "run.dat.control.gp"],
+         {"csv": "run.dat", "uncontrolled_csv": "run.dat.uncontrolled.csv",
+          "plots": ["run.dat.states-vs-uncontrolled.gp", "run.dat.control.gp"]}),
+        (["simulate", "--method", "rk4", "--plot", "--out", "sub/run.dat"],
+         ["sub/run.dat", "sub/run.dat.manifest.json", "sub/run.dat.states.gp"],
+         {"csv": "sub/run.dat", "plots": ["sub/run.dat.states.gp"]}),
+        (["simulate", "--method", "euler", "--plot", "--out", "run"],
+         ["run", "run.manifest.json", "run.states.gp"],
+         {"csv": "run", "plots": ["run.states.gp"]}),
+    ], ids=["optimize", "simulate-in-subdirectory", "simulate-no-suffix"])
+    def test_companions_share_the_csv_stem(self, tmp_path, capsys, argv, written, outputs):
+        (tmp_path / "sub").mkdir()
+        cfg = write_config(tmp_path, {"steps": 50}, "cfg.json")
+        assert run(argv + ["--config", cfg]) == 0
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
+                      if p.is_file()) == sorted(written + ["cfg.json"])
+        assert capsys.readouterr().out.endswith("".join(f"wrote {p}\n" for p in written))
+        assert json.loads(Path(written[1]).read_text())["outputs"] == outputs
+        for script in outputs["plots"]:
+            png = Path(script).name.removesuffix(".gp") + ".png"
+            assert f'set output "{png}"' in Path(script).read_text()
 
     def test_config_path_with_nul_is_a_config_error(self, tmp_path, capsys):
         assert run(["simulate", "--method", "rk4", "--config", "a\0b.json"]) == 2
