@@ -262,15 +262,15 @@ def midpoints(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v[1:] + v[:-1])
 
 
-def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float], list]:
-    """The sweep's forward pass as one kernel ``(x0, u, h) -> rows``.
+def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
+    """The sweep's forward pass as one kernel ``(x0, u, h) -> states``.
 
     Takes RK4 steps of h from x0 under the node controls u, each step
     with the stage controls of the sweep (endpoint values at stages 1
-    and 4, their mean at stages 2 and 3), and returns one state tuple
-    per node, finite or not.  It is the ``controlled_field`` arithmetic
-    written out inside the four stages, bit for bit an RK4 loop that
-    calls that field four times per step.
+    and 4, their mean at stages 2 and 3), and returns the ``(n, 4)``
+    array of node states, finite or not.  It is the ``controlled_field``
+    arithmetic written out per stage (stage 4 inside the update), bit
+    for bit an RK4 loop that calls that field four times per step.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
@@ -279,104 +279,111 @@ def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float]
     def march(x0, u, h):
         h2, h6 = h / 2.0, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes = ((1.0 - u) * beta).tolist()
-            mids = ((1.0 - midpoints(u)) * beta).tolist()
-        x1, x2, x3, x4 = x0.tolist()
-        rows = [(x1, x2, x3, x4)]
+            nodes, mids = (((1.0 - v) * beta).tolist() for v in (u, midpoints(u)))
+        x1, x2, x3, x4 = rows = x0.tolist()
         for start, mid, end in zip(nodes, mids, nodes[1:]):
-            s, i, c, a = x1, x2, x3, x4
-            aux1 = start * (i + eta_c * c + eta_a * a) * s
-            aux2 = d * a
-            a1 = b * (1.0 - s) - aux1 + aux2 * s
-            a2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
-            a3 = phi * i - (ob - aux2) * c
-            a4 = rho * i - (abd - aux2) * a
-            s, i, c, a = x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3, x4 + h2 * a4
+            aux1 = start * (x2 + eta_c * x3 + eta_a * x4) * x1
+            aux2 = d * x4
+            a1 = b * (1.0 - x1) - aux1 + aux2 * x1
+            a2 = aux1 - (rpb - aux2) * x2 + alpha * x4 + omega * x3
+            a3 = phi * x2 - (ob - aux2) * x3
+            a4 = rho * x2 - (abd - aux2) * x4
+            s = x1 + h2 * a1
+            i = x2 + h2 * a2
+            c = x3 + h2 * a3
+            a = x4 + h2 * a4
             aux1 = mid * (i + eta_c * c + eta_a * a) * s
             aux2 = d * a
             b1 = b * (1.0 - s) - aux1 + aux2 * s
             b2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
             b3 = phi * i - (ob - aux2) * c
             b4 = rho * i - (abd - aux2) * a
-            s, i, c, a = x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3, x4 + h2 * b4
+            s = x1 + h2 * b1
+            i = x2 + h2 * b2
+            c = x3 + h2 * b3
+            a = x4 + h2 * b4
             aux1 = mid * (i + eta_c * c + eta_a * a) * s
             aux2 = d * a
             c1 = b * (1.0 - s) - aux1 + aux2 * s
             c2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
             c3 = phi * i - (ob - aux2) * c
             c4 = rho * i - (abd - aux2) * a
-            s, i, c, a = x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4
+            s = x1 + h * c1
+            i = x2 + h * c2
+            c = x3 + h * c3
+            a = x4 + h * c4
             aux1 = end * (i + eta_c * c + eta_a * a) * s
             aux2 = d * a
-            d1 = b * (1.0 - s) - aux1 + aux2 * s
-            d2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
-            d3 = phi * i - (ob - aux2) * c
-            d4 = rho * i - (abd - aux2) * a
-            x1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
-            x2 = x2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
-            x3 = x3 + h6 * (a3 + 2.0 * (b3 + c3) + d3)
-            x4 = x4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)
-            rows.append((x1, x2, x3, x4))
-        return rows
+            x1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + (b * (1.0 - s) - aux1 + aux2 * s))
+            x2 = x2 + h6 * (a2 + 2.0 * (b2 + c2)
+                            + (aux1 - (rpb - aux2) * i + alpha * a + omega * c))
+            x3 = x3 + h6 * (a3 + 2.0 * (b3 + c3) + (phi * i - (ob - aux2) * c))
+            x4 = x4 + h6 * (a4 + 2.0 * (b4 + c4) + (rho * i - (abd - aux2) * a))
+            rows += (x1, x2, x3, x4)
+        return np.array(rows, dtype=float).reshape(-1, 4)
     return march
 
 
 def costate_march(p: ModelParams, mode: str = "derived"
-                  ) -> Callable[[np.ndarray, np.ndarray, float], list]:
-    """The sweep's backward pass as one kernel ``(states, u, h) -> rows``.
+                  ) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
+    """The sweep's backward pass as one kernel ``(states, u, h) -> costates``.
 
     Takes RK4 steps of -h from the zero costate at the last node, with
     the states and controls of the nodes at stages 1 and 4 and their
-    means at stages 2 and 3, and returns one costate tuple per node in
-    node order, finite or not.  The (x, u)-only terms of
-    ``costate_field`` are computed for every node and midpoint in one
-    array pass; each stage then does only the arithmetic linear in the
-    costate, bit for bit an RK4 loop over ``costate_field``.
+    means at stages 2 and 3, and returns the ``(n, 4)`` node costates in
+    node order, finite or not.  The (x, u)-only terms of ``costate_field``
+    are one array pass over the 2n - 1 nodes and midpoints, interleaved,
+    walked backward a (midpoint, node) pair per step; each stage does the
+    arithmetic linear in the costate, bit for bit an RK4 loop over it.
     """
     terms = _costate_terms(p, mode)
     phi, rho, d = p.phi, p.rho, p.d
-
-    def table(x, u):
-        return list(zip(*(t.tolist() for t in terms(*x.T, u))))
 
     def march(states, u, h):
         h = -h
         h2, h6 = h / 2.0, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes = table(states, u)
-            mids = table(midpoints(states), midpoints(u))
-        l1 = l2 = l3 = l4 = 0.0
-        rows = [(l1, l2, l3, l4)]
+            x, v = np.empty((2 * len(u) - 1, 4)), np.empty(2 * len(u) - 1)
+            x[::2], x[1::2], v[::2], v[1::2] = states, midpoints(states), u, midpoints(u)
+            table = list(zip(*(t.tolist() for t in terms(*x.T, v))))
+        l1, l2, l3, l4 = rows = [0.0] * 4
         # each step's stage 4 leaves the terms of the node the next step starts at
-        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = nodes[-1]
-        for mid, end in zip(mids[::-1], nodes[-2::-1]):
+        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = table[-1]
+        for mid, end in zip(table[-2::-2], table[-3::-2]):
             a1 = -1.0 + l1 * k11 - l2 * k12
             a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
             a3 = l1 * k31 - l2 * k32 + l3 * k33
             a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
             k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = mid
-            m1, m2, m3, m4 = l1 + h2 * a1, l2 + h2 * a2, l3 + h2 * a3, l4 + h2 * a4
+            m1 = l1 + h2 * a1
+            m2 = l2 + h2 * a2
+            m3 = l3 + h2 * a3
+            m4 = l4 + h2 * a4
             b1 = -1.0 + m1 * k11 - m2 * k12
             b2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
             b3 = m1 * k31 - m2 * k32 + m3 * k33
             b4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
-            m1, m2, m3, m4 = l1 + h2 * b1, l2 + h2 * b2, l3 + h2 * b3, l4 + h2 * b4
+            m1 = l1 + h2 * b1
+            m2 = l2 + h2 * b2
+            m3 = l3 + h2 * b3
+            m4 = l4 + h2 * b4
             c1 = -1.0 + m1 * k11 - m2 * k12
             c2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
             c3 = m1 * k31 - m2 * k32 + m3 * k33
             c4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
             k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = end
-            m1, m2, m3, m4 = l1 + h * c1, l2 + h * c2, l3 + h * c3, l4 + h * c4
-            d1 = -1.0 + m1 * k11 - m2 * k12
-            d2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
-            d3 = m1 * k31 - m2 * k32 + m3 * k33
-            d4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
-            l1 = l1 + h6 * (a1 + 2.0 * (b1 + c1) + d1)
-            l2 = l2 + h6 * (a2 + 2.0 * (b2 + c2) + d2)
-            l3 = l3 + h6 * (a3 + 2.0 * (b3 + c3) + d3)
-            l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)
-            rows.append((l1, l2, l3, l4))
-        return rows[::-1]
+            m1 = l1 + h * c1
+            m2 = l2 + h * c2
+            m3 = l3 + h * c3
+            m4 = l4 + h * c4
+            l1 = l1 + h6 * (a1 + 2.0 * (b1 + c1) + (-1.0 + m1 * k11 - m2 * k12))
+            l2 = l2 + h6 * (a2 + 2.0 * (b2 + c2)
+                            + (1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho))
+            l3 = l3 + h6 * (a3 + 2.0 * (b3 + c3) + (m1 * k31 - m2 * k32 + m3 * k33))
+            l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4)
+                            + (m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44))
+            rows += (l1, l2, l3, l4)
+        return np.array(rows, dtype=float).reshape(-1, 4)[::-1]
     return march
 
 

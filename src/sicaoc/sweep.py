@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .integrators import TimeGrid, Trajectory, march_trajectory, whole_count
-from .model import (ControlBounds, FloatState, ModelParams, controlled_march,
-                    costate_march, objective, optimal_control_law)
+from .model import (ControlBounds, ModelParams, controlled_march, costate_march,
+                    objective, optimal_control_law)
 
 
 class SweepNonConvergence(RuntimeError):
@@ -46,15 +46,16 @@ class OcProblem:
     and 4 and their means at stages 2 and 3: ``state_field(x0, u, h)``
     from x0 under the n node controls u, ``adjoint_field(states, u, h)``
     backward from the zero costate at the last node.  Both take numpy
-    arrays and return n rows of four floats, finite or not.
+    arrays and return the ``(n, 4)`` array of node rows, finite or not
+    (``march_trajectory`` also takes any array-like of n rows of four).
     ``control_law(x, lam)`` takes the ``(n, 4)`` state and costate
     arrays and returns the n admissible controls; the law owns the
     control bounds.  There is no terminal cost and the end state is
     free, so the costate always ends at zero.
     """
 
-    state_field: Callable[[np.ndarray, np.ndarray, float], Sequence[FloatState]]
-    adjoint_field: Callable[[np.ndarray, np.ndarray, float], Sequence[FloatState]]
+    state_field: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
+    adjoint_field: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     control_law: Callable[[np.ndarray, np.ndarray], np.ndarray]
     x0: np.ndarray
 
@@ -168,10 +169,7 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
     """
     grid = settings.grid
     n = grid.node_count
-    if settings.initial_control is not None:
-        u = settings.initial_control.copy()
-    else:
-        u = np.zeros(n)
+    u = np.zeros(n) if settings.initial_control is None else settings.initial_control.copy()
     states = np.zeros((n, 4))
     states[0] = prob.x0
     adjoints = np.zeros((n, 4))
@@ -188,15 +186,9 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
             break
         states, adjoints = x_traj.states, lam_traj.states
     control = prob.control_law(x_traj.states, lam_traj.states)
-    result = SweepResult(
-        states=x_traj,
-        adjoints=lam_traj,
-        control=control,
-        iterations=iterations,
-        converged=converged,
-        objective=objective(x_traj, control),
-        final_margin=margin,
-    )
+    result = SweepResult(states=x_traj, adjoints=lam_traj, control=control,
+                         iterations=iterations, converged=converged,
+                         objective=objective(x_traj, control), final_margin=margin)
     if not converged:
         raise SweepNonConvergence(
             f"sweep did not converge within {settings.max_iterations} iterations "

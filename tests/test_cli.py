@@ -580,12 +580,18 @@ class TestOutputPaths:
         (["simulate", "--method", "rk4", "--out", ""], {}),
         (["orders"], {"output": {"manifest": ""}}),
         (["simulate", "--method", "rk4", "--out", "x.csv"], {"output": {"csv": ""}}),
+        # Path("newname/") is Path("newname"), but the path asked for a directory
+        (["simulate", "--method", "rk4", "--out", "newname/"], {}),
+        (["simulate", "--method", "rk4", "--out", "sub/"], {}),
+        (["simulate", "--method", "rk4"], {"output": {"manifest": "newname/"}}),
     ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
             "manifest-is-states-script", "simulate-plot-out-newline",
             "optimize-plot-out-newline", "out-nul", "out-next-line",
             "csv-line-separator", "manifest-paragraph-separator",
-            "out-empty", "manifest-empty", "overridden-csv-empty"])
+            "out-empty", "manifest-empty", "overridden-csv-empty",
+            "out-trailing-separator", "out-existing-dir-separator",
+            "manifest-trailing-separator"])
     def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
                                                            argv, doc):
         (tmp_path / "sub").mkdir()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
-                    SweepNonConvergence, SweepSettings, TimeGrid,
+                    SweepNonConvergence, SweepSettings, TimeGrid, Trajectory,
                     integrate_fixed, step_rk4)
 from sicaoc.model import (controlled_field, costate_field, midpoints, objective,
                           optimal_control_law, rhs_normalized)
@@ -122,6 +122,16 @@ class TestBackwardPass:
         assert exc.value.node == 53
         assert exc.value.t == pytest.approx(5.3, rel=1e-15)
         assert "non-finite costate at node 53" in str(exc.value)
+
+    def test_overflowing_stage_states_fail_at_the_node_not_as_a_warning(self, problem):
+        # the costate terms overflow at nodes 3 and 4 and so does the states'
+        # midpoint between them; the march's term table must not warn about it
+        states = np.full((5, 4), 0.25)
+        states[3:] = 1.5e308
+        x = Trajectory(TimeGrid(0.0, 1.0, 4), states)
+        with pytest.raises(IntegrationFailure) as exc:
+            backward_pass(problem, x, np.zeros(5))
+        assert str(exc.value) == "backward pass produced a non-finite costate at node 3"
 
     def test_terminal_costate_slope(self, params, problem):
         # with lam(T) = 0 only the cost gradient survives in the field
