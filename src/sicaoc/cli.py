@@ -243,7 +243,7 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     """Resolve a run's output paths and check them before it computes anything.
 
     Each given path (``out``, ``output.csv``, ``output.manifest``), used or
-    not, is a config error if it names no file (``""``, ``"."``, ``"dir/"``) or
+    not, is a config error if it names no file (``""``, ``"."``, ``"dir/"``, ``"f/."``) or
     holds a control character (U+0000 to U+001F, DEL, U+0080 to U+009F) or
     line separator (U+2028, U+2029), every break of ``str.splitlines``; only
     an absent one takes a default.  The CSV is ``out``, else ``output.csv``,
@@ -256,8 +256,8 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
         if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
             raise ConfigError(f"output path {path!r} holds a control character "
                               "or line separator")
-        # Path drops a trailing separator, so "dir/" would name the file "dir"
-        if not Path(path).name or path.endswith((os.sep, os.altsep or os.sep)):
+        # Path drops a trailing separator or "." part: "dir/" and "f/." would name "dir", "f"
+        if os.path.basename(path) in ("", "."):
             raise ConfigError(f"output path {path!r} names no file")
     csv_path = Path(config.output.get("csv", f"{default_stem}.csv") if out is None else out)
     stem = csv_path.name.removesuffix(".csv")

@@ -12,11 +12,11 @@ State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
 ``(lambda1, ..., lambda4)`` for costates.  The public functions take and
 return numpy arrays over the float kernels ``controlled_field`` and
-``costate_field``.  Only ``controlled_field`` reaches the integrators,
+``_costate_terms``.  Only ``controlled_field`` reaches the integrators,
 through ``fraction_field``, with Python floats to skip numpy's per-call
-overhead; ``costate_field`` serves ``adjoint_rhs`` and the tests.  The
-sweep's RK4 passes are one call each to ``controlled_march`` (forward) and
-``costate_march`` (backward), the same arithmetic written out per stage.
+overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
+(forward) and ``costate_march`` (backward), the arithmetic of
+``controlled_field`` and ``adjoint_rhs`` written out per stage.
 """
 
 from __future__ import annotations
@@ -156,16 +156,6 @@ def rhs_normalized(p: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.array(controlled_field(p)(_floats(x), 0.0))
 
 
-def rhs_controlled(p: ModelParams, x: np.ndarray, u: float) -> np.ndarray:
-    """Fraction dynamics with prevention effort u scaling the infection term.
-
-    At u = 0 the arithmetic reduces bit-for-bit to ``rhs_normalized``.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"control must lie in [0, 1], got {u}")
-    return np.array(controlled_field(p)(_floats(x), u))
-
-
 def _floats(v) -> list[float]:
     # Python floats give the same bits as numpy float64 scalars, faster
     return np.asarray(v, dtype=float).tolist()
@@ -200,7 +190,7 @@ def _costate_terms(p: ModelParams, mode: str):
     """The (x, u)-only terms of the costate field, ``terms(s, i, c, a, u)``.
 
     Returns the eleven terms the field multiplies the costate by, in the
-    order ``costate_field`` reads them; ``c`` is one of them, for the
+    order ``adjoint_rhs`` reads them; ``c`` is one of them, for the
     ``l3 * d * c`` product.  The arithmetic is elementwise, so Python
     floats and float64 arrays of nodes give the same bits.
     """
@@ -226,35 +216,24 @@ def _costate_terms(p: ModelParams, mode: str):
     return terms
 
 
-def costate_field(p: ModelParams, mode: str = "derived"
-                  ) -> Callable[[Sequence[float], Sequence[float], float], FloatState]:
-    """Float kernel ``(x, lam, u) -> lam'`` of the costate dynamics.
+def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
+                mode: str = "derived") -> np.ndarray:
+    """Time derivative of the costate vector, linear in lam over ``_costate_terms``.
 
     mode "derived" is the analytic negative Hamiltonian gradient,
     lambda' = -dH/dx, and is the default.  mode "verbatim" reproduces
     the reference GNU Octave routine for this problem, which carries the
     opposite sign on the d*s coupling inside the lambda1 factor of the
     fourth equation; it fails a finite-difference gradient check there
-    and exists for comparison runs only.  The field is linear in lam,
-    with the coefficients of ``_costate_terms``.
+    and exists for comparison runs only.
     """
-    terms = _costate_terms(p, mode)
-    phi, rho, d = p.phi, p.rho, p.d
-
-    def field(x, lam, u):
-        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = terms(*x, u)
-        l1, l2, l3, l4 = lam
-        return (-1.0 + l1 * k11 - l2 * k12,
-                1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho,
-                l1 * k31 - l2 * k32 + l3 * k33,
-                l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44)
-    return field
-
-
-def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
-                mode: str = "derived") -> np.ndarray:
-    """Time derivative of the costate vector; see ``costate_field``."""
-    return np.array(costate_field(p, mode)(_floats(x), _floats(lam), u))
+    k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = _costate_terms(p, mode)(
+        *_floats(x), u)
+    l1, l2, l3, l4 = _floats(lam)
+    return np.array([-1.0 + l1 * k11 - l2 * k12,
+                     1.0 + l1 * k21 - l2 * k22 - l3 * p.phi - l4 * p.rho,
+                     l1 * k31 - l2 * k32 + l3 * k33,
+                     l1 * k41 - l2 * k42 - l3 * p.d * c + l4 * k44])
 
 
 def midpoints(v: np.ndarray) -> np.ndarray:
@@ -331,7 +310,7 @@ def costate_march(p: ModelParams, mode: str = "derived"
     Takes RK4 steps of -h from the zero costate at the last node, with
     the states and controls of the nodes at stages 1 and 4 and their
     means at stages 2 and 3, and returns the ``(n, 4)`` node costates in
-    node order, finite or not.  The (x, u)-only terms of ``costate_field``
+    node order, finite or not.  The (x, u)-only terms of ``adjoint_rhs``
     are one array pass over the 2n - 1 nodes and midpoints, interleaved,
     walked backward a (midpoint, node) pair per step; each stage does the
     arithmetic linear in the costate, bit for bit an RK4 loop over it.

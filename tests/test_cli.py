@@ -584,6 +584,10 @@ class TestOutputPaths:
         (["simulate", "--method", "rk4", "--out", "newname/"], {}),
         (["simulate", "--method", "rk4", "--out", "sub/"], {}),
         (["simulate", "--method", "rk4"], {"output": {"manifest": "newname/"}}),
+        # Path also drops a trailing ".": "notes.txt/." would overwrite notes.txt
+        (["simulate", "--method", "rk4", "--out", "newname/."], {}),
+        (["simulate", "--method", "rk4", "--out", "notes.txt/."], {}),
+        (["simulate", "--method", "rk4"], {"output": {"manifest": "notes.txt/."}}),
     ], ids=["out-dot", "csv-empty", "manifest-dot", "csv-is-manifest", "plot-csv-is-manifest",
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
             "manifest-is-states-script", "simulate-plot-out-newline",
@@ -591,15 +595,18 @@ class TestOutputPaths:
             "csv-line-separator", "manifest-paragraph-separator",
             "out-empty", "manifest-empty", "overridden-csv-empty",
             "out-trailing-separator", "out-existing-dir-separator",
-            "manifest-trailing-separator"])
+            "manifest-trailing-separator", "out-trailing-dot", "out-existing-file-dot",
+            "manifest-trailing-dot"])
     def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
                                                            argv, doc):
         (tmp_path / "sub").mkdir()
+        (tmp_path / "notes.txt").write_bytes(b"precious\n")
         cfg = write_config(tmp_path, {"steps": 10, **doc}, "cfg.json")
         assert run(argv + ["--config", cfg]) == 2
         out, _ = one_error_line(capsys, "config")
         assert out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sub"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "notes.txt", "sub"]
+        assert (tmp_path / "notes.txt").read_bytes() == b"precious\n"
 
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
                                       ["compare"], ["orders"]],

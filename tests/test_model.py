@@ -4,7 +4,8 @@ import pytest
 from sicaoc import (ControlBounds, DegeneratePopulation, ModelParams,
                     TimeGrid, Trajectory, adjoint_rhs, force_of_infection,
                     hamiltonian, objective, optimal_control_law, rhs_absolute,
-                    rhs_controlled, rhs_normalized, running_cost)
+                    rhs_normalized, running_cost, sica_problem)
+from sicaoc.model import controlled_field
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -131,11 +132,11 @@ class TestRhsControlled:
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = random_state(rng)
-            assert np.array_equal(rhs_controlled(params, x, 0.0),
+            assert np.array_equal(controlled_field(params)(x, 0.0),
                                   rhs_normalized(params, x))
 
     def test_full_control_removes_infection_term(self, params):
-        out = rhs_controlled(params, X0, 1.0)
+        out = controlled_field(params)(X0, 1.0)
         s, i, c, a = X0
         assert out[0] == pytest.approx(
             params.b * (1 - s) + params.d * a * s, rel=1e-12)
@@ -145,14 +146,8 @@ class TestRhsControlled:
 
     def test_half_control_susceptible_rate(self, params):
         expected = params.b * 0.4 - 0.5 * 0.5304 * 0.6 + 0.06
-        assert rhs_controlled(params, X0, 0.5)[0] == pytest.approx(
+        assert controlled_field(params)(X0, 0.5)[0] == pytest.approx(
             expected, rel=1e-12)
-
-    def test_rejects_out_of_range_control(self, params):
-        with pytest.raises(ValueError):
-            rhs_controlled(params, X0, -0.01)
-        with pytest.raises(ValueError):
-            rhs_controlled(params, X0, 1.01)
 
 
 class TestRunningCost:
@@ -254,8 +249,12 @@ class TestAdjointRhs:
                                             rel=1e-12, abs=1e-15)
 
     def test_unknown_mode(self, params):
-        with pytest.raises(ValueError):
-            adjoint_rhs(params, X0, np.zeros(4), 0.0, mode="printed")
+        # the point function and the sweep's problem both name the bad mode
+        message = r"^unknown adjoint mode 'bogus'$"
+        with pytest.raises(ValueError, match=message):
+            adjoint_rhs(params, X0, np.zeros(4), 0.0, mode="bogus")
+        with pytest.raises(ValueError, match=message):
+            sica_problem(params, ControlBounds(), X0, "bogus")
 
 
 class TestOptimalControlLaw:

@@ -4,7 +4,7 @@ import pytest
 from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid, Trajectory,
                     integrate_fixed, step_rk4)
-from sicaoc.model import (controlled_field, costate_field, midpoints, objective,
+from sicaoc.model import (adjoint_rhs, controlled_field, midpoints, objective,
                           optimal_control_law, rhs_normalized)
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
@@ -137,18 +137,18 @@ class TestBackwardPass:
         # with lam(T) = 0 only the cost gradient survives in the field
         grid = TimeGrid(0.0, 20.0, 50)
         x = forward_pass(problem, np.zeros(51), grid)
-        slope = costate_field(params)(x.states[-1], np.zeros(4), 0.0)
+        slope = adjoint_rhs(params, x.states[-1], np.zeros(4), 0.0)
         np.testing.assert_array_equal(slope, [-1.0, 1.0, 0.0, 0.0])
 
 
 def stage_problem(params, bounds, x0, mode="derived"):
     """The SICA problem as RK4 loops over the model's stage fields.
 
-    The passes step ``controlled_field`` and ``costate_field`` with
+    The passes step ``controlled_field`` and ``adjoint_rhs`` with
     ``step_rk4``, the stage inputs being the node values at stages 1 and
     4 and their means at stages 2 and 3, as the sweep's passes take them.
     """
-    f, g = controlled_field(params), costate_field(params, mode)
+    f = controlled_field(params)
 
     def state_pass(x0, u, h):
         nodes = u.tolist()
@@ -158,7 +158,8 @@ def stage_problem(params, bounds, x0, mode="derived"):
         nodes = list(zip(states.tolist(), u.tolist()))
         mids = list(zip(midpoints(states).tolist(), midpoints(u).tolist()))
         steps = [(nodes[j], mids[j - 1], nodes[j - 1]) for j in range(len(mids), 0, -1)]
-        return stage_pass(lambda lam, s: g(s[0], lam, s[1]), [0.0] * 4, -h, steps)[::-1]
+        return stage_pass(lambda lam, s: adjoint_rhs(params, s[0], lam, s[1], mode),
+                          [0.0] * 4, -h, steps)[::-1]
 
     return OcProblem(state_field=state_pass, adjoint_field=adjoint_pass,
                      control_law=lambda x, lam: optimal_control_law(params, x, lam, bounds),

@@ -18,8 +18,8 @@ from sicaoc import (ControlBounds, ModelParams, SweepNonConvergence,
                     SweepSettings, TimeGrid)
 from sicaoc import analysis
 from sicaoc.analysis import FD_STEP, stationarity_residual
-from sicaoc.model import (adjoint_rhs, hamiltonian, optimal_control_law,
-                          rhs_controlled, rhs_normalized)
+from sicaoc.model import (adjoint_rhs, controlled_field, hamiltonian,
+                          optimal_control_law, rhs_normalized)
 from sicaoc.sweep import backward_pass, forward_pass, sica_problem, solve
 
 
@@ -254,7 +254,8 @@ def test_public_kernels_match_reference_bitwise(params):
         lam = rng.normal(scale=5.0, size=4)
         u = float(rng.uniform(0.0, 1.0))
         assert np.array_equal(rhs_normalized(params, x), ref_rhs(params, x, 0.0))
-        assert np.array_equal(rhs_controlled(params, x, u), ref_rhs(params, x, u))
+        assert np.array_equal(np.array(controlled_field(params)(x, u)),
+                              ref_rhs(params, x, u))
         for mode in ("derived", "verbatim"):
             assert np.array_equal(adjoint_rhs(params, x, lam, u, mode),
                                   ref_adjoint(params, x, lam, u, mode))
