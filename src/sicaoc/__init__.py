@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .integrators import (AdaptiveSettings, IntegrationFailure,
-                          StepLimitExceeded, TimeGrid, Trajectory,
+                          NumericalFailure, TimeGrid, Trajectory,
                           integrate_dp45, integrate_fixed, step_euler,
                           step_rk2, step_rk4)
 from .model import (ControlBounds, DegeneratePopulation, ModelParams,

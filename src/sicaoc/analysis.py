@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrators import (AdaptiveSettings, TimeGrid, Trajectory,
+from .integrators import (AdaptiveSettings, NumericalFailure, TimeGrid, Trajectory,
                           integrate_dp45, integrate_fixed)
 from .model import ControlBounds, ModelParams, fraction_field, hamiltonian
 from .sweep import SweepResult
@@ -77,20 +77,18 @@ class OrderStudy:
     slope: float                            # least-squares fit on the above
 
 
-class DegenerateStudy(RuntimeError):
-    """A terminal error of an order study is zero, so its logarithm is undefined."""
-
-
 def diff_norms(x: np.ndarray, y: np.ndarray) -> NormTriple:
     """Norms of x - y over the grid nodes of one variable."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return NormTriple(float(np.abs(d).sum()),
-                      float(math.sqrt(float((d * d).sum()))),
-                      float(np.abs(d).max()))
+    # a norm past the float range is inf, without a numpy warning on stderr
+    with np.errstate(over="ignore"):
+        d = x - y
+        return NormTriple(float(np.abs(d).sum()),
+                          float(math.sqrt(float((d * d).sum()))),
+                          float(np.abs(d).max()))
 
 
 def reference_trajectory(params: ModelParams, x0: np.ndarray, grid: TimeGrid,
@@ -139,7 +137,7 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
 
     ``reference`` is that run's state at tf (see ``terminal_reference``);
     pass it to share one reference between several methods.  Raises
-    ``DegenerateStudy`` when a terminal error is exactly zero, as at an
+    ``NumericalFailure`` when a terminal error is exactly zero, as at an
     equilibrium, because the fit is on log-errors.
     """
     grids = refinement_grids(refinements, t0, tf)
@@ -151,8 +149,8 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
         end = integrate_fixed(method, f, grid, x0).states[-1]
         err = float(np.abs(end - reference).max())
         if err == 0.0:
-            raise DegenerateStudy(f"{method} terminal error is exactly 0 at "
-                                  f"M={grid.steps}, so no order can be fitted")
+            raise NumericalFailure(f"{method} terminal error is exactly 0 at "
+                                   f"M={grid.steps}, so no order can be fitted")
         errs.append(err)
     hs = [grid.h for grid in grids]
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -16,9 +16,9 @@ the fully resolved configuration needed to reproduce the run.
 
 Output paths are resolved and checked before anything is computed.
 Exit codes: 0 success, 2 bad command line or configuration (output paths
-included), 3 numerical failure or non-convergence, 4 I/O failure (any
-OSError).  Errors print one line ``error: <category>: <message>`` on
-stderr, the category ``usage``, ``config``, ``numeric`` or ``io``.
+included), 3 any ``NumericalFailure``, 4 any OSError (stdout's included).
+Errors print one line ``error: <category>: <message>`` on stderr, the
+category ``usage``, ``config``, ``numeric`` or ``io``.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ import numpy as np
 
 from . import __version__
 from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_REFERENCE,
-                       VARIABLES, DegenerateStudy, build_norm_table, convergence_order,
-                       reference_trajectory, refinement_grids, simplex_drift,
-                       stationarity_residual, terminal_reference)
+                       VARIABLES, build_norm_table, convergence_order, reference_trajectory,
+                       refinement_grids, simplex_drift, stationarity_residual,
+                       terminal_reference)
 # integrate_dp45 is imported for code that wraps this module's integrator
 # attributes; the subcommands reach it through reference_trajectory
-from .integrators import (FIXED_METHODS, AdaptiveSettings, IntegrationFailure,  # noqa: F401
-                          StepLimitExceeded, TimeGrid, first_step,
-                          integrate_dp45, integrate_fixed)
+from .integrators import (FIXED_METHODS, AdaptiveSettings, NumericalFailure,  # noqa: F401
+                          TimeGrid, first_step, integrate_dp45, integrate_fixed)
 from .model import ADJOINT_MODES, ControlBounds, ModelParams, fraction_field, objective
 from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
                     sica_problem, solve)
@@ -515,37 +514,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every failure main reports, by type (no two overlap): its category and exit code
+FAILURES = {argparse.ArgumentError: ("usage", 2), ConfigError: ("config", 2),
+            NumericalFailure: ("numeric", 3), OSError: ("io", 4)}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit:   # --help or --version, printed to stdout
-        return 0
-    except argparse.ArgumentError as exc:
-        print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
-        return 2
-    try:
         config = load_config(args.config, args.steps)
         if getattr(args, "adjoint", None):
             config.adjoint_mode = args.adjoint
-        return args.run(config, args)
-    except ConfigError as exc:
-        print(f"error: config: {_one_line(exc)}", file=sys.stderr)
-        return 2
-    except (IntegrationFailure, StepLimitExceeded, SweepNonConvergence,
-            DegenerateStudy) as exc:
-        print(f"error: numeric: {_one_line(exc)}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: io: {_one_line(exc)}", file=sys.stderr)
-        return 4
-
-
-def _one_line(exc: Exception) -> str:
-    return " ".join(str(exc).split())
+        code = args.run(config, args)
+        sys.stdout.flush()   # a closed pipe or a full disk under stdout is an io error
+        return code
+    except SystemExit:   # --help or --version, printed to stdout
+        return 0
+    except tuple(FAILURES) as exc:
+        category, code = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
+        # one line, whatever whitespace the message holds
+        print(f"error: {category}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError:   # else the interpreter's exit flush fails again, on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -26,17 +26,17 @@ import numpy as np
 VectorField = Callable[[float, list], Sequence[float]]
 
 
-class IntegrationFailure(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A computation failed numerically: the CLI reports it as exit 3."""
+
+
+class IntegrationFailure(NumericalFailure):
     """A state or stage value became non-finite during integration."""
 
     def __init__(self, message: str, node: int | None = None, t: float | None = None):
         super().__init__(message)
         self.node = node
         self.t = t
-
-
-class StepLimitExceeded(RuntimeError):
-    """The adaptive integrator hit its step budget before finishing."""
 
 
 @dataclass(frozen=True)
@@ -279,7 +279,7 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
             h_try = target - t if clipped else h
             attempts += 1
             if attempts > settings.max_steps:
-                raise StepLimitExceeded(
+                raise NumericalFailure(
                     f"exceeded {settings.max_steps} steps at t={t} "
                     f"(reached sample {len(recorded)})")
             x_new, err = _dp_step(f, t, x, h_try)

@@ -24,12 +24,12 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .integrators import TimeGrid, Trajectory, march_trajectory, whole_count
+from .integrators import NumericalFailure, TimeGrid, Trajectory, march_trajectory, whole_count
 from .model import (ControlBounds, ModelParams, controlled_march, costate_march,
                     objective, optimal_control_law)
 
 
-class SweepNonConvergence(RuntimeError):
+class SweepNonConvergence(NumericalFailure):
     """Iteration budget exhausted; carries the last iterate for inspection."""
 
     def __init__(self, message: str, result: "SweepResult"):

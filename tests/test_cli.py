@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sicaoc
+from sicaoc import NumericalFailure
 from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, emit_plot_script,
                         load_config, main, parse_config)
 
@@ -28,6 +29,13 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def child_env():
+    """The environment for a ``python -m sicaoc`` child that imports this package."""
+    package_root = str(Path(sicaoc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 class TestConfig:
@@ -482,11 +490,8 @@ class TestOverflowingStages:
     @staticmethod
     def run_child(tmp_path, doc, argv):
         cfg = write_config(tmp_path, doc)
-        package_root = str(Path(sicaoc.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv + ["--config", cfg],
-                              cwd=tmp_path, env=env, capture_output=True, text=True)
+                              cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         err_lines = proc.stderr.splitlines()
         assert proc.returncode == 3
         assert len(err_lines) == 1
@@ -518,6 +523,13 @@ class TestOverflowingStages:
         assert self.run_child(tmp_path, doc, ["optimize"]) == (
             "error: numeric: backward pass produced a non-finite costate at node 49")
 
+    def test_overflowing_norms_add_no_warning(self, tmp_path):
+        # Euler's states stay finite but reach 5.6e274, so its 2-norms
+        # overflow; rk2's failure must still be the only stderr line
+        doc = {"params": {"d": 20.0}, "horizon": 11.40396685193138}
+        assert self.run_child(tmp_path, doc, ["compare"]) == (
+            "error: numeric: rk2 produced a non-finite state at node 90")
+
 
 def one_error_line(capsys, category):
     captured = capsys.readouterr()
@@ -525,6 +537,34 @@ def one_error_line(capsys, category):
     assert len(err_lines) == 1
     assert err_lines[0].startswith(f"error: {category}: ")
     return captured.out, err_lines[0]
+
+
+class TestExitContract:
+    def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # main keys on the base class, not on a list of its subclasses
+        def fail(*args):
+            raise NumericalFailure("probe")
+        monkeypatch.setattr("sicaoc.cli.solve", fail)
+        monkeypatch.chdir(tmp_path)
+        assert run(["optimize"]) == 3
+        assert one_error_line(capsys, "numeric")[1] == "error: numeric: probe"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
+                                      ["compare"], ["orders"]],
+                             ids=["simulate", "optimize", "compare", "orders"])
+    def test_full_stdout_is_an_io_error(self, tmp_path, argv, unbuffered):
+        # buffered, the write fails in the last flush; unbuffered, in the first print
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv, cwd=tmp_path,
+                                  env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: io: [Errno 28] No space left on device\n"
 
 
 class TestOutputPaths:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sicaoc import (AdaptiveSettings, IntegrationFailure, StepLimitExceeded,
+from sicaoc import (AdaptiveSettings, IntegrationFailure, NumericalFailure,
                     TimeGrid, Trajectory, integrate_dp45, integrate_fixed,
                     step_euler, step_rk2, step_rk4)
 from sicaoc.model import rhs_normalized
@@ -101,7 +101,7 @@ class TestAdaptiveSettings:
         {"max_steps": np.nan}, {"max_steps": np.inf}])
     def test_rejects_non_finite_settings(self, kwargs):
         # a NaN reltol used to reject every step until max_steps, and a NaN
-        # max_steps to never raise StepLimitExceeded
+        # max_steps to never stop at the step budget
         with pytest.raises(ValueError, match="integer" if "max_steps" in kwargs else "finite"):
             AdaptiveSettings(**kwargs)
 
@@ -257,14 +257,14 @@ class TestIntegrateDp45:
 
     def test_step_budget_enforced(self, params, x0):
         settings = AdaptiveSettings(max_steps=5)
-        with pytest.raises(StepLimitExceeded):
+        with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
             integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 
     def test_integral_float_budget_means_that_integer(self, params, x0):
         settings = AdaptiveSettings(max_steps=5.0)
         assert type(settings.max_steps) is int
-        with pytest.raises(StepLimitExceeded, match="exceeded 5 steps"):
+        with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
             integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 

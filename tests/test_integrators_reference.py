@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
-                    StepLimitExceeded, TimeGrid, integrate_dp45,
+                    NumericalFailure, TimeGrid, integrate_dp45,
                     integrate_fixed)
 from sicaoc.model import fraction_field
 
@@ -115,7 +115,7 @@ def ref_integrate_dp45(f, t0, tf, x0, settings, sample):
         h_try = target - t if clipped else h
         attempts += 1
         if attempts > settings.max_steps:
-            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at t={t}")
+            raise NumericalFailure(f"exceeded {settings.max_steps} steps at t={t}")
         x_new, err = ref_dp_step(f, t, x, h_try)
         if not np.isfinite(x_new).all():
             raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
