@@ -7,9 +7,8 @@ from .integrators import (AdaptiveSettings, IntegrationFailure,
                           integrate_dp45, integrate_fixed, step_euler,
                           step_rk2, step_rk4)
 from .model import (ControlBounds, DegeneratePopulation, ModelParams,
-                    adjoint_rhs, force_of_infection, hamiltonian, objective,
-                    optimal_control_law, rhs_absolute, rhs_normalized,
-                    running_cost)
+                    adjoint_rhs, hamiltonian, objective, optimal_control_law,
+                    rhs_absolute, rhs_normalized, running_cost)
 from .sweep import (OcProblem, SweepNonConvergence, SweepResult, SweepSettings,
                     backward_pass, forward_pass, relative_change_test,
                     sica_problem, solve, update_control)

@@ -69,6 +69,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise argparse.ArgumentError(None, message)
 
+    # write --help and --version like any output: argparse ignores an OSError here
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
 
 @dataclass
 class RunConfig:
@@ -249,7 +254,8 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     else ``<default_stem>.csv``; the manifest (unless given) and each of
     ``suffixes`` are its name less a trailing ``.csv`` plus that suffix, in
     its directory.  Returns ``[csv, manifest, *more]``.  Two paths naming one
-    file are a config error; a missing directory raises the OSError of a write.
+    file are a config error.  Each path is checked after every symlink is
+    followed: a missing directory or a symlink loop raises the OSError of a write.
     """
     for path in (p for p in (out, *config.output.values()) if p is not None):
         if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
@@ -269,10 +275,13 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
         if first is not path:
             raise ConfigError(f"output paths {str(first)!r} and {str(path)!r} "
                               "name the same file")
-    for path in paths:
+    # realpath leaves a loop in place; Path.is_dir raises ENAMETOOLONG, os.path.isdir would not
+    for real, path in seen.items():
+        real = Path(real)
         try:
-            code = (errno.ENOTDIR if not stat.S_ISDIR(os.stat(path.parent).st_mode)
-                    else errno.EISDIR if path.is_dir() else 0)
+            code = (errno.ENOTDIR if not stat.S_ISDIR(os.stat(real.parent).st_mode)
+                    else errno.EISDIR if real.is_dir()
+                    else errno.ELOOP if real.is_symlink() else 0)
         except OSError as exc:
             code = exc.errno
         if code:
@@ -365,7 +374,7 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         emit_plot_script(paths[2], paths[0], "states")
         extra = {"plots": [str(paths[2])]}
     _emit("simulate", config, paths, SIMULATE_HEADER,
-          np.column_stack((traj.times(), traj.states)).tolist(),
+          np.column_stack((grid.nodes(), traj.states)).tolist(),
           {"method": args.method, "integrator": integrator,
            "diagnostics": {"simplex_drift": drift}}, extra)
     return 0
@@ -385,7 +394,7 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
     zero_u = np.zeros(grid.node_count)
     uncontrolled = forward_pass(problem, zero_u, grid)
     j_zero = objective(uncontrolled, zero_u)
-    times = result.states.times()
+    times = grid.nodes()
     print(f"optimize steps={grid.steps} horizon={grid.tf} "
           f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}")
     print(f"converged={result.converged} iterations={result.iterations} "
@@ -521,15 +530,17 @@ FAILURES = {argparse.ArgumentError: ("usage", 2), ConfigError: ("config", 2),
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        config = load_config(args.config, args.steps)
-        if getattr(args, "adjoint", None):
-            config.adjoint_mode = args.adjoint
-        code = args.run(config, args)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit:   # --help or --version, printed to stdout
+            code = 0
+        else:
+            config = load_config(args.config, args.steps)
+            if getattr(args, "adjoint", None):
+                config.adjoint_mode = args.adjoint
+            code = args.run(config, args)
         sys.stdout.flush()   # a closed pipe or a full disk under stdout is an io error
         return code
-    except SystemExit:   # --help or --version, printed to stdout
-        return 0
     except tuple(FAILURES) as exc:
         category, code = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
         # one line, whatever whitespace the message holds

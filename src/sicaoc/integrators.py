@@ -99,9 +99,6 @@ class Trajectory:
         if not np.isfinite(self.states).all():
             raise ValueError("trajectory contains non-finite entries")
 
-    def times(self) -> np.ndarray:
-        return self.grid.nodes()
-
 
 @dataclass
 class AdaptiveSettings:
@@ -208,7 +205,7 @@ _DP_A = (
 # The weighted sums over all seven stages stay numpy matmuls: BLAS's
 # summation order reaches the sampled states, so a sequential sum would
 # change the output bytes.
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B5 = np.array(_DP_A[6] + (0.0,))
 # b5 - b4: weights of the embedded local error estimate
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                     -17253 / 339200, 22 / 525, -1 / 40])

@@ -22,7 +22,7 @@ overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,10 +59,9 @@ class ModelParams:
     def __post_init__(self):
         if self.b is None:
             object.__setattr__(self, "b", 2.1 * self.mu)
-        for name in ("mu", "b", "beta", "eta_c", "eta_a", "phi", "rho",
-                     "alpha", "omega", "d"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"parameter {name} must be positive and finite")
+        for field in fields(self):
+            if not 0 < getattr(self, field.name) < math.inf:
+                raise ValueError(f"parameter {field.name} must be positive and finite")
         if self.eta_c > 1.0:
             raise ValueError("eta_c must be <= 1 (treated class is less infectious)")
         if self.eta_a < 1.0:
@@ -92,20 +91,13 @@ class ControlBounds:
         return np.minimum(self.u_max, np.maximum(u, 0.0))
 
 
-def force_of_infection(p: ModelParams, x: np.ndarray) -> float:
-    """Per-susceptible infection rate for an absolute state (S, I, C, A)."""
+def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Time derivative of the absolute state (S, I, C, A)."""
     S, I, C, A = x
     N = S + I + C + A
     if N <= 0.0:
         raise DegeneratePopulation(f"total population must be positive, got {N}")
-    return (p.beta / N) * (I + p.eta_c * C + p.eta_a * A)
-
-
-def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Time derivative of the absolute state (S, I, C, A)."""
-    S, I, C, A = x
-    lam = force_of_infection(p, x)
-    N = S + I + C + A
+    lam = (p.beta / N) * (I + p.eta_c * C + p.eta_a * A)   # force of infection
     return np.array([
         p.b * N - lam * S - p.mu * S,
         lam * S - (p.rho + p.phi + p.mu) * I + p.alpha * A + p.omega * C,

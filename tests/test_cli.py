@@ -552,8 +552,10 @@ class TestExitContract:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
-                                      ["compare"], ["orders"]],
-                             ids=["simulate", "optimize", "compare", "orders"])
+                                      ["compare"], ["orders"], ["--help"], ["--version"],
+                                      ["simulate", "--help"]],
+                             ids=["simulate", "optimize", "compare", "orders", "help",
+                                  "version", "simulate-help"])
     def test_full_stdout_is_an_io_error(self, tmp_path, argv, unbuffered):
         # buffered, the write fails in the last flush; unbuffered, in the first print
         env = child_env()
@@ -581,6 +583,31 @@ class TestOutputPaths:
         out, err = one_error_line(capsys, "io")
         assert err == "error: io: [Errno 2] No such file or directory: 'x/y.dat'"
         assert out == ""
+
+    @pytest.mark.parametrize("out, message", [
+        ("link.csv", "[Errno 2] No such file or directory: 'link.csv'"),
+        ("loop.csv", "[Errno 40] Too many levels of symbolic links: 'loop.csv'"),
+        ("a" * 300 + ".csv", f"[Errno 36] File name too long: '{'a' * 300}.csv'"),
+    ], ids=["link-into-missing-directory", "symlink-loop", "name-too-long"])
+    def test_resolved_path_fails_before_the_solve(self, capsys, monkeypatch, out, message):
+        # each path is checked after every symlink is followed
+        os.symlink("nodir/target.csv", "link.csv")
+        os.symlink("loop.csv", "loop.csv")
+        monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
+        assert run(["optimize", "--out", out]) == 4
+        stdout, err = one_error_line(capsys, "io")
+        assert err == f"error: io: {message}"
+        assert stdout == ""
+
+    def test_link_to_a_file_writes_through_the_link(self, tmp_path, capsys):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "target.csv").write_text("old\n")
+        os.symlink("sub/target.csv", "link.csv")
+        cfg = write_config(tmp_path, {"steps": 10})
+        assert run(["simulate", "--method", "rk4", "--out", "link.csv", "--config", cfg]) == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "sub" / "target.csv").read_text().startswith("t,s,i,c,a\n")
+        assert capsys.readouterr().out.endswith("wrote link.csv\nwrote link.manifest.json\n")
 
     def test_compare_fails_before_computing(self, capsys, monkeypatch):
         monkeypatch.setattr("sicaoc.cli.reference_trajectory",
