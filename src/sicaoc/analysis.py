@@ -10,7 +10,7 @@ import numpy as np
 
 from .integrators import (AdaptiveSettings, NumericalFailure, TimeGrid, Trajectory,
                           integrate_dp45, integrate_fixed)
-from .model import ControlBounds, ModelParams, fraction_field, hamiltonian
+from .model import ControlBounds, ModelParams, controlled_field, hamiltonian
 from .sweep import SweepResult
 
 VARIABLES = ("S", "I", "C", "A")
@@ -95,7 +95,7 @@ def reference_trajectory(params: ModelParams, x0: np.ndarray, grid: TimeGrid,
                          settings: AdaptiveSettings | None = None) -> Trajectory:
     """Adaptive 5(4) run of the fraction dynamics sampled on ``grid``."""
     settings = settings or AdaptiveSettings()
-    return integrate_dp45(fraction_field(params), grid.t0, grid.tf, x0, settings, grid)
+    return integrate_dp45(controlled_field(params), grid.t0, grid.tf, x0, settings, grid)
 
 
 def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
@@ -112,7 +112,7 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
     Norms run over all grid nodes including t0, where the difference is
     zero by construction.
     """
-    traj = integrate_fixed(method, fraction_field(params), reference.grid, x0)
+    traj = integrate_fixed(method, controlled_field(params), reference.grid, x0)
     per_var = {
         var: diff_norms(traj.states[:, k], reference.states[:, k])
         for k, var in enumerate(VARIABLES)
@@ -141,7 +141,7 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
     equilibrium, because the fit is on log-errors.
     """
     grids = refinement_grids(refinements, t0, tf)
-    f = fraction_field(params)
+    f = controlled_field(params)
     if reference is None:
         reference = terminal_reference(params, x0, t0, tf)
     errs = []

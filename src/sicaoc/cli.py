@@ -14,7 +14,8 @@ file outputs (CSV trajectories, JSON manifests, gnuplot scripts) are
 byte-deterministic for a fixed configuration, and each manifest embeds
 the fully resolved configuration needed to reproduce the run.
 
-Output paths are resolved and checked before anything is computed.
+Output paths are resolved and checked before anything is computed, and
+every file is written before anything is printed.
 Exit codes: 0 success, 2 bad command line or configuration (output paths
 included), 3 any ``NumericalFailure``, 4 any OSError (stdout's included).
 Errors print one line ``error: <category>: <message>`` on stderr, the
@@ -44,7 +45,7 @@ from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_RE
 # attributes; the subcommands reach it through reference_trajectory
 from .integrators import (FIXED_METHODS, AdaptiveSettings, NumericalFailure,  # noqa: F401
                           TimeGrid, first_step, integrate_dp45, integrate_fixed)
-from .model import ADJOINT_MODES, ControlBounds, ModelParams, fraction_field, objective
+from .model import ADJOINT_MODES, ControlBounds, ModelParams, controlled_field, objective
 from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
                     sica_problem, solve)
 
@@ -289,13 +290,16 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     return paths
 
 
-def _emit(command: str, config: RunConfig, paths: list[Path], header, rows,
-          fields: dict, extra: dict) -> None:
-    """Write a run's CSV and manifest, and print a ``wrote`` line per path.
+def _emit(command: str, config: RunConfig, paths: list[Path], summary: list[str],
+          header, rows, fields: dict, extra: dict) -> None:
+    """Write a run's CSV and manifest, then print ``summary`` and a ``wrote`` line per path.
 
     ``paths`` come from ``_output_paths``; the command writes those past
-    the first two.  The manifest holds the tool, the command, the resolved
-    config, ``fields`` and ``outputs``: the CSV, then ``extra``.
+    the first two before it calls this.  The manifest holds the tool, the
+    command, the resolved config, ``fields`` and ``outputs``: the CSV,
+    then ``extra``.  Every file is written before anything is printed and
+    stdout is flushed last, so an unwritable stdout fails the run after
+    its artifacts, buffered or not.
     """
     csv_path, manifest_path = paths[:2]
     write_csv(csv_path, header, rows)
@@ -306,8 +310,8 @@ def _emit(command: str, config: RunConfig, paths: list[Path], header, rows,
         **fields,
         "outputs": {"csv": str(csv_path), **extra},
     })
-    for path in paths:
-        print(f"wrote {path}")
+    print(*summary, *(f"wrote {path}" for path in paths), sep="\n")
+    sys.stdout.flush()
 
 
 def emit_plot_script(out_path: Path, csv_path: Path, kind: str,
@@ -363,17 +367,17 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
         traj = reference_trajectory(config.params, config.initial, grid, settings)
         integrator.update(asdict(settings), initial_step=first_step(grid.t0, grid.tf))
     else:
-        traj = integrate_fixed(args.method, fraction_field(config.params), grid,
+        traj = integrate_fixed(args.method, controlled_field(config.params), grid,
                                config.initial)
         integrator.update({"step_size": grid.h})
     drift = simplex_drift(traj)
-    print(f"simulate method={args.method} steps={grid.steps} horizon={grid.tf}")
-    print(f"max |s+i+c+a-1| = {_fmt(drift)}")
+    summary = [f"simulate method={args.method} steps={grid.steps} horizon={grid.tf}",
+               f"max |s+i+c+a-1| = {_fmt(drift)}"]
     extra = {}
     if args.plot:
         emit_plot_script(paths[2], paths[0], "states")
         extra = {"plots": [str(paths[2])]}
-    _emit("simulate", config, paths, SIMULATE_HEADER,
+    _emit("simulate", config, paths, summary, SIMULATE_HEADER,
           np.column_stack((grid.nodes(), traj.states)).tolist(),
           {"method": args.method, "integrator": integrator,
            "diagnostics": {"simplex_drift": drift}}, extra)
@@ -395,11 +399,11 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
     uncontrolled = forward_pass(problem, zero_u, grid)
     j_zero = objective(uncontrolled, zero_u)
     times = grid.nodes()
-    print(f"optimize steps={grid.steps} horizon={grid.tf} "
-          f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}")
-    print(f"converged={result.converged} iterations={result.iterations} "
-          f"margin={_fmt(result.final_margin)}")
-    print(f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}")
+    summary = [f"optimize steps={grid.steps} horizon={grid.tf} "
+               f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}",
+               f"converged={result.converged} iterations={result.iterations} "
+               f"margin={_fmt(result.final_margin)}",
+               f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}"]
     extra = {}
     if args.plot:
         csv_path, _, baseline, versus, control = paths
@@ -420,7 +424,7 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
         "terminal_adjoint": [float(v) for v in result.adjoints.states[-1]],
         "control_range": [float(result.control.min()), float(result.control.max())],
     }
-    _emit("optimize", config, paths, OPTIMIZE_HEADER,
+    _emit("optimize", config, paths, summary, OPTIMIZE_HEADER,
           np.column_stack((times, result.states.states, result.control,
                            result.adjoints.states)).tolist(),
           {"integrator": {"scheme": "forward-backward rk4", "step_size": grid.h},
@@ -437,11 +441,11 @@ def cmd_compare(config: RunConfig, args: argparse.Namespace) -> int:
     reference = reference_trajectory(config.params, config.initial, grid, settings)
     tables = {m: build_norm_table(m, config.params, config.initial, reference)
               for m in FIXED_METHODS}
-    print(f"difference norms vs adaptive 5(4) reference "
-          f"(reltol={settings.reltol}, abstol={settings.abstol}) "
-          f"on {grid.node_count} nodes of [0, {grid.tf}]")
-    print(f"{'method':7s} {'var':3s} {'norm':4s} {'computed':>14s} "
-          f"{'ode45 baseline':>14s} {'rel dev':>9s}")
+    summary = [f"difference norms vs adaptive 5(4) reference "
+               f"(reltol={settings.reltol}, abstol={settings.abstol}) "
+               f"on {grid.node_count} nodes of [0, {grid.tf}]",
+               f"{'method':7s} {'var':3s} {'norm':4s} {'computed':>14s} "
+               f"{'ode45 baseline':>14s} {'rel dev':>9s}"]
     rows = []
     worst = {m: 0.0 for m in FIXED_METHODS}
     for method, table in tables.items():
@@ -451,10 +455,10 @@ def cmd_compare(config: RunConfig, args: argparse.Namespace) -> int:
             for norm_name, got, ref in zip(("1", "2", "inf"), ours, baseline[var]):
                 dev = (got - ref) / ref
                 worst[method] = max(worst[method], abs(dev))
-                print(f"{method:7s} {var:3s} {norm_name:4s} {got:14.7f} "
-                      f"{ref:14.7f} {dev:+9.4f}")
+                summary.append(f"{method:7s} {var:3s} {norm_name:4s} {got:14.7f} "
+                               f"{ref:14.7f} {dev:+9.4f}")
                 rows.append((method, var, norm_name, got, ref, dev))
-    _emit("compare", config, paths,
+    _emit("compare", config, paths, summary,
           ("method", "variable", "norm", "computed", "baseline", "rel_dev"), rows,
           {"integrator": {"reltol": settings.reltol, "abstol": settings.abstol,
                           "sampling": "clip-to-node"},
@@ -470,20 +474,20 @@ def cmd_orders(config: RunConfig, args: argparse.Namespace) -> int:
                                     config.refinements, 0.0, horizon,
                                     reference=ref_end)
                for m in FIXED_METHODS}
-    print(f"terminal-error convergence at t={horizon} over M={list(config.refinements)} "
-          f"(reference: adaptive 5(4), reltol={TIGHT_REFERENCE.reltol})")
-    print(f"{'method':7s} {'slope':>7s} {'band':>12s} {'status':>7s}")
+    summary = [f"terminal-error convergence at t={horizon} over M={list(config.refinements)} "
+               f"(reference: adaptive 5(4), reltol={TIGHT_REFERENCE.reltol})",
+               f"{'method':7s} {'slope':>7s} {'band':>12s} {'status':>7s}"]
     slopes = {}
     for method, study in studies.items():
         lo, hi = ORDER_BANDS[method]
         ok = lo <= study.slope <= hi
         slopes[method] = {"slope": study.slope, "band": [lo, hi], "within_band": ok}
-        print(f"{method:7s} {study.slope:7.3f} {f'[{lo}, {hi}]':>12s} "
-              f"{'ok' if ok else 'FAIL':>7s}")
+        summary.append(f"{method:7s} {study.slope:7.3f} {f'[{lo}, {hi}]':>12s} "
+                       f"{'ok' if ok else 'FAIL':>7s}")
     rows = [(method, m, h, err) for method, study in studies.items()
             for m, h, err in zip(study.refinements, study.step_sizes,
                                  study.terminal_errors)]
-    _emit("orders", config, paths,
+    _emit("orders", config, paths, summary,
           ("method", "steps", "step_size", "terminal_error"), rows,
           {"diagnostics": {"slopes": slopes}}, {})
     return 0

@@ -206,6 +206,8 @@ _DP_A = (
 # summation order reaches the sampled states, so a sequential sum would
 # change the output bytes.
 _DP_B5 = np.array(_DP_A[6] + (0.0,))
+# the 21 stage coefficients row by row, so one multiply scales them all by h
+_DP_A_FLAT = np.array([v for row in _DP_A for v in row])
 # b5 - b4: weights of the embedded local error estimate
 _DP_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
                     -17253 / 339200, 22 / 525, -1 / 40])
@@ -223,22 +225,19 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
     then the stage terms in tableau order (zero entries skipped), as the
     tableau rows are written out below.
     """
-    a, c = _DP_A, _DP_C
+    c = _DP_C
+    # numpy rounds each product h * a as Python does, so the stage inputs keep their bits
+    (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
+     a71, _, a73, a74, a75, a76) = (h * _DP_A_FLAT).tolist()
     k1 = f(t, x)
-    a21 = h * a[1][0]
     k2 = f(t + c[1] * h, [xi + a21 * p for xi, p in zip(x, k1)])
-    a31, a32 = (h * v for v in a[2])
     k3 = f(t + c[2] * h, [xi + a31 * p + a32 * q for xi, p, q in zip(x, k1, k2)])
-    a41, a42, a43 = (h * v for v in a[3])
     k4 = f(t + c[3] * h, [xi + a41 * p + a42 * q + a43 * r
                           for xi, p, q, r in zip(x, k1, k2, k3)])
-    a51, a52, a53, a54 = (h * v for v in a[4])
     k5 = f(t + c[4] * h, [xi + a51 * p + a52 * q + a53 * r + a54 * s
                           for xi, p, q, r, s in zip(x, k1, k2, k3, k4)])
-    a61, a62, a63, a64, a65 = (h * v for v in a[5])
     k6 = f(t + c[5] * h, [xi + a61 * p + a62 * q + a63 * r + a64 * s + a65 * w
                           for xi, p, q, r, s, w in zip(x, k1, k2, k3, k4, k5)])
-    a71, _, a73, a74, a75, a76 = (h * v for v in a[6])
     k7 = f(t + c[6] * h, [xi + a71 * p + a73 * r + a74 * s + a75 * w + a76 * z
                           for xi, p, r, s, w, z in zip(x, k1, k3, k4, k5, k6)])
     k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)

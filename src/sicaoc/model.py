@@ -12,8 +12,8 @@ State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
 ``(lambda1, ..., lambda4)`` for costates.  The public functions take and
 return numpy arrays over the float kernels ``controlled_field`` and
-``_costate_terms``.  Only ``controlled_field`` reaches the integrators,
-through ``fraction_field``, with Python floats to skip numpy's per-call
+``_costate_terms``.  Only ``controlled_field`` reaches the integrators:
+it is their field ``f(t, x)``, on Python floats to skip numpy's per-call
 overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
 (forward) and ``costate_march`` (backward), the arithmetic of
 ``controlled_field`` and ``adjoint_rhs`` written out per stage.
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -106,19 +106,21 @@ def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
     ])
 
 
-def controlled_field(p: ModelParams) -> Callable[[Sequence[float], float], FloatState]:
-    """Float kernel ``(x, u) -> x'`` of the fraction dynamics with prevention u.
+def controlled_field(p: ModelParams) -> Callable[..., FloatState]:
+    """Float kernel ``(t, x, u=0.0) -> x'`` of the fraction dynamics with prevention u.
 
-    The effort u scales the infection term and may be any real number,
-    since the Hamiltonian evaluates the dynamics off the admissible set.
-    The parameters are read once, so each call does float arithmetic
-    only.  At u = 0 it is the uncontrolled dynamics bit for bit, because
+    Called as ``f(t, x)`` it is the uncontrolled field the integrators
+    take; the dynamics are autonomous, so t is unused.  The effort u
+    scales the infection term and may be any real number, since the
+    Hamiltonian evaluates the dynamics off the admissible set.  The
+    parameters are read once, so each call does float arithmetic only.
+    At u = 0 it is the uncontrolled dynamics bit for bit, because
     ``1.0 - 0.0 == 1.0``.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
 
-    def field(x, u):
+    def field(t, x, u=0.0):
         s, i, c, a = x
         aux1 = (1.0 - u) * beta * (i + eta_c * c + eta_a * a) * s
         aux2 = d * a
@@ -129,23 +131,13 @@ def controlled_field(p: ModelParams) -> Callable[[Sequence[float], float], Float
     return field
 
 
-def fraction_field(p: ModelParams) -> Callable[[float, Sequence[float]], FloatState]:
-    """The uncontrolled fraction dynamics as an integrator field ``f(t, x)``.
-
-    Builds the ``controlled_field`` kernel once and calls it at u = 0,
-    so each call does float arithmetic only.
-    """
-    kernel = controlled_field(p)
-    return lambda t, x: kernel(x, 0.0)
-
-
 def rhs_normalized(p: ModelParams, x: np.ndarray) -> np.ndarray:
     """Time derivative of the fraction state (s, i, c, a).
 
     On the simplex s+i+c+a = 1 the four components sum to zero, so the
     dynamics preserve the simplex identically.
     """
-    return np.array(controlled_field(p)(_floats(x), 0.0))
+    return np.array(controlled_field(p)(0.0, _floats(x)))
 
 
 def _floats(v) -> list[float]:
@@ -174,7 +166,7 @@ def hamiltonian(p: ModelParams, x: np.ndarray, lam: np.ndarray,
     ``np.dot``'s loop, so each node gets the bits of its own call.
     """
     x = np.asarray(x, dtype=float)
-    rhs = np.stack(controlled_field(p)(x.T, u), axis=-1)
+    rhs = np.stack(controlled_field(p)(0.0, x.T, u), axis=-1)
     return running_cost(x, u) + np.vecdot(lam, rhs)
 
 

@@ -551,22 +551,32 @@ class TestExitContract:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-    @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
-                                      ["compare"], ["orders"], ["--help"], ["--version"],
-                                      ["simulate", "--help"]],
-                             ids=["simulate", "optimize", "compare", "orders", "help",
-                                  "version", "simulate-help"])
-    def test_full_stdout_is_an_io_error(self, tmp_path, argv, unbuffered):
-        # buffered, the write fails in the last flush; unbuffered, in the first print
+    @pytest.mark.parametrize("argv, stem", [
+        (["simulate", "--method", "rk4"], "simulate_rk4"), (["optimize"], "optimize"),
+        (["optimize", "--config", "../nc.json", "--out", "nc.csv"], "nc"),
+        (["compare"], "compare_norms"), (["orders"], "orders"), (["--help"], None),
+        (["--version"], None), (["simulate", "--help"], None),
+    ], ids=["simulate", "optimize", "optimize-not-converged", "compare", "orders", "help",
+            "version", "simulate-help"])
+    def test_full_stdout_is_an_io_error(self, tmp_path, argv, stem, unbuffered):
+        # every file is written before the first print, so a run leaves all its
+        # artifacts whether the write fails in a print or in the flush after it;
+        # the io error also wins over the sweep's non-convergence
+        write_config(tmp_path, {"steps": 100, "control": {"max_iterations": 1,
+                                                          "delta_error": 1e-12}}, "nc.json")
+        cwd = tmp_path / "run"
+        cwd.mkdir()
         env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv, cwd=tmp_path,
+            proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv, cwd=cwd,
                                   env=env, stdout=full, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 4
         assert proc.stderr == "error: io: [Errno 28] No space left on device\n"
+        artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
+        assert sorted(os.listdir(cwd)) == artifacts
 
 
 class TestOutputPaths:

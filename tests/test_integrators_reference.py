@@ -16,7 +16,7 @@ import pytest
 from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
                     NumericalFailure, TimeGrid, integrate_dp45,
                     integrate_fixed)
-from sicaoc.model import fraction_field
+from sicaoc.model import controlled_field
 
 
 # ------------------------------------------------------------- reference
@@ -180,7 +180,7 @@ SCENARIOS = [
 def test_fixed_matches_reference(method, steps, tf, beta, x0):
     p = ModelParams(beta=beta)
     grid = TimeGrid(0.0, tf, steps)
-    got = integrate_fixed(method, fraction_field(p), grid, np.array(x0))
+    got = integrate_fixed(method, controlled_field(p), grid, np.array(x0))
     want = ref_integrate_fixed(method, ref_field(p), grid, np.array(x0))
     assert np.array_equal(got.states, want)
 
@@ -206,7 +206,7 @@ def test_dp45_matches_reference(name, steps, beta, x0):
     p = ModelParams(beta=beta)
     grid = TimeGrid(0.0, 20.0, steps)
     settings = SETTINGS[name]
-    got = integrate_dp45(fraction_field(p), 0.0, 20.0, np.array(x0), settings, grid)
+    got = integrate_dp45(controlled_field(p), 0.0, 20.0, np.array(x0), settings, grid)
     want, rejected = ref_integrate_dp45(ref_field(p), 0.0, 20.0, np.array(x0),
                                         settings, grid)
     assert np.array_equal(got.states, want)
@@ -240,7 +240,7 @@ def test_mid_grid_nan_reports_the_reference_node_and_time(method):
     grid = TimeGrid(0.0, 20.0, 100)
     x0 = np.array([0.6, 0.2, 0.1, 0.1])
     with pytest.raises(IntegrationFailure) as got:
-        integrate_fixed(method, nan_after(fraction_field(p), 7.3), grid, x0)
+        integrate_fixed(method, nan_after(controlled_field(p), 7.3), grid, x0)
     ref_f = nan_after(ref_field(p), 7.3)
     with pytest.raises(IntegrationFailure) as want:
         ref_integrate_fixed(method, lambda t, x: np.array(ref_f(t, x)), grid, x0)
@@ -254,7 +254,7 @@ def test_dp45_nan_reports_the_reference_time():
     grid = TimeGrid(0.0, 20.0, 100)
     x0 = np.array([0.6, 0.2, 0.1, 0.1])
     with pytest.raises(IntegrationFailure) as got:
-        integrate_dp45(nan_after(fraction_field(p), 7.3), 0.0, 20.0, x0,
+        integrate_dp45(nan_after(controlled_field(p), 7.3), 0.0, 20.0, x0,
                        AdaptiveSettings(), grid)
     ref_f = nan_after(ref_field(p), 7.3)
     with pytest.raises(IntegrationFailure) as want:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from sicaoc import (ControlBounds, DegeneratePopulation, ModelParams,
-                    TimeGrid, Trajectory, adjoint_rhs, hamiltonian, objective,
-                    optimal_control_law, rhs_absolute, rhs_normalized,
+                    TimeGrid, Trajectory, adjoint_rhs, hamiltonian, integrate_fixed,
+                    objective, optimal_control_law, rhs_absolute, rhs_normalized,
                     running_cost, sica_problem)
-from sicaoc.model import controlled_field
+from sicaoc.model import controlled_field, controlled_march
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -128,11 +128,11 @@ class TestRhsControlled:
         rng = np.random.default_rng(5)
         for _ in range(25):
             x = random_state(rng)
-            assert np.array_equal(controlled_field(params)(x, 0.0),
+            assert np.array_equal(controlled_field(params)(0.0, x, 0.0),
                                   rhs_normalized(params, x))
 
     def test_full_control_removes_infection_term(self, params):
-        out = controlled_field(params)(X0, 1.0)
+        out = controlled_field(params)(0.0, X0, 1.0)
         s, i, c, a = X0
         assert out[0] == pytest.approx(
             params.b * (1 - s) + params.d * a * s, rel=1e-12)
@@ -142,8 +142,37 @@ class TestRhsControlled:
 
     def test_half_control_susceptible_rate(self, params):
         expected = params.b * 0.4 - 0.5 * 0.5304 * 0.6 + 0.06
-        assert controlled_field(params)(X0, 0.5)[0] == pytest.approx(
+        assert controlled_field(params)(0.0, X0, 0.5)[0] == pytest.approx(
             expected, rel=1e-12)
+
+
+class TestOneRk4Arithmetic:
+    """The generic RK4 stepper on the kernel and the written-out march agree bit for bit."""
+
+    @staticmethod
+    def assert_same_march(p, grid, x0):
+        stepped = integrate_fixed("rk4", controlled_field(p), grid, x0).states
+        marched = controlled_march(p)(x0, np.zeros(grid.node_count), grid.h)
+        assert np.array_equal(stepped, marched)
+
+    @pytest.mark.parametrize("steps", [100, 1000])
+    def test_default_scenario(self, params, steps):
+        self.assert_same_march(params, TimeGrid(0.0, 20.0, steps), X0)
+
+    def test_random_rates_and_starts(self):
+        rng = np.random.default_rng(20)
+        for _ in range(100):
+            p = ModelParams(mu=rng.uniform(0.005, 0.05), beta=rng.uniform(0.1, 3.0),
+                            eta_c=rng.uniform(0.001, 1.0), eta_a=rng.uniform(1.0, 2.0),
+                            phi=rng.uniform(0.1, 2.0), rho=rng.uniform(0.01, 1.0),
+                            alpha=rng.uniform(0.05, 1.0), omega=rng.uniform(0.01, 1.0),
+                            d=rng.uniform(0.1, 2.0))
+            horizon = rng.uniform(1.0, 30.0)
+            # at least horizon / 0.5 steps, so h <= 0.5
+            steps = int(rng.integers(int(np.ceil(2.0 * horizon)), 300))
+            grid = TimeGrid(0.0, horizon, steps)
+            assert grid.h <= 0.5
+            self.assert_same_march(p, grid, rng.dirichlet(np.ones(4)))
 
 
 class TestRunningCost:

@@ -58,10 +58,10 @@ class TestForwardPass:
         h = grid.h
         f = controlled_field(params)
         um = 0.5 * (u[0] + u[1])
-        k1 = np.asarray(f(X0, u[0]))
-        k2 = np.asarray(f(X0 + (h / 2) * k1, um))
-        k3 = np.asarray(f(X0 + (h / 2) * k2, um))
-        k4 = np.asarray(f(X0 + h * k3, u[1]))
+        k1 = np.asarray(f(0.0, X0, u[0]))
+        k2 = np.asarray(f(h / 2, X0 + (h / 2) * k1, um))
+        k3 = np.asarray(f(h / 2, X0 + (h / 2) * k2, um))
+        k4 = np.asarray(f(h, X0 + h * k3, u[1]))
         np.testing.assert_array_equal(out, X0 + (h / 6) * (k1 + 2 * (k2 + k3) + k4))
 
     def test_constant_prevention_lowers_infection_everywhere(self, problem):
@@ -152,7 +152,8 @@ def stage_problem(params, bounds, x0, mode="derived"):
 
     def state_pass(x0, u, h):
         nodes = u.tolist()
-        return stage_pass(f, x0.tolist(), h, zip(nodes, midpoints(u).tolist(), nodes[1:]))
+        return stage_pass(lambda x, v: f(0.0, x, v), x0.tolist(), h,
+                          zip(nodes, midpoints(u).tolist(), nodes[1:]))
 
     def adjoint_pass(states, u, h):
         nodes = list(zip(states.tolist(), u.tolist()))

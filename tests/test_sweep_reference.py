@@ -254,7 +254,7 @@ def test_public_kernels_match_reference_bitwise(params):
         lam = rng.normal(scale=5.0, size=4)
         u = float(rng.uniform(0.0, 1.0))
         assert np.array_equal(rhs_normalized(params, x), ref_rhs(params, x, 0.0))
-        assert np.array_equal(np.array(controlled_field(params)(x, u)),
+        assert np.array_equal(np.array(controlled_field(params)(0.0, x, u)),
                               ref_rhs(params, x, u))
         for mode in ("derived", "verbatim"):
             assert np.array_equal(adjoint_rhs(params, x, lam, u, mode),
