@@ -41,9 +41,7 @@ from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_RE
                        VARIABLES, build_norm_table, convergence_order, reference_trajectory,
                        refinement_grids, simplex_drift, stationarity_residual,
                        terminal_reference)
-# integrate_dp45 is imported for code that wraps this module's integrator
-# attributes; the subcommands reach it through reference_trajectory
-from .integrators import (FIXED_METHODS, AdaptiveSettings, NumericalFailure,  # noqa: F401
+from .integrators import (FIXED_METHODS, AdaptiveSettings, NumericalFailure,
                           TimeGrid, first_step, integrate_dp45, integrate_fixed)
 from .model import ADJOINT_MODES, ControlBounds, ModelParams, controlled_field, objective
 from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
@@ -362,13 +360,13 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
                           (".states.gp",) if args.plot else ())
     grid = config.grid
     integrator: dict = {"sampling": "clip-to-node"}
+    f = controlled_field(config.params)
     if args.method == "dp45":
         settings = AdaptiveSettings()
-        traj = reference_trajectory(config.params, config.initial, grid, settings)
+        traj = integrate_dp45(f, grid.t0, grid.tf, config.initial, settings, grid)
         integrator.update(asdict(settings), initial_step=first_step(grid.t0, grid.tf))
     else:
-        traj = integrate_fixed(args.method, controlled_field(config.params), grid,
-                               config.initial)
+        traj = integrate_fixed(args.method, f, grid, config.initial)
         integrator.update({"step_size": grid.h})
     drift = simplex_drift(traj)
     summary = [f"simulate method={args.method} steps={grid.steps} horizon={grid.tf}",

@@ -128,13 +128,19 @@ class TestConfig:
             iterations = parse_config({"control": {"max_iterations": value}}).sweep.max_iterations
             assert iterations == 3 and isinstance(iterations, int)
 
-    def test_integral_float_counts_are_recorded_as_integers(self):
+    def test_integral_float_counts_are_recorded_as_integers(self, tmp_path):
         cfg = parse_config({"steps": 100.0, "refinements": [100.0, 200, 400]})
         assert cfg.grid.steps == 100 and isinstance(cfg.grid.steps, int)
         assert cfg.refinements == (100, 200, 400)
         assert all(isinstance(m, int) for m in cfg.refinements)
         resolved = json.dumps(cfg.resolved_dict())
         assert '"steps": 100,' in resolved and '"refinements": [100, 200, 400]' in resolved
+        # and the manifest a run writes records the integer
+        out = tmp_path / "whole.csv"
+        assert run(["simulate", "--method", "rk4", "--out", str(out),
+                    "--config", write_config(tmp_path, {"steps": 100.0})]) == 0
+        steps = json.loads((tmp_path / "whole.manifest.json").read_text())["config"]["steps"]
+        assert steps == 100 and isinstance(steps, int)
 
     @pytest.mark.parametrize("steps", [True, 2.5, "100"])
     def test_steps_follow_the_library_count_rule(self, steps):
@@ -210,7 +216,9 @@ class TestSimulate:
         code = run(["simulate", "--method", "rk4",
                     "--out", str(tmp_path / "missing_dir" / "x.csv")])
         assert code == 4
-        assert capsys.readouterr().err.startswith("error: io:")
+        out, _ = one_error_line(capsys, "io")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -426,13 +434,13 @@ class TestHostileConfig:
         '{"refinements": [100, 200, 1' + "0" * 400 + "]}", '{"refinements": [100, 100, 100]}',
         '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
         '{"output": {"csv": "a\\u0000b"}}', '{"output": {"csv": "a\\nb.csv"}}',
-        '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"steps": 2.5}',
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
             "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
             "steps-past-bound", "refinement-400-digits", "refinements-repeated",
             "horizon-null", "refinement-step-underflow", "output-nul", "output-newline",
-            "nested-past-recursion-limit"])
+            "nested-past-recursion-limit", "steps-fractional"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
@@ -445,7 +453,7 @@ class TestHostileConfig:
         assert code == 2
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: config: ")
-        assert not out.exists()
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 class TestIterationCap:
@@ -520,8 +528,9 @@ class TestOverflowingStages:
         # overflow must not print a numpy warning before the error line
         doc = {"params": {"beta": 1e10, "eta_a": 1e300},
                "initial": {"s": 1, "i": 0, "c": 0, "a": 0}, "steps": 50}
-        assert self.run_child(tmp_path, doc, ["optimize"]) == (
+        assert self.run_child(tmp_path, doc, ["optimize", "--out", "costate.csv"]) == (
             "error: numeric: backward pass produced a non-finite costate at node 49")
+        assert os.listdir(tmp_path) == ["config.json"]
 
     def test_overflowing_norms_add_no_warning(self, tmp_path):
         # Euler's states stay finite but reach 5.6e274, so its 2-norms
