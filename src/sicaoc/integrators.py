@@ -175,14 +175,19 @@ def march_trajectory(grid: TimeGrid, rows, failure: str, backward=False) -> Traj
     non-finite without raising, so one check finds where the march failed:
     ``IntegrationFailure(f"{failure} at node {node}")`` names the first
     non-finite node, or the last one for a backward march, and its time.
+    The rows are copied, and the Trajectory's own finiteness check is
+    that one check; the node is looked for only once it has failed.
     """
     out = np.array(rows, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        node = int(bad[-1] if backward else bad[0])
-        raise IntegrationFailure(f"{failure} at node {node}",
-                                 node=node, t=grid.t0 + node * grid.h)
-    return Trajectory(grid, out)
+    try:
+        return Trajectory(grid, out)
+    except ValueError:
+        bad = np.flatnonzero(~np.isfinite(out).all(axis=1)) if out.ndim == 2 else ()
+        if not len(bad):
+            raise
+    node = int(bad[-1] if backward else bad[0])
+    raise IntegrationFailure(f"{failure} at node {node}",
+                             node=node, t=grid.t0 + node * grid.h)
 
 
 def first_step(t0: float, tf: float) -> float:

@@ -295,9 +295,10 @@ def costate_march(p: ModelParams, mode: str = "derived"
     the states and controls of the nodes at stages 1 and 4 and their
     means at stages 2 and 3, and returns the ``(n, 4)`` node costates in
     node order, finite or not.  The (x, u)-only terms of ``adjoint_rhs``
-    are one array pass over the 2n - 1 nodes and midpoints, interleaved,
-    walked backward a (midpoint, node) pair per step; each stage does the
-    arithmetic linear in the costate, bit for bit an RK4 loop over it.
+    are one array pass over the rows of a ``(5, 2n - 1)`` table of the
+    nodes and midpoints, interleaved last node first, walked lazily a
+    (midpoint, node) pair per step; each stage does the arithmetic linear
+    in the costate, bit for bit an RK4 loop over it.
     """
     terms = _costate_terms(p, mode)
     phi, rho, d = p.phi, p.rho, p.d
@@ -306,13 +307,15 @@ def costate_march(p: ModelParams, mode: str = "derived"
         h = -h
         h2, h6 = h / 2.0, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
-            x, v = np.empty((2 * len(u) - 1, 4)), np.empty(2 * len(u) - 1)
-            x[::2], x[1::2], v[::2], v[1::2] = states, midpoints(states), u, midpoints(u)
-            table = list(zip(*(t.tolist() for t in terms(*x.T, v))))
+            # rows s, i, c, a, u; columns the nodes and midpoints, last node first
+            y = np.empty((5, 2 * len(u) - 1))
+            y[:4, ::2], y[4, ::2] = states[::-1].T, u[::-1]
+            y[:, 1::2] = 0.5 * (y[:, 2::2] + y[:, :-2:2])
+            table = zip(*(t.tolist() for t in terms(*y)))
         l1, l2, l3, l4 = rows = [0.0] * 4
         # each step's stage 4 leaves the terms of the node the next step starts at
-        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = table[-1]
-        for mid, end in zip(table[-2::-2], table[-3::-2]):
+        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = next(table)
+        for mid, end in zip(table, table):
             a1 = -1.0 + l1 * k11 - l2 * k12
             a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
             a3 = l1 * k31 - l2 * k32 + l3 * k33

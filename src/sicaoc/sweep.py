@@ -11,16 +11,18 @@ the control toward the pointwise law (which owns the control bounds) by
 a convex combination.  ``solve`` counts these iterations up to the
 budget and stops once the relative change of all nine tracked vectors
 (four state columns, the control, four costate columns) against the
-previous iterate falls below the tolerance.  The first test's previous
-iterate is zero arrays holding only the initial state, and the initial
-control; every later one is the last pass's arrays.
+previous iterate falls below the tolerance.  The nine are the rows of
+one C-ordered ``(9, n)`` stack, which ``relative_change_test`` reduces
+row by row.  The first test's previous stack is zero apart from the
+initial state at node 0 and the initial control; every later one is
+the last iteration's stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -143,22 +145,21 @@ def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,
     return weight * law + (1.0 - weight) * u_old
 
 
-def relative_change_test(tracked: Iterable[tuple[np.ndarray, np.ndarray]],
-                         delta: float) -> float:
-    """Signed convergence margin, nonnegative once every pair has settled.
+def relative_change_test(old: np.ndarray, new: np.ndarray, delta: float) -> float:
+    """Signed convergence margin of two ``(k, n)`` stacks, nonnegative once all rows settle.
 
-    Each pair contributes ``delta * sum|new| - sum|old - new|``; the
+    Row j contributes ``delta * sum|new[j]| - sum|old[j] - new[j]|``; the
     margin is the smallest contribution, and NaN if any contribution is
-    NaN, so a NaN never passes for convergence.
+    NaN, so a NaN never passes for convergence.  The stacks are summed
+    C-ordered, copied if they are not, so each row gives the bits of a
+    vector of its own.  Empty or mismatched stacks raise ``ValueError``.
     """
-    margin = np.inf
-    for old, new in tracked:
-        old = np.asarray(old, dtype=float)
-        new = np.asarray(new, dtype=float)
-        if old.shape != new.shape:
-            raise ValueError("tracked vector pair has mismatched lengths")
-        margin = np.minimum(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
-    return float(margin)
+    old = np.ascontiguousarray(old, dtype=float)
+    new = np.ascontiguousarray(new, dtype=float)
+    if old.shape != new.shape or old.ndim != 2 or not old.size:
+        raise ValueError("tracked stacks must be two (k, n) arrays of one shape with "
+                         f"k, n >= 1, got shapes {old.shape} and {new.shape}")
+    return float((delta * np.abs(new).sum(axis=1) - np.abs(old - new).sum(axis=1)).min())
 
 
 def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
@@ -170,21 +171,20 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
     grid = settings.grid
     n = grid.node_count
     u = np.zeros(n) if settings.initial_control is None else settings.initial_control.copy()
-    states = np.zeros((n, 4))
-    states[0] = prob.x0
-    adjoints = np.zeros((n, 4))
+    old = np.zeros((9, n))
+    old[:4, 0], old[4] = prob.x0, u
     # whole_count makes the budget at least 1, so the loop binds every name it sets
     for iterations in range(1, settings.max_iterations + 1):
         x_traj = forward_pass(prob, u, grid)
         lam_traj = backward_pass(prob, x_traj, u)
-        old_u, u = u, update_control(prob, x_traj, lam_traj, u, settings.relaxation)
-        old = (*states.T, old_u, *adjoints.T)
-        new = (*x_traj.states.T, u, *lam_traj.states.T)
-        margin = relative_change_test(zip(old, new), settings.delta_error)
+        u = update_control(prob, x_traj, lam_traj, u, settings.relaxation)
+        new = np.empty((9, n))
+        new[:4], new[4], new[5:] = x_traj.states.T, u, lam_traj.states.T
+        margin = relative_change_test(old, new, settings.delta_error)
         converged = margin >= 0.0
         if converged:
             break
-        states, adjoints = x_traj.states, lam_traj.states
+        old = new
     control = prob.control_law(x_traj.states, lam_traj.states)
     result = SweepResult(states=x_traj, adjoints=lam_traj, control=control,
                          iterations=iterations, converged=converged,

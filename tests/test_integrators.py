@@ -4,6 +4,7 @@ import pytest
 from sicaoc import (AdaptiveSettings, IntegrationFailure, NumericalFailure,
                     TimeGrid, Trajectory, integrate_dp45, integrate_fixed,
                     step_euler, step_rk2, step_rk4)
+from sicaoc.integrators import march_trajectory
 from sicaoc.model import rhs_normalized
 
 # terminal state of the default scenario at t=20, frozen from a
@@ -87,6 +88,38 @@ class TestTrajectory:
         states[3, 1] = np.nan
         with pytest.raises(ValueError):
             Trajectory(TimeGrid(0.0, 1.0, 4), states)
+
+
+class TestMarchTrajectory:
+    GRID = TimeGrid(0.0, 1.0, 10)
+
+    @pytest.mark.parametrize("backward, node", [(False, 4), (True, 8)])
+    def test_nan_names_the_first_bad_node_in_the_march_direction(self, backward, node):
+        rows = np.ones((11, 4))
+        rows[[4, 6, 8], 3] = np.nan
+        with pytest.raises(IntegrationFailure) as exc:
+            march_trajectory(self.GRID, rows, "march failed", backward=backward)
+        assert str(exc.value) == f"march failed at node {node}"
+        assert exc.value.node == node
+        assert exc.value.t == self.GRID.t0 + node * self.GRID.h
+
+    def test_rows_are_copied_c_ordered(self):
+        rows = np.arange(44.0).reshape(11, 4)
+        traj = march_trajectory(self.GRID, rows[::-1], "march failed")
+        assert traj.states.flags.c_contiguous
+        np.testing.assert_array_equal(traj.states, np.arange(44.0).reshape(11, 4)[::-1])
+        rows[:] = np.nan
+        assert np.isfinite(traj.states).all()
+
+    def test_a_finite_march_of_the_wrong_length_is_a_shape_error(self):
+        with pytest.raises(ValueError, match="expected 11 state rows, got shape"):
+            march_trajectory(self.GRID, np.ones((10, 4)), "march failed")
+
+    def test_a_caller_built_trajectory_still_rejects_nan(self):
+        rows = np.ones((11, 4))
+        rows[4, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries"):
+            Trajectory(self.GRID, rows)
 
 
 class TestAdaptiveSettings:

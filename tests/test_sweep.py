@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid, Trajectory,
@@ -95,6 +99,20 @@ class TestForwardPass:
         with pytest.raises(ValueError):
             forward_pass(problem, np.zeros(5), TimeGrid(0.0, 1.0, 10))
 
+    def test_a_reused_state_buffer_leaves_earlier_trajectories_alone(self, problem):
+        march, buffer = problem.state_field, np.empty((11, 4))
+
+        def state_field(x0, u, h):
+            buffer[:] = march(x0, u, h)
+            return buffer
+        problem.state_field = state_field
+        grid = TimeGrid(0.0, 2.0, 10)
+        first = forward_pass(problem, np.zeros(11), grid)
+        kept = first.states.copy()
+        forward_pass(problem, np.full(11, 0.5), grid)
+        assert not np.array_equal(buffer, kept)
+        assert np.array_equal(first.states, kept)
+
 
 class TestBackwardPass:
     def test_terminal_node_is_exact_transversality(self, problem):
@@ -132,6 +150,23 @@ class TestBackwardPass:
         with pytest.raises(IntegrationFailure) as exc:
             backward_pass(problem, x, np.zeros(5))
         assert str(exc.value) == "backward pass produced a non-finite costate at node 3"
+
+    def test_a_reversed_view_of_a_reused_buffer_is_copied(self, problem):
+        # the buffer holds the costates in march order, last node first
+        march, buffer = problem.adjoint_field, np.empty((11, 4))
+
+        def adjoint_field(states, u, h):
+            buffer[:] = march(states, u, h)[::-1]
+            return buffer[::-1]
+        problem.adjoint_field = adjoint_field
+        grid = TimeGrid(0.0, 2.0, 10)
+        u = np.full(11, 0.3)
+        x = forward_pass(problem, u, grid)
+        lam = backward_pass(problem, x, u)
+        assert lam.states.flags.c_contiguous
+        assert np.array_equal(lam.states, march(x.states, u, grid.h))
+        buffer[:] = np.nan
+        assert np.isfinite(lam.states).all()
 
     def test_terminal_costate_slope(self, params, problem):
         # with lam(T) = 0 only the cost gradient survives in the field
@@ -239,40 +274,118 @@ class TestUpdateControl:
         np.testing.assert_array_equal(out, np.full(5, 0.25))
 
 
+def fold_margin(old_columns, new_columns, delta):
+    """Reference margin: a per-pair ``np.minimum`` fold, one vector pair at a time.
+
+    Each pair is one column of two ``(n, k)`` node arrays, a strided
+    view as a state or costate column of a pass is.
+    """
+    margin = np.inf
+    for old, new in zip(old_columns, new_columns):
+        margin = np.minimum(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
+    return float(margin)
+
+
+def same_float_bits(a, b):
+    if math.isnan(a):
+        return math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+# the pairwise sum's block edges: unrolled by 8, blocks of 128
+ROW_LENGTHS = [1, 2, 7, 8, 9, 127, 128, 129, 1001]
+SPECIAL_VALUES = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-300, 1.5e308, -1.7e308]
+
+
+@st.composite
+def node_columns(draw):
+    """Two ``(n, k)`` node-by-vector arrays, with tiny, huge and -0.0 entries."""
+    n = draw(st.sampled_from(ROW_LENGTHS))
+    k = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    new = rng.standard_normal((n, k)) * scale
+    if draw(st.booleans()):     # a settling iterate: a small relative change
+        old = new * (1.0 + 10.0 ** draw(st.integers(-16, -1)) * rng.standard_normal((n, k)))
+    else:
+        old = rng.standard_normal((n, k)) * 10.0 ** draw(st.integers(-300, 300))
+    for side, row, col, value in draw(st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, n - 1),
+                      st.integers(0, k - 1), st.sampled_from(SPECIAL_VALUES)),
+            max_size=12)):
+        (old, new)[side][row, col] = value
+    return old, new
+
+
 class TestRelativeChangeTest:
     def test_identical_vectors_converge(self):
-        v = np.array([1.0, 2.0, 3.0])
-        margin = relative_change_test([(v, v)], 1e-3)
+        v = np.array([[1.0, 2.0, 3.0]])
+        margin = relative_change_test(v, v, 1e-3)
         assert margin == pytest.approx(1e-3 * 6.0, rel=1e-14)
         assert margin >= 0.0
 
     def test_collapse_to_zero_fails(self):
-        old = np.array([1.0, -2.0])
-        new = np.zeros(2)
-        assert relative_change_test([(old, new)], 1e-3) == pytest.approx(-3.0)
+        old = np.array([[1.0, -2.0]])
+        new = np.zeros((1, 2))
+        assert relative_change_test(old, new, 1e-3) == pytest.approx(-3.0)
 
     def test_boundary_margin(self):
-        old = np.array([1.001, 1.001])
-        new = np.array([1.0, 1.0])
-        margin = relative_change_test([(old, new)], 1e-3)
+        old = np.array([[1.001, 1.001]])
+        new = np.array([[1.0, 1.0]])
+        margin = relative_change_test(old, new, 1e-3)
         assert margin == pytest.approx(0.0, abs=1e-12)
         assert margin >= 0.0
 
     def test_minimum_over_pairs(self):
-        good = (np.array([1.0]), np.array([1.0]))
-        bad = (np.array([5.0]), np.array([0.0]))
-        assert relative_change_test([good, bad], 1e-3) == pytest.approx(-5.0)
+        # row 0 has settled, row 1 collapsed from 5 to 0
+        old, new = np.array([[1.0], [5.0]]), np.array([[1.0], [0.0]])
+        assert relative_change_test(old, new, 1e-3) == pytest.approx(-5.0)
 
     def test_nan_contribution_is_not_convergence(self):
-        good = (np.array([1.0]), np.array([1.0]))
-        nan = (np.array([1.0]), np.array([np.nan]))
-        assert np.isnan(relative_change_test([good, nan], 1e-3))
-        assert np.isnan(relative_change_test([nan, good], 1e-3))
-        assert np.isnan(relative_change_test([good], float("nan")))
+        good, nan = [1.0], [np.nan]
+        assert np.isnan(relative_change_test([good, good], [good, nan], 1e-3))
+        assert np.isnan(relative_change_test([good, good], [nan, good], 1e-3))
+        assert np.isnan(relative_change_test([good], [good], float("nan")))
 
     def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="of one shape"):
+            relative_change_test(np.zeros((1, 2)), np.zeros((1, 3)), 1e-3)
+        with pytest.raises(ValueError, match="of one shape"):
+            relative_change_test(np.zeros((9, 5)), np.zeros((8, 5)), 1e-3)
+
+    @pytest.mark.parametrize("shape", [(0, 5), (9, 0), (0, 0), (0,), (3,)])
+    def test_empty_or_flat_stack_is_rejected(self, shape):
+        # an empty stack's margin was inf, which the sweep read as converged
+        with pytest.raises(ValueError, match=r"two \(k, n\) arrays"):
+            relative_change_test(np.zeros(shape), np.zeros(shape), 1e-3)
+
+    def test_empty_lists_are_rejected(self):
         with pytest.raises(ValueError):
-            relative_change_test([(np.zeros(2), np.zeros(3))], 1e-3)
+            relative_change_test([], [], 1e-3)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(pair=node_columns(), delta=st.floats(min_value=5e-324, max_value=1e300))
+    def test_stacked_margin_equals_the_per_pair_fold(self, pair, delta):
+        old, new = pair
+        # huge entries overflow a sum to inf, and inf - inf is NaN, in both forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = fold_margin(old.T, new.T, delta)
+            stacked = relative_change_test(np.ascontiguousarray(old.T),
+                                           np.ascontiguousarray(new.T), delta)
+            # a transposed view is copied C-ordered, so it gives the same bits
+            viewed = relative_change_test(old.T, new.T, delta)
+        assert same_float_bits(stacked, expected)
+        assert same_float_bits(viewed, expected)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(pair=node_columns(), side=st.integers(0, 1), data=st.data())
+    def test_a_nan_in_any_row_gives_nan(self, pair, side, data):
+        stacks = [np.ascontiguousarray(a.T) for a in pair]
+        k, n = stacks[0].shape
+        row, col = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))
+        stacks[side][row, col] = np.nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isnan(relative_change_test(*stacks, 1e-3))
 
 
 class TestSolve:

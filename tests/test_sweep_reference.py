@@ -219,7 +219,8 @@ def assert_same_bits(a, b):
 
 
 @pytest.mark.parametrize("mode", ["derived", "verbatim"])
-@pytest.mark.parametrize("steps", [1, 2, 37])
+# 1, 2 and 3 steps are the edges of the costate march's term-table walk
+@pytest.mark.parametrize("steps", [1, 2, 3, 37])
 def test_passes_match_reference_bitwise_for_any_control(mode, steps):
     # no rate of 1.0, which would hide a regrouped product such as d * c
     p = ModelParams(mu=0.017, beta=1.7, eta_c=0.04, eta_a=1.35, phi=0.93,
