@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,21 +52,12 @@ TIGHT_REFERENCE = AdaptiveSettings(reltol=1e-12, abstol=1e-14)
 FD_STEP = 1e-6
 
 
-@dataclass(frozen=True)
-class NormTriple:
+class NormTriple(NamedTuple):
     """Vector norms 1, 2 and infinity of one difference vector."""
 
     n1: float
     n2: float
     ninf: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.n1, self.n2, self.ninf)
-
-
-@dataclass
-class NormTable:
-    per_variable: dict[str, NormTriple]
 
 
 @dataclass
@@ -105,7 +96,7 @@ def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
 
 
 def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
-                     reference: Trajectory) -> NormTable:
+                     reference: Trajectory) -> dict[str, NormTriple]:
     """Per-variable difference norms of one fixed-step method vs ``reference``.
 
     The method runs on the reference's grid (see ``reference_trajectory``).
@@ -113,11 +104,8 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
     zero by construction.
     """
     traj = integrate_fixed(method, controlled_field(params), reference.grid, x0)
-    per_var = {
-        var: diff_norms(traj.states[:, k], reference.states[:, k])
-        for k, var in enumerate(VARIABLES)
-    }
-    return NormTable(per_variable=per_var)
+    return {var: diff_norms(traj.states[:, k], reference.states[:, k])
+            for k, var in enumerate(VARIABLES)}
 
 
 def refinement_grids(refinements: Sequence[int], t0: float, tf: float) -> list[TimeGrid]:

@@ -449,8 +449,7 @@ def cmd_compare(config: RunConfig, args: argparse.Namespace) -> int:
     for method, table in tables.items():
         baseline = OCTAVE_ODE45_BASELINE[method]
         for var in VARIABLES:
-            ours = table.per_variable[var].as_tuple()
-            for norm_name, got, ref in zip(("1", "2", "inf"), ours, baseline[var]):
+            for norm_name, got, ref in zip(("1", "2", "inf"), table[var], baseline[var]):
                 dev = (got - ref) / ref
                 worst[method] = max(worst[method], abs(dev))
                 summary.append(f"{method:7s} {var:3s} {norm_name:4s} {got:14.7f} "

@@ -31,8 +31,6 @@ from .integrators import Trajectory
 
 ADJOINT_MODES = ("derived", "verbatim")
 
-FloatState = tuple[float, float, float, float]
-
 
 class DegeneratePopulation(ValueError):
     """Total population is zero, so per-capita rates are undefined."""
@@ -106,16 +104,16 @@ def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
     ])
 
 
-def controlled_field(p: ModelParams) -> Callable[..., FloatState]:
+def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
     """Float kernel ``(t, x, u=0.0) -> x'`` of the fraction dynamics with prevention u.
 
     Called as ``f(t, x)`` it is the uncontrolled field the integrators
-    take; the dynamics are autonomous, so t is unused.  The effort u
-    scales the infection term and may be any real number, since the
-    Hamiltonian evaluates the dynamics off the admissible set.  The
-    parameters are read once, so each call does float arithmetic only.
-    At u = 0 it is the uncontrolled dynamics bit for bit, because
-    ``1.0 - 0.0 == 1.0``.
+    take, bit for bit, since ``1.0 - 0.0 == 1.0``; the dynamics are
+    autonomous, so t is unused.  The effort u scales the infection term
+    and may be any real number, since the Hamiltonian evaluates the
+    dynamics off the admissible set.  The parameters are read once, so
+    each call does float arithmetic only.  On the simplex s+i+c+a = 1
+    the four components sum to zero, so the dynamics preserve it.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
@@ -129,15 +127,6 @@ def controlled_field(p: ModelParams) -> Callable[..., FloatState]:
                 phi * i - (omega + b - aux2) * c,
                 rho * i - (alpha + b + d - aux2) * a)
     return field
-
-
-def rhs_normalized(p: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Time derivative of the fraction state (s, i, c, a).
-
-    On the simplex s+i+c+a = 1 the four components sum to zero, so the
-    dynamics preserve the simplex identically.
-    """
-    return np.array(controlled_field(p)(0.0, _floats(x)))
 
 
 def _floats(v) -> list[float]:
@@ -310,7 +299,7 @@ def costate_march(p: ModelParams, mode: str = "derived"
             # rows s, i, c, a, u; columns the nodes and midpoints, last node first
             y = np.empty((5, 2 * len(u) - 1))
             y[:4, ::2], y[4, ::2] = states[::-1].T, u[::-1]
-            y[:, 1::2] = 0.5 * (y[:, 2::2] + y[:, :-2:2])
+            y[:, 1::2] = midpoints(y[:, ::2].T).T
             table = zip(*(t.tolist() for t in terms(*y)))
         l1, l2, l3, l4 = rows = [0.0] * 4
         # each step's stage 4 leaves the terms of the node the next step starts at

@@ -21,7 +21,7 @@ from sicaoc.analysis import (OCTAVE_ODE45_BASELINE, VARIABLES,
                              build_norm_table, convergence_order,
                              reference_trajectory)
 from sicaoc.cli import main
-from sicaoc.model import objective, rhs_absolute, rhs_normalized
+from sicaoc.model import controlled_field, objective, rhs_absolute
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 ORDER_BANDS = {"euler": (0.9, 1.1), "rk2": (1.8, 2.2), "rk4": (3.5, 4.5)}
@@ -36,7 +36,7 @@ def table_ratios(method, params, reference):
     table = build_norm_table(method, params, X0, reference=reference)
     rows = {}
     for var in VARIABLES:
-        got = table.per_variable[var].as_tuple()
+        got = table[var]
         ref = OCTAVE_ODE45_BASELINE[method][var]
         rows[var] = [(g, r) for g, r in zip(got, ref)]
     return rows
@@ -116,7 +116,7 @@ def test_criterion_5_normalization_equivalence(params):
     settings = AdaptiveSettings(reltol=1e-9, abstol=1e-12)
     absolute = integrate_dp45(lambda t, x: rhs_absolute(params, x),
                               0.0, 20.0, X0, settings, grid)
-    fractions = integrate_dp45(lambda t, x: rhs_normalized(params, x),
+    fractions = integrate_dp45(controlled_field(params),
                                0.0, 20.0, X0, settings, grid)
     renormalized = absolute.states / absolute.states.sum(axis=1, keepdims=True)
     gap = float(np.abs(renormalized - fractions.states).max())

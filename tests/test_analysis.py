@@ -6,7 +6,7 @@ from sicaoc.analysis import (OCTAVE_ODE45_BASELINE, VARIABLES, NormTriple,
                              build_norm_table, convergence_order, diff_norms,
                              simplex_drift, stationarity_residual,
                              terminal_reference)
-from sicaoc.model import rhs_normalized
+from sicaoc.model import controlled_field
 from sicaoc.sweep import sica_problem, solve
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
@@ -32,12 +32,12 @@ class TestDiffNorms:
             diff_norms(np.zeros(3), np.zeros(4))
 
 
-class TestNormTables:
+class TestMethodNorms:
     def test_first_and_second_order_tables_match_baseline(self, params, reference_101):
         for method in ("euler", "rk2"):
             table = build_norm_table(method, params, X0, reference=reference_101)
             for var in VARIABLES:
-                got = table.per_variable[var].as_tuple()
+                got = table[var]
                 ref = OCTAVE_ODE45_BASELINE[method][var]
                 for g, r in zip(got, ref):
                     assert abs(g - r) / r <= 0.10
@@ -46,9 +46,7 @@ class TestNormTables:
         tables = {m: build_norm_table(m, params, X0, reference=reference_101)
                   for m in ("euler", "rk2", "rk4")}
         for var in VARIABLES:
-            e = tables["euler"].per_variable[var].as_tuple()
-            r2 = tables["rk2"].per_variable[var].as_tuple()
-            r4 = tables["rk4"].per_variable[var].as_tuple()
+            e, r2, r4 = (tables[m][var] for m in ("euler", "rk2", "rk4"))
             for a, b, c in zip(e, r2, r4):
                 assert a > b > c
 
@@ -104,13 +102,11 @@ class TestSimplexDrift:
         assert simplex_drift(traj) == 0.0
 
     def test_rk4_default_run(self, params):
-        traj = integrate_fixed("rk4", lambda t, x: rhs_normalized(params, x),
-                               TimeGrid(0.0, 20.0, 100), X0)
+        traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), X0)
         assert simplex_drift(traj) <= 1e-6
 
     def test_euler_default_run(self, params):
-        traj = integrate_fixed("euler", lambda t, x: rhs_normalized(params, x),
-                               TimeGrid(0.0, 20.0, 100), X0)
+        traj = integrate_fixed("euler", controlled_field(params), TimeGrid(0.0, 20.0, 100), X0)
         assert simplex_drift(traj) <= 1e-3
 
 

@@ -425,6 +425,8 @@ class TestUsageErrors:
 
 
 class TestHostileConfig:
+    ROOT_NOT_AN_OBJECT = ("[]", "3", "null")
+
     @pytest.mark.parametrize("text", [
         '{"horizon": NaN}', '{"horizon": Infinity}', '{"horizon": -Infinity}',
         '{"horizon": 1e400}', '{"initial": {"s": NaN}}', '{"params": {"beta": NaN}}',
@@ -435,12 +437,14 @@ class TestHostileConfig:
         '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
         '{"output": {"csv": "a\\u0000b"}}', '{"output": {"csv": "a\\nb.csv"}}',
         '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"steps": 2.5}',
+        *ROOT_NOT_AN_OBJECT,
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
             "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
             "steps-past-bound", "refinement-400-digits", "refinements-repeated",
             "horizon-null", "refinement-step-underflow", "output-nul", "output-newline",
-            "nested-past-recursion-limit", "steps-fractional"])
+            "nested-past-recursion-limit", "steps-fractional",
+            "root-array", "root-number", "root-null"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
@@ -453,6 +457,8 @@ class TestHostileConfig:
         assert code == 2
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: config: ")
+        if text in self.ROOT_NOT_AN_OBJECT:
+            assert err_lines[0] == "error: config: config root must be a JSON object"
         assert os.listdir(tmp_path) == ["config.json"]
 
 

@@ -5,7 +5,7 @@ from sicaoc import (AdaptiveSettings, IntegrationFailure, NumericalFailure,
                     TimeGrid, Trajectory, integrate_dp45, integrate_fixed,
                     step_euler, step_rk2, step_rk4)
 from sicaoc.integrators import march_trajectory
-from sicaoc.model import rhs_normalized
+from sicaoc.model import controlled_field
 
 # terminal state of the default scenario at t=20, frozen from a
 # fixed-step RK4 run with one million steps (a 500k-step run agrees to
@@ -154,7 +154,7 @@ class TestSteps:
         assert np.array_equal(step_euler(zero_field, 3.0, x, 0.2), x)
 
     def test_euler_on_model_field(self, params, x0):
-        out = step_euler(lambda t, x: rhs_normalized(params, x), 0.0, x0, 0.2)
+        out = step_euler(controlled_field(params), 0.0, x0, 0.2)
         np.testing.assert_allclose(out, x0 + 0.2 * FIELD_AT_X0, rtol=1e-12)
 
     def test_rk2_constant_field(self):
@@ -197,8 +197,7 @@ class TestSteps:
 
 class TestIntegrateFixed:
     def test_first_node_is_initial_state(self, params, x0):
-        traj = integrate_fixed("rk4", lambda t, x: rhs_normalized(params, x),
-                               TimeGrid(0.0, 20.0, 100), x0)
+        traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
         assert np.array_equal(traj.states[0], x0)
 
     def test_single_step_grid_equals_one_step(self):
@@ -216,8 +215,7 @@ class TestIntegrateFixed:
             assert traj.states[-1, 0] == pytest.approx((1 + 1 / n) ** n, rel=1e-13)
 
     def test_rk4_keeps_fraction_sum(self, params, x0):
-        traj = integrate_fixed("rk4", lambda t, x: rhs_normalized(params, x),
-                               TimeGrid(0.0, 20.0, 100), x0)
+        traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
         assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-6
 
     def test_rk4_exact_on_cubic_time_polynomial(self):
@@ -250,7 +248,7 @@ class TestIntegrateFixed:
 
     def test_deterministic(self, params, x0):
         grid = TimeGrid(0.0, 20.0, 100)
-        f = lambda t, x: rhs_normalized(params, x)
+        f = controlled_field(params)
         a = integrate_fixed("rk2", f, grid, x0)
         b = integrate_fixed("rk2", f, grid, x0)
         assert np.array_equal(a.states, b.states)
@@ -291,18 +289,18 @@ class TestIntegrateDp45:
     def test_step_budget_enforced(self, params, x0):
         settings = AdaptiveSettings(max_steps=5)
         with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
-            integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
+            integrate_dp45(controlled_field(params), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 
     def test_integral_float_budget_means_that_integer(self, params, x0):
         settings = AdaptiveSettings(max_steps=5.0)
         assert type(settings.max_steps) is int
         with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
-            integrate_dp45(lambda t, x: rhs_normalized(params, x), 0.0, 20.0,
+            integrate_dp45(controlled_field(params), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 
     def test_deterministic(self, params, x0):
-        f = lambda t, x: rhs_normalized(params, x)
+        f = controlled_field(params)
         grid = TimeGrid(0.0, 20.0, 100)
         a = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
         b = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)

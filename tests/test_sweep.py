@@ -9,7 +9,7 @@ from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, OcProblem,
                     SweepNonConvergence, SweepSettings, TimeGrid, Trajectory,
                     integrate_fixed, step_rk4)
 from sicaoc.model import (adjoint_rhs, controlled_field, midpoints, objective,
-                          optimal_control_law, rhs_normalized)
+                          optimal_control_law)
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
 
@@ -47,12 +47,19 @@ def rk4_pass(f, y0, h, steps):
     return stage_pass(lambda y, s: f(y), y0, h, [(None, None, None)] * steps)
 
 
+class TestOcProblem:
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((1, 4))],
+                             ids=["three", "five", "row"])
+    def test_initial_state_must_have_four_components(self, x0):
+        with pytest.raises(ValueError, match="^initial state must have four components$"):
+            OcProblem(state_field=None, adjoint_field=None, control_law=None, x0=x0)
+
+
 class TestForwardPass:
     def test_zero_control_matches_fixed_rk4_bitwise(self, params, problem):
         grid = TimeGrid(0.0, 20.0, 100)
         swept = forward_pass(problem, np.zeros(101), grid)
-        plain = integrate_fixed("rk4", lambda t, x: rhs_normalized(params, x),
-                                grid, X0)
+        plain = integrate_fixed("rk4", controlled_field(params), grid, X0)
         assert np.array_equal(swept.states, plain.states)
 
     def test_single_interval_uses_endpoint_and_midpoint_controls(self, params, problem):
@@ -273,6 +280,13 @@ class TestUpdateControl:
         out = update_control(problem, x, lam, u_old, 0.5)
         np.testing.assert_array_equal(out, np.full(5, 0.25))
 
+    def test_state_and_costate_grids_must_agree(self, problem):
+        u = np.zeros(5)
+        x = forward_pass(problem, u, TimeGrid(0.0, 2.0, 4))
+        lam = Trajectory(TimeGrid(0.0, 2.0, 3), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="^state and costate grids must agree$"):
+            update_control(problem, x, lam, u, 0.5)
+
 
 def fold_margin(old_columns, new_columns, delta):
     """Reference margin: a per-pair ``np.minimum`` fold, one vector pair at a time.
@@ -407,8 +421,7 @@ class TestSolve:
         prob = sica_problem(params, ControlBounds(0.0), X0)
         result = solve(prob, SweepSettings(grid=grid))
         assert np.array_equal(result.control, np.zeros(201))
-        plain = integrate_fixed("rk4", lambda t, x: rhs_normalized(params, x),
-                                grid, X0)
+        plain = integrate_fixed("rk4", controlled_field(params), grid, X0)
         assert np.array_equal(result.states.states, plain.states)
 
     def test_constant_law_with_full_weight_converges_fast(self, params):
