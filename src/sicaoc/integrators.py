@@ -207,9 +207,10 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-# The weighted sums over all seven stages stay numpy matmuls: BLAS's
+# The weighted sums over all seven stages stay two BLAS dgemv calls: their
 # summation order reaches the sampled states, so a sequential sum would
-# change the output bytes.
+# change the output bytes.  ``ndarray.dot`` reaches the same dgemv as ``@``
+# at a lower call cost; one stacked (2, 7) product would go through gemm.
 _DP_B5 = np.array(_DP_A[6] + (0.0,))
 # the 21 stage coefficients row by row, so one multiply scales them all by h
 _DP_A_FLAT = np.array([v for row in _DP_A for v in row])
@@ -224,7 +225,7 @@ _ERR_EXPONENT = -0.2  # embedded estimate is O(h^5)
 
 
 def _dp_step(f: VectorField, t: float, x: list, h: float):
-    """One trial Dormand-Prince step: next state and per-component error.
+    """One trial Dormand-Prince step: next state and the unscaled error sums.
 
     Each stage input is one sequential sum per component, x first and
     then the stage terms in tableau order (zero entries skipped), as the
@@ -246,9 +247,8 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
     k7 = f(t + c[6] * h, [xi + a71 * p + a73 * r + a74 * s + a75 * w + a76 * z
                           for xi, p, r, s, w, z in zip(x, k1, k3, k4, k5, k6)])
     k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)
-    x_new = [xi + h * v for xi, v in zip(x, (_DP_B5 @ k).tolist())]
-    err = [h * v for v in (_DP_ERR @ k).tolist()]
-    return x_new, err
+    x_new = [xi + h * v for xi, v in zip(x, _DP_B5.dot(k).tolist())]
+    return x_new, _DP_ERR.dot(k).tolist()
 
 
 def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
@@ -271,7 +271,7 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
     if targets[0] == t0:
         recorded.append(x)
     attempts = 0
-    # a stage that overflows makes the matmuls in _dp_step warn; x_new is
+    # a stage that overflows makes the weighted sums in _dp_step warn; x_new is
     # checked below, so the failure is reported once, as IntegrationFailure
     with np.errstate(invalid="ignore", over="ignore"):
         while len(recorded) < len(targets):
@@ -288,17 +288,26 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
                 raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
             # x_new is finite, so every stage is (the 5th-order sum carries a
             # non-finite stage into it, zero weights included), and so is ratio
-            ratio = max(abs(e) / (abstol + reltol * max(abs(a), abs(b)))
-                        for e, a, b in zip(err, x, x_new))
+            ratio = 0.0
+            for e, a, b in zip(err, x, x_new):
+                a, b = abs(a), abs(b)
+                r = abs(h_try * e) / (abstol + reltol * (b if b > a else a))
+                if r > ratio:
+                    ratio = r
             factor = _GROWTH_LIMIT if ratio == 0.0 else _SAFETY * ratio ** _ERR_EXPONENT
-            factor = min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
+            if factor > _GROWTH_LIMIT:
+                factor = _GROWTH_LIMIT
+            elif factor < _SHRINK_LIMIT:
+                factor = _SHRINK_LIMIT
             if ratio <= 1.0:
                 x = x_new
                 if clipped:
                     t = target
                     recorded.append(x)
                     # a clipped step must not shrink the controller's proposal
-                    h = max(h, h_try * factor)
+                    grown = h_try * factor
+                    if grown > h:
+                        h = grown
                 else:
                     t = t + h_try
                     h = h_try * factor

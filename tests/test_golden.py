@@ -7,8 +7,11 @@ The digest of what the command prints is recorded under the key
 Rerun determinism is checked by the acceptance suite; these digests pin
 the bytes themselves, so a change to the numerics or to the output
 formatting that moves a single bit fails here.  They were recorded with
-numpy 2 on x86-64 Linux; a platform whose libm or BLAS rounds
-differently may legitimately disagree on the ``orders`` artifacts.
+numpy 2 on x86-64 Linux.  The ``simulate-dp45``, ``compare`` and
+``orders`` artifacts come from the Dormand-Prince reference, whose
+weighted stage sums are BLAS calls and whose step-size controller takes
+``ratio ** -0.2`` from libm, so a platform whose BLAS or libm rounds
+differently may legitimately disagree on those three.
 """
 
 import contextlib

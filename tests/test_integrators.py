@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicaoc import (AdaptiveSettings, IntegrationFailure, NumericalFailure,
                     TimeGrid, Trajectory, integrate_dp45, integrate_fixed,
                     step_euler, step_rk2, step_rk4)
-from sicaoc.integrators import march_trajectory
+from sicaoc.integrators import _DP_B5, _DP_ERR, march_trajectory
 from sicaoc.model import controlled_field
 
 # terminal state of the default scenario at t=20, frozen from a
@@ -299,9 +301,30 @@ class TestIntegrateDp45:
             integrate_dp45(controlled_field(params), 0.0, 20.0,
                            x0, settings, TimeGrid(0.0, 20.0, 100))
 
+    def test_a_state_with_no_components_matches_integrate_fixed(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        fixed = integrate_fixed("rk4", lambda t, x: [], grid, [])
+        adaptive = integrate_dp45(lambda t, x: [], 0.0, 1.0, [], AdaptiveSettings(), grid)
+        assert fixed.states.shape == adaptive.states.shape == (5, 0)
+
     def test_deterministic(self, params, x0):
         f = controlled_field(params)
         grid = TimeGrid(0.0, 20.0, 100)
         a = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
         b = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
         assert np.array_equal(a.states, b.states)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_dot_weighted_sums_equal_the_matmul_bytes(n, seed):
+    # the DP45 step takes its two weighted sums with ndarray.dot, which must
+    # reach the same BLAS sum as the @ products; the (7, n) stage matrix
+    # mixes signed zeros with magnitudes from 1e-300 to 1e300
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], (7, n))
+    k = sign * rng.uniform(1.0, 10.0, (7, n)) * 10.0 ** rng.integers(-300, 300, (7, n))
+    zero = rng.random((7, n)) < 0.2
+    k[zero] = 0.0 * sign[zero]
+    for weights in (_DP_B5, _DP_ERR):
+        assert weights.dot(k).tobytes() == (weights @ k).tobytes()

@@ -8,10 +8,13 @@ arithmetic on Python floats, so every sampled state, the failing node
 and the failing time must agree exactly, not within a tolerance.
 """
 
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
                     NumericalFailure, TimeGrid, integrate_dp45,
@@ -97,8 +100,14 @@ def ref_dp_step(f, t, x, h):
     return x + h * (DP_B5 @ k), h * (DP_ERR @ k)
 
 
-def ref_integrate_dp45(f, t0, tf, x0, settings, sample):
-    """The reference integrator; also returns the number of rejected steps."""
+def ref_integrate_dp45(f, t0, tf, x0, settings, sample, branches=None):
+    """The reference integrator; also returns the number of rejected steps.
+
+    A ``branches`` Counter, if given, counts how often each branch of the
+    step-size controller runs (``BRANCHES``).
+    """
+    if branches is None:
+        branches = collections.Counter()
     x = np.asarray(x0, dtype=float)
     t = t0
     h = (tf - t0) / 100.0
@@ -121,22 +130,31 @@ def ref_integrate_dp45(f, t0, tf, x0, settings, sample):
             raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
         scale = settings.abstol + settings.reltol * np.maximum(np.abs(x), np.abs(x_new))
         ratio = float(np.max(np.abs(err) / scale))
-        factor = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
-        factor = min(5.0, max(0.2, factor))
+        raw = 5.0 if ratio == 0.0 else 0.9 * ratio ** -0.2
+        factor = min(5.0, max(0.2, raw))
+        branches["zero ratio"] += ratio == 0.0
+        branches["growth clamp"] += raw > 5.0
+        branches["shrink clamp"] += raw < 0.2
         if ratio <= 1.0:
             x = x_new
             if clipped:
                 t = target
                 recorded[idx] = x
                 idx += 1
+                branches["clipped, h grows" if h_try * factor > h else "clipped, h kept"] += 1
                 h = max(h, h_try * factor)
             else:
                 t = t + h_try
                 h = h_try * factor
         else:
             rejected += 1
+            branches["rejected"] += 1
             h = h_try * factor
     return recorded, rejected
+
+
+BRANCHES = ("rejected", "zero ratio", "growth clamp", "shrink clamp",
+            "clipped, h kept", "clipped, h grows")
 
 
 def ref_field(p):
@@ -262,3 +280,59 @@ def test_dp45_nan_reports_the_reference_time():
                            AdaptiveSettings(), grid)
     assert got.value.t == want.value.t
     assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------- controller branches
+
+
+def zero_pair(t, x):
+    return [0.0, 0.0]
+
+
+# the tight model run rejects, clamps both ways and clips both ways; the
+# zero field gives a zero error ratio
+BRANCH_CASES = {
+    "model-tight": (controlled_field(ModelParams()), ref_field(ModelParams()),
+                    0.0, 20.0, [0.6, 0.2, 0.1, 0.1], SETTINGS["tight"],
+                    TimeGrid(0.0, 20.0, 100)),
+    "zero-field": (zero_pair, lambda t, x: np.zeros(2), 0.0, 10.0, [0.3, 0.7],
+                   SETTINGS["default"], TimeGrid(0.0, 10.0, 5)),
+}
+
+
+def test_dp45_every_controller_branch_matches_reference():
+    branches = collections.Counter()
+    for f, ref_f, t0, tf, x0, adaptive, sample in BRANCH_CASES.values():
+        got = integrate_dp45(f, t0, tf, x0, adaptive, sample)
+        want, _ = ref_integrate_dp45(ref_f, t0, tf, np.array(x0), adaptive, sample,
+                                     branches)
+        assert np.array_equal(got.states, want)
+    assert {b: branches[b] for b in BRANCHES if not branches[b]} == {}
+
+
+@st.composite
+def dp45_problems(draw):
+    beta = draw(st.floats(1.0, 2.0))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+                   .filter(lambda w: sum(w) > 0.0))
+    x0 = np.array(weights) / sum(weights)
+    # hypothesis leans to the low end of a range, so the draws lean to the
+    # tightest tolerances and the full 20-year span, whose first trial step
+    # is the longest: the controller's shrink clamp then runs
+    adaptive = AdaptiveSettings(reltol=10.0 ** (draw(st.floats(0.0, 9.0)) - 12.0),
+                                abstol=10.0 ** (draw(st.floats(0.0, 8.0)) - 14.0))
+    tf = 20.0 - draw(st.floats(0.0, 19.5))
+    start = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9)))
+    stop = draw(st.one_of(st.just(1.0), st.floats(start + 0.05, 1.0)))
+    sample = TimeGrid(start * tf, stop * tf, draw(st.integers(1, 40)))
+    return beta, x0, tf, adaptive, sample
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(dp45_problems())
+def test_dp45_matches_reference_on_drawn_problems(problem):
+    beta, x0, tf, adaptive, sample = problem
+    p = ModelParams(beta=beta)
+    got = integrate_dp45(controlled_field(p), 0.0, tf, x0, adaptive, sample)
+    want, _ = ref_integrate_dp45(ref_field(p), 0.0, tf, x0, adaptive, sample)
+    assert np.array_equal(got.states, want)
