@@ -32,10 +32,6 @@ from .integrators import Trajectory
 ADJOINT_MODES = ("derived", "verbatim")
 
 
-class DegeneratePopulation(ValueError):
-    """Total population is zero, so per-capita rates are undefined."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Epidemiological rates, all per year except the dimensionless etas.
@@ -94,7 +90,7 @@ def rhs_absolute(p: ModelParams, x: np.ndarray) -> np.ndarray:
     S, I, C, A = x
     N = S + I + C + A
     if N <= 0.0:
-        raise DegeneratePopulation(f"total population must be positive, got {N}")
+        raise ValueError(f"total population must be positive, got {N}")
     lam = (p.beta / N) * (I + p.eta_c * C + p.eta_a * A)   # force of infection
     return np.array([
         p.b * N - lam * S - p.mu * S,

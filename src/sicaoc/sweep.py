@@ -20,7 +20,6 @@ the last iteration's stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -87,8 +86,10 @@ class SweepSettings:
     initial_control: np.ndarray | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.delta_error < math.inf:
-            raise ValueError("delta_error must be positive and finite")
+        # at 1 or above the first test passes on no information: its previous
+        # stack is all but zero, so no row's change can exceed its size
+        if not 0.0 < self.delta_error < 1.0:
+            raise ValueError("delta_error must lie in (0, 1)")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
         self.max_iterations = whole_count("max_iterations", self.max_iterations)

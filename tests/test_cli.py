@@ -425,7 +425,12 @@ class TestUsageErrors:
 
 
 class TestHostileConfig:
-    ROOT_NOT_AN_OBJECT = ("[]", "3", "null")
+    # documents whose error line is pinned in full; a tolerance of 100% or
+    # more passed the first convergence test on no information
+    EXACT = {**dict.fromkeys(("[]", "3", "null"), "config root must be a JSON object"),
+             **dict.fromkeys(('{"control": {"delta_error": 1.0}}',
+                              '{"control": {"delta_error": 1e300}}'),
+                             "invalid control: delta_error must lie in (0, 1)")}
 
     @pytest.mark.parametrize("text", [
         '{"horizon": NaN}', '{"horizon": Infinity}', '{"horizon": -Infinity}',
@@ -437,14 +442,15 @@ class TestHostileConfig:
         '{"horizon": null}', '{"horizon": 5e-324, "steps": 1}',
         '{"output": {"csv": "a\\u0000b"}}', '{"output": {"csv": "a\\nb.csv"}}',
         '{"horizon": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"steps": 2.5}',
-        *ROOT_NOT_AN_OBJECT,
+        *EXACT,
     ], ids=["horizon-nan", "horizon-inf", "horizon-minus-inf", "horizon-1e400",
             "initial-nan", "param-nan", "max-iterations-2.7", "int-past-digit-limit",
             "adjoint-mode-nan", "output-nan", "output-int", "steps-400-digits",
             "steps-past-bound", "refinement-400-digits", "refinements-repeated",
             "horizon-null", "refinement-step-underflow", "output-nul", "output-newline",
             "nested-past-recursion-limit", "steps-fractional",
-            "root-array", "root-number", "root-null"])
+            "root-array", "root-number", "root-null", "delta-error-one",
+            "delta-error-1e300"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
@@ -457,8 +463,8 @@ class TestHostileConfig:
         assert code == 2
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: config: ")
-        if text in self.ROOT_NOT_AN_OBJECT:
-            assert err_lines[0] == "error: config: config root must be a JSON object"
+        if text in self.EXACT:
+            assert err_lines[0] == "error: config: " + self.EXACT[text]
         assert os.listdir(tmp_path) == ["config.json"]
 
 

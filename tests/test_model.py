@@ -3,10 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from sicaoc import (ControlBounds, DegeneratePopulation, ModelParams,
-                    TimeGrid, Trajectory, adjoint_rhs, hamiltonian, integrate_fixed,
-                    objective, optimal_control_law, rhs_absolute, running_cost,
-                    sica_problem)
+from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rhs,
+                    hamiltonian, integrate_fixed, objective, optimal_control_law,
+                    rhs_absolute, running_cost, sica_problem)
 from sicaoc.model import controlled_field, controlled_march
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
@@ -86,7 +85,7 @@ class TestRhsAbsolute:
                                           2.0 * rhs_absolute(params, x))
 
     def test_empty_population_rejected(self, params):
-        with pytest.raises(DegeneratePopulation):
+        with pytest.raises(ValueError, match="^total population must be positive"):
             rhs_absolute(params, np.zeros(4))
 
     def test_all_susceptible(self, params):

@@ -4,11 +4,14 @@ The reference below is the sweep as first written: kernels that build a
 length-4 numpy array per call, forward and backward RK4 passes on numpy
 rows, and a control law evaluated node by node with builtin ``min`` and
 ``max``.  The package runs the same arithmetic on Python floats, so
-every state, costate, control (with the sign of its zeros), iteration
+every state, costate, control (with the signs of their zeros), iteration
 count and margin must agree exactly, not within a tolerance, and so must
-single forward and backward passes under any control.  The Hamiltonian
-on node stacks, and the stationarity residual built on it, must agree
-bit for bit with a per-node loop.
+single forward and backward passes under any control.  The passes and
+the solves are checked twice through the same loops: with the reference
+kernels, and with the package's own point functions ``controlled_field``
+and ``adjoint_rhs``, since each fused march is, bit for bit, an RK4 loop
+over those.  The Hamiltonian on node stacks, and the stationarity
+residual built on it, must agree bit for bit with a per-node loop.
 
 The same reference kernels also give an oracle that owes nothing to the
 sweep: the state and costate equations with the control law substituted,
@@ -122,6 +125,23 @@ def ref_backward(g, xs, u, grid):
     return out
 
 
+# each kernel set gives, for (params, adjoint mode), the fields f(x, u) and g(x, lam, u)
+KERNEL_SETS = {
+    "reference": lambda p, mode: (lambda x, u: ref_rhs(p, x, u),
+                                  lambda x, lam, u: ref_adjoint(p, x, lam, u, mode)),
+    # the package's point functions, which each fused march is an RK4 loop over
+    "public": lambda p, mode: (lambda x, u: np.asarray(controlled_field(p)(0.0, x, u)),
+                               lambda x, lam, u: adjoint_rhs(p, x, lam, u, mode)),
+}
+
+
+def per_kernel_set(cases):
+    """``(case, kernel set)`` parameters; the reference set keeps the case's own id."""
+    return [pytest.param(case, kernels,
+                         id=case if kernels == "reference" else f"{kernels}-{case}")
+            for kernels in KERNEL_SETS for case in cases]
+
+
 def ref_margin(pairs, delta):
     margin = np.inf
     for old, new in pairs:
@@ -189,39 +209,36 @@ def solve_both(prob, settings, f, g, law, x0):
     return result, ref_solve(f, g, law, x0, settings)
 
 
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def assert_same(result, reference):
     xs, lams, control, iterations, margin = reference
-    assert np.array_equal(result.states.states, xs)
-    assert np.array_equal(result.adjoints.states, lams)
-    assert np.array_equal(result.control, control)
-    assert np.array_equal(np.signbit(result.control), np.signbit(control))
+    assert_same_bits(result.states.states, xs)
+    assert_same_bits(result.adjoints.states, lams)
+    assert_same_bits(result.control, control)
     assert result.iterations == iterations
     assert result.final_margin == margin
 
 
-@pytest.mark.parametrize("name", list(SCENARIOS))
-def test_sweep_matches_reference_bitwise(name):
+@pytest.mark.parametrize("name, kernels", per_kernel_set(SCENARIOS))
+def test_sweep_matches_reference_bitwise(name, kernels):
     horizon, steps, u_max, beta, x0, mode, budget = SCENARIOS[name]
     p = ModelParams(beta=beta)
     x0 = np.array(x0)
     settings = SweepSettings(grid=TimeGrid(0.0, horizon, steps), max_iterations=budget)
     result, reference = solve_both(
         sica_problem(p, ControlBounds(u_max), x0, mode), settings,
-        lambda x, u: ref_rhs(p, x, u),
-        lambda x, lam, u: ref_adjoint(p, x, lam, u, mode),
-        lambda x, lam: ref_law(p, x, lam, u_max), x0)
+        *KERNEL_SETS[kernels](p, mode), lambda x, lam: ref_law(p, x, lam, u_max), x0)
     assert_same(result, reference)
 
 
-def assert_same_bits(a, b):
-    assert np.array_equal(a, b)
-    assert np.array_equal(np.signbit(a), np.signbit(b))
-
-
-@pytest.mark.parametrize("mode", ["derived", "verbatim"])
+@pytest.mark.parametrize("mode, kernels", per_kernel_set(["derived", "verbatim"]))
 # 1, 2 and 3 steps are the edges of the costate march's term-table walk
 @pytest.mark.parametrize("steps", [1, 2, 3, 37])
-def test_passes_match_reference_bitwise_for_any_control(mode, steps):
+def test_passes_match_reference_bitwise_for_any_control(mode, kernels, steps):
     # no rate of 1.0, which would hide a regrouped product such as d * c
     p = ModelParams(mu=0.017, beta=1.7, eta_c=0.04, eta_a=1.35, phi=0.93,
                     rho=0.11, alpha=0.31, omega=0.087, d=0.77)
@@ -229,8 +246,7 @@ def test_passes_match_reference_bitwise_for_any_control(mode, steps):
     grid = TimeGrid(0.0, 5.0, steps)
     x0 = rng.dirichlet(np.ones(4))
     prob = sica_problem(p, ControlBounds(0.5), x0, mode)
-    f = lambda x, u: ref_rhs(p, x, u)
-    g = lambda x, lam, u: ref_adjoint(p, x, lam, u, mode)
+    f, g = KERNEL_SETS[kernels](p, mode)
     for _ in range(20):
         # controls off the admissible set, and signed zeros, included
         u = rng.uniform(-1.0, 2.0, size=grid.node_count)
@@ -248,10 +264,8 @@ def test_constant_law_matches_reference_bitwise(params):
     prob.control_law = lambda x, lam: np.full(len(x), 0.3)
     settings = SweepSettings(grid=TimeGrid(0.0, 20.0, 100), relaxation=1.0,
                              initial_control=np.full(101, 0.3))
-    result, reference = solve_both(
-        prob, settings, lambda x, u: ref_rhs(params, x, u),
-        lambda x, lam, u: ref_adjoint(params, x, lam, u, "derived"),
-        lambda x, lam: 0.3, x0)
+    result, reference = solve_both(prob, settings, *KERNEL_SETS["reference"](params, "derived"),
+                                   lambda x, lam: 0.3, x0)
     assert_same(result, reference)
 
 
@@ -326,8 +340,7 @@ def test_vectorized_law_matches_per_node_reference(params, u_max):
     lams[:100, 1] = np.abs(lams[:100, 0]) + 1.0
     law = optimal_control_law(params, xs, lams, ControlBounds(u_max))
     expected = np.array([ref_law(params, xs[k], lams[k], u_max) for k in range(300)])
-    assert np.array_equal(law, expected)
-    assert np.array_equal(np.signbit(law), np.signbit(expected))
+    assert_same_bits(law, expected)
 
 
 # ------------------------------------------------------------- collocation oracle
