@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import math
 import os
@@ -493,6 +494,8 @@ def cmd_orders(config: RunConfig, args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ main
 
 
+# built once per process: parsing leaves the tree as it was, and its defaults are constants
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sicaoc",

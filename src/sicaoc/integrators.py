@@ -102,7 +102,7 @@ class Trajectory:
 
 @dataclass
 class AdaptiveSettings:
-    """Error control and step budget of the Dormand-Prince integrator."""
+    """Error control of ``integrate_dp45``; ``max_steps`` counts rejected trial steps too."""
 
     reltol: float = 1e-6
     abstol: float = 1e-9

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sicaoc
-from sicaoc import NumericalFailure
+from sicaoc import NumericalFailure, cli
 from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, emit_plot_script,
                         load_config, main, parse_config)
 
@@ -422,6 +422,59 @@ class TestUsageErrors:
         assert run(argv) == 0
         captured = capsys.readouterr()
         assert captured.out and not captured.err
+
+
+class TestReusedParser:
+    """``main`` builds its parser on the first call and reuses it in the process."""
+
+    def test_one_tree_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_import_builds_no_parser(self):
+        # a parser built at import would add to every process's start-up time
+        code = "import sicaoc.cli as c; print(c._build_parser.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "0\n"
+
+    def test_options_and_defaults_do_not_carry_over(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+
+        def config(stem):
+            return json.loads((tmp_path / f"{stem}.manifest.json").read_text())["config"]
+
+        assert run(["simulate", "--method", "rk4", "--plot", "--out", "a.csv"]) == 0
+        assert run(["simulate", "--method", "euler", "--out", "b.csv"]) == 0
+        assert (tmp_path / "a.states.gp").is_file()
+        assert not (tmp_path / "b.states.gp").exists()
+        assert run(["optimize", "--adjoint", "verbatim", "--out", "v.csv"]) == 0
+        assert run(["optimize", "--out", "d.csv"]) == 0
+        assert config("v")["adjoint_mode"] == "verbatim"
+        assert (config("d")["adjoint_mode"], config("d")["steps"]) == ("derived", 1000)
+        assert run(["compare", "--out", "c.csv"]) == 0
+        assert config("c")["steps"] == 100
+
+    def test_each_call_gives_its_own_exit_and_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        calls = [["simulate", "--method", "rk3"], ["--version"], ["--help"],
+                 ["simulate", "--method", "rk4"]]
+
+        def outputs(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                got.append((run(argv), *capsys.readouterr()))
+            return got
+
+        reused = outputs(fresh=False)
+        (code, out, err), version, helped, simulated = reused
+        assert (code, out) == (2, "")
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        assert version == (0, f"sicaoc {sicaoc.__version__}\n", "")
+        assert helped[0] == 0 and helped[1].startswith("usage: sicaoc ") and helped[2] == ""
+        assert simulated[0] == 0 and simulated[1] and simulated[2] == ""
+        assert reused == outputs(fresh=True)
 
 
 class TestHostileConfig:
