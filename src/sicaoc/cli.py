@@ -45,8 +45,7 @@ from .analysis import (OCTAVE_ODE45_BASELINE, ORDER_BANDS, REFINEMENTS, TIGHT_RE
 from .integrators import (FIXED_METHODS, AdaptiveSettings, NumericalFailure,
                           TimeGrid, first_step, integrate_dp45, integrate_fixed)
 from .model import ADJOINT_MODES, ControlBounds, ModelParams, controlled_field, objective
-from .sweep import (SweepNonConvergence, SweepSettings, forward_pass,
-                    sica_problem, solve)
+from .sweep import SweepNonConvergence, SweepSettings, sica_problem, solve
 
 SIMULATE_HEADER = ("t", "s", "i", "c", "a")
 OPTIMIZE_HEADER = SIMULATE_HEADER + ("u", "lambda1", "lambda2", "lambda3", "lambda4")
@@ -233,7 +232,9 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(map(str, row)) for row in (header, *rows)]
+    # "%s" is str() of each cell; one format per row skips a call per cell
+    row_format = ",".join(["%s"] * len(header))
+    lines = [row_format % tuple(row) for row in (header, *rows)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -394,9 +395,9 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
         result, failure = solve(problem, config.sweep), None
     except SweepNonConvergence as exc:
         result, failure = exc.result, exc
-    zero_u = np.zeros(grid.node_count)
-    uncontrolled = forward_pass(problem, zero_u, grid)
-    j_zero = objective(uncontrolled, zero_u)
+    # the config has no initial control, so the sweep's first pass is the uncontrolled run
+    uncontrolled = result.initial_states
+    j_zero = objective(uncontrolled, np.zeros(grid.node_count))
     times = grid.nodes()
     summary = [f"optimize steps={grid.steps} horizon={grid.tf} "
                f"u_max={config.bounds.u_max} adjoint={config.adjoint_mode}",

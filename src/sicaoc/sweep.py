@@ -15,7 +15,8 @@ previous iterate falls below the tolerance.  The nine are the rows of
 one C-ordered ``(9, n)`` stack, which ``relative_change_test`` reduces
 row by row.  The first test's previous stack is zero apart from the
 initial state at node 0 and the initial control; every later one is
-the last iteration's stack.
+the last iteration's stack.  The first forward pass, the states under
+the initial control, is kept on the result.
 """
 
 from __future__ import annotations
@@ -108,10 +109,13 @@ class SweepResult:
     state/costate pair, so it satisfies the Hamiltonian maximality
     condition exactly at every node; the relaxed iterate is internal to
     the iteration.  The costate trajectory ends exactly at zero.
+    ``initial_states`` is the first forward pass, under the initial
+    control: the uncontrolled run unless ``initial_control`` is set.
     """
 
     states: Trajectory
     adjoints: Trajectory
+    initial_states: Trajectory
     control: np.ndarray
     iterations: int
     converged: bool
@@ -177,6 +181,8 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
     # whole_count makes the budget at least 1, so the loop binds every name it sets
     for iterations in range(1, settings.max_iterations + 1):
         x_traj = forward_pass(prob, u, grid)
+        if iterations == 1:
+            initial_states = x_traj
         lam_traj = backward_pass(prob, x_traj, u)
         u = update_control(prob, x_traj, lam_traj, u, settings.relaxation)
         new = np.empty((9, n))
@@ -187,8 +193,8 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
             break
         old = new
     control = prob.control_law(x_traj.states, lam_traj.states)
-    result = SweepResult(states=x_traj, adjoints=lam_traj, control=control,
-                         iterations=iterations, converged=converged,
+    result = SweepResult(states=x_traj, adjoints=lam_traj, initial_states=initial_states,
+                         control=control, iterations=iterations, converged=converged,
                          objective=objective(x_traj, control), final_margin=margin)
     if not converged:
         raise SweepNonConvergence(

@@ -305,6 +305,36 @@ class TestOptimize:
         control = (tmp_path / "opt.control.gp").read_text()
         assert '"t":"u"' in control
 
+    def test_marches_forward_once_per_iteration(self, tmp_path, monkeypatch):
+        # counted where perfbench's Tracer.wrap_problem counts: J(0) and the
+        # uncontrolled CSV come from the sweep's first pass, not from one more march
+        marches = []
+
+        def counting_problem(*args):
+            problem = sica_problem(*args)
+            march = problem.state_field
+            problem.state_field = lambda *a: marches.append(a) or march(*a)
+            return problem
+        sica_problem = cli.sica_problem
+        monkeypatch.setattr(cli, "sica_problem", counting_problem)
+        cfg = write_config(tmp_path, {"steps": 200})
+        assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "opt.csv"),
+                    "--plot"]) == 0
+        manifest = json.loads((tmp_path / "opt.manifest.json").read_text())
+        assert len(marches) == manifest["diagnostics"]["iterations"]
+
+
+class TestWriteCsv:
+    def test_rows_keep_the_bytes_of_str_per_cell(self, tmp_path):
+        header = ("method", "steps", "value", "note")
+        rows = [("rk4", 100, 0.1, "a b"), ["euler", 10 ** 20, -0.0, 5e-324],
+                (np.str_("rk2"), np.int64(-7), np.float64(1 / 3), 1.5e308),
+                [1, 2.0, float("inf"), float("nan")]]
+        out = tmp_path / "mixed.csv"
+        cli.write_csv(out, header, rows)
+        expected = "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+        assert out.read_bytes() == expected.encode()
+
 
 class TestCompare:
     def test_tables_and_baseline_column(self, tmp_path, capsys):

@@ -365,6 +365,27 @@ class TestSolve:
         assert result.iterations == 1
         assert result.states.states.shape == (101, 4)
 
+    @pytest.mark.parametrize("start", ["zero", "given", "not-converged"])
+    def test_initial_states_are_the_first_forward_pass_bitwise(self, problem, start):
+        grid = TimeGrid(0.0, 20.0, 100)
+        u0 = np.zeros(101)
+        if start == "not-converged":
+            with pytest.raises(SweepNonConvergence) as exc:
+                solve(problem, SweepSettings(grid=grid, delta_error=1e-12, max_iterations=1))
+            result = exc.value.result
+        elif start == "given":
+            u0 = np.linspace(0.0, 0.4, 101)
+            result = solve(problem, SweepSettings(grid=grid, initial_control=u0))
+        else:
+            result = solve(problem, SweepSettings(grid=grid))
+        got = result.initial_states.states
+        expected = forward_pass(problem, u0, grid).states
+        # the same float64 bytes: equal values with the same sign bits
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        if start == "given":
+            assert not np.array_equal(got, forward_pass(problem, np.zeros(101), grid).states)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 3: the reported J mixes two iterates")
     def test_converged_objective_is_not_below_the_uncontrolled_one(self, default_sweep):
