@@ -395,7 +395,7 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
         result, failure = solve(problem, config.sweep), None
     except SweepNonConvergence as exc:
         result, failure = exc.result, exc
-    # the config has no initial control, so the sweep's first pass is the uncontrolled run
+    # the sweep starts from the zero control: its first pass is the uncontrolled run
     uncontrolled = result.initial_states
     j_zero = objective(uncontrolled, np.zeros(grid.node_count))
     times = grid.nodes()

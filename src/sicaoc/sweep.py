@@ -13,10 +13,10 @@ budget and stops once the relative change of all nine tracked vectors
 (four state columns, the control, four costate columns) against the
 previous iterate falls below the tolerance.  The nine are the rows of
 one C-ordered ``(9, n)`` stack, which ``relative_change_test`` reduces
-row by row.  The first test's previous stack is zero apart from the
-initial state at node 0 and the initial control; every later one is
-the last iteration's stack.  The first forward pass, the states under
-the initial control, is kept on the result.
+row by row.  The sweep starts from the zero control, so the first
+test's previous stack is zero apart from the initial state at node 0;
+every later one is the last iteration's stack.  The first forward
+pass, the uncontrolled run, is kept on the result.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ class SweepSettings:
     delta_error: float = 1e-3
     relaxation: float = 0.5
     max_iterations: int = 500
-    initial_control: np.ndarray | None = None
 
     def __post_init__(self):
         # at 1 or above the first test passes on no information: its previous
@@ -94,11 +93,6 @@ class SweepSettings:
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
         self.max_iterations = whole_count("max_iterations", self.max_iterations)
-        if self.initial_control is not None:
-            self.initial_control = self.grid.node_values("initial control",
-                                                         self.initial_control)
-            if not np.isfinite(self.initial_control).all():
-                raise ValueError("initial control must be finite")
 
 
 @dataclass
@@ -109,8 +103,7 @@ class SweepResult:
     state/costate pair, so it satisfies the Hamiltonian maximality
     condition exactly at every node; the relaxed iterate is internal to
     the iteration.  The costate trajectory ends exactly at zero.
-    ``initial_states`` is the first forward pass, under the initial
-    control: the uncontrolled run unless ``initial_control`` is set.
+    ``initial_states`` is the first forward pass: the uncontrolled run.
     """
 
     states: Trajectory
@@ -175,9 +168,9 @@ def solve(prob: OcProblem, settings: SweepSettings) -> SweepResult:
     """
     grid = settings.grid
     n = grid.node_count
-    u = np.zeros(n) if settings.initial_control is None else settings.initial_control.copy()
+    u = np.zeros(n)
     old = np.zeros((9, n))
-    old[:4, 0], old[4] = prob.x0, u
+    old[:4, 0] = prob.x0
     # whole_count makes the budget at least 1, so the loop binds every name it sets
     for iterations in range(1, settings.max_iterations + 1):
         x_traj = forward_pass(prob, u, grid)

@@ -6,7 +6,7 @@ import pytest
 from sicaoc import (AdaptiveSettings, ControlBounds, ModelParams, SweepSettings,
                     TimeGrid)
 from sicaoc.analysis import reference_trajectory
-from sicaoc.sweep import forward_pass, sica_problem, solve
+from sicaoc.sweep import sica_problem, solve
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -36,7 +36,5 @@ def default_sweep(params):
     start = time.perf_counter()
     result = solve(problem, settings)
     elapsed = time.perf_counter() - start
-    zero_u = np.zeros(settings.grid.node_count)
-    uncontrolled = forward_pass(problem, zero_u, settings.grid)
     return {"problem": problem, "result": result, "elapsed": elapsed,
-            "uncontrolled": uncontrolled, "settings": settings}
+            "uncontrolled": result.initial_states, "settings": settings}

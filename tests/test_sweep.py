@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -346,11 +347,10 @@ class TestSolve:
         prob = sica_problem(params, ControlBounds(0.5), X0)
         prob.control_law = lambda x, lam: np.full(len(x), 0.3)
         grid = TimeGrid(0.0, 20.0, 100)
-        settings = SweepSettings(grid=grid, relaxation=1.0,
-                                 initial_control=np.full(101, 0.3))
-        result = solve(prob, settings)
+        result = solve(prob, SweepSettings(grid=grid, relaxation=1.0))
         assert result.converged
-        assert result.iterations <= 2
+        # from zero the first update sets 0.3, and the third iterate repeats the second
+        assert result.iterations <= 3
         np.testing.assert_array_equal(result.control, np.full(101, 0.3))
 
     def test_exhaustion_raises_with_last_iterate(self, params):
@@ -365,26 +365,20 @@ class TestSolve:
         assert result.iterations == 1
         assert result.states.states.shape == (101, 4)
 
-    @pytest.mark.parametrize("start", ["zero", "given", "not-converged"])
+    @pytest.mark.parametrize("start", ["zero", "not-converged"])
     def test_initial_states_are_the_first_forward_pass_bitwise(self, problem, start):
         grid = TimeGrid(0.0, 20.0, 100)
-        u0 = np.zeros(101)
         if start == "not-converged":
             with pytest.raises(SweepNonConvergence) as exc:
                 solve(problem, SweepSettings(grid=grid, delta_error=1e-12, max_iterations=1))
             result = exc.value.result
-        elif start == "given":
-            u0 = np.linspace(0.0, 0.4, 101)
-            result = solve(problem, SweepSettings(grid=grid, initial_control=u0))
         else:
             result = solve(problem, SweepSettings(grid=grid))
         got = result.initial_states.states
-        expected = forward_pass(problem, u0, grid).states
+        expected = forward_pass(problem, np.zeros(101), grid).states
         # the same float64 bytes: equal values with the same sign bits
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
-        if start == "given":
-            assert not np.array_equal(got, forward_pass(problem, np.zeros(101), grid).states)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="ROADMAP item 3: the reported J mixes two iterates")
@@ -394,14 +388,6 @@ class TestSolve:
         result = solve(default_sweep["problem"], SweepSettings(delta_error=0.5))
         j_zero = objective(default_sweep["uncontrolled"], np.zeros(1001))
         assert not result.converged or result.objective >= j_zero
-
-    def test_restart_from_converged_control_is_stable(self, params, default_sweep):
-        base = default_sweep["result"]
-        prob = sica_problem(params, ControlBounds(0.5), X0)
-        settings = SweepSettings(initial_control=base.control)
-        again = solve(prob, settings)
-        assert again.iterations <= 2
-        assert np.abs(again.control - base.control).max() <= 1e-3
 
 
 class TestSweepSettings:
@@ -429,20 +415,17 @@ class TestSweepSettings:
             with pytest.raises(ValueError):
                 SweepSettings(max_iterations=bad)
         assert type(SweepSettings(max_iterations=3.0).max_iterations) is int
-        with pytest.raises(ValueError):
-            SweepSettings(initial_control=np.zeros(3))
-        # rejected here, not reported later as a non-finite state of the forward pass
-        for bad in (float("nan"), float("inf")):
-            u = np.zeros(1001)
-            u[50] = bad
-            with pytest.raises(ValueError, match="initial control must be finite"):
-                SweepSettings(initial_control=u)
+
+    def test_settable_surface_is_the_grid_tolerance_weight_and_budget(self):
+        # the sweep always starts from the zero control: no start is settable
+        assert [f.name for f in fields(SweepSettings)] == [
+            "grid", "delta_error", "relaxation", "max_iterations"]
+        with pytest.raises(TypeError):
+            SweepSettings(initial_control=np.zeros(1001))
 
 
 NODE_VECTOR_CALLERS = {
     "objective": lambda prob, x, lam, u: objective(x, u),
-    "initial_control": lambda prob, x, lam, u: SweepSettings(grid=x.grid,
-                                                             initial_control=u),
     "forward_pass": lambda prob, x, lam, u: forward_pass(prob, u, x.grid),
     "backward_pass": lambda prob, x, lam, u: backward_pass(prob, x, u),
     "update_control": lambda prob, x, lam, u: update_control(prob, x, lam, u, 0.5),
