@@ -560,7 +560,3 @@ def entry() -> None:
     except OSError:   # else the interpreter's exit flush fails again, on stderr
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    entry()
