@@ -89,10 +89,9 @@ def reference_trajectory(params: ModelParams, x0: np.ndarray, grid: TimeGrid,
     return integrate_dp45(controlled_field(params), grid.t0, grid.tf, x0, settings, grid)
 
 
-def terminal_reference(params: ModelParams, x0: np.ndarray, t0: float = 0.0,
-                       tf: float = 20.0) -> np.ndarray:
-    """State at tf of a ``TIGHT_REFERENCE`` adaptive run, the order studies' truth."""
-    return reference_trajectory(params, x0, TimeGrid(t0, tf, 1), TIGHT_REFERENCE).states[-1]
+def terminal_reference(params: ModelParams, x0: np.ndarray, tf: float) -> np.ndarray:
+    """State at tf of a ``TIGHT_REFERENCE`` adaptive run from t=0, the order studies' truth."""
+    return reference_trajectory(params, x0, TimeGrid(0.0, tf, 1), TIGHT_REFERENCE).states[-1]
 
 
 def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
@@ -108,9 +107,9 @@ def build_norm_table(method: str, params: ModelParams, x0: np.ndarray,
             for k, var in enumerate(VARIABLES)}
 
 
-def refinement_grids(refinements: Sequence[int], t0: float, tf: float) -> list[TimeGrid]:
-    """The order-study grids on [t0, tf]: at least 3, of distinct integer step counts."""
-    grids = [TimeGrid(t0, tf, m) for m in refinements]
+def refinement_grids(refinements: Sequence[int], tf: float) -> list[TimeGrid]:
+    """The order-study grids on [0, tf]: at least 3, of distinct integer step counts."""
+    grids = [TimeGrid(0.0, tf, m) for m in refinements]
     steps = [grid.steps for grid in grids]
     if len(steps) < 3 or len(set(steps)) != len(steps):
         raise ValueError(f"refinements must be at least 3 distinct step counts, got {steps}")
@@ -118,20 +117,19 @@ def refinement_grids(refinements: Sequence[int], t0: float, tf: float) -> list[T
 
 
 def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
-                      refinements: Sequence[int] = REFINEMENTS,
-                      t0: float = 0.0, tf: float = 20.0,
+                      refinements: Sequence[int] = REFINEMENTS, tf: float = 20.0,
                       reference: np.ndarray | None = None) -> OrderStudy:
-    """Empirical order from terminal errors against a tight adaptive run.
+    """Empirical order from terminal errors at tf against a tight adaptive run from t=0.
 
     ``reference`` is that run's state at tf (see ``terminal_reference``);
     pass it to share one reference between several methods.  Raises
     ``NumericalFailure`` when a terminal error is exactly zero, as at an
     equilibrium, because the fit is on log-errors.
     """
-    grids = refinement_grids(refinements, t0, tf)
+    grids = refinement_grids(refinements, tf)
     f = controlled_field(params)
     if reference is None:
-        reference = terminal_reference(params, x0, t0, tf)
+        reference = terminal_reference(params, x0, tf)
     errs = []
     for grid in grids:
         end = integrate_fixed(method, f, grid, x0).states[-1]

@@ -102,16 +102,14 @@ class Trajectory:
 
 @dataclass
 class AdaptiveSettings:
-    """Error control of ``integrate_dp45``; ``max_steps`` counts rejected trial steps too."""
+    """The error tolerances of ``integrate_dp45``; its step budget is ``MAX_STEPS``."""
 
     reltol: float = 1e-6
     abstol: float = 1e-9
-    max_steps: int = 1_000_000
 
     def __post_init__(self):
         if not (0 < self.reltol < inf and 0 < self.abstol < inf):
             raise ValueError("tolerances must be positive and finite")
-        self.max_steps = whole_count("max_steps", self.max_steps)
 
 
 def whole_count(name: str, value) -> int:
@@ -222,6 +220,7 @@ _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
 _ERR_EXPONENT = -0.2  # embedded estimate is O(h^5)
+MAX_STEPS = 1_000_000  # trial steps, rejected ones included, before integrate_dp45 fails
 
 
 def _dp_step(f: VectorField, t: float, x: list, h: float):
@@ -279,10 +278,9 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
             clipped = t + h >= target
             h_try = target - t if clipped else h
             attempts += 1
-            if attempts > settings.max_steps:
-                raise NumericalFailure(
-                    f"exceeded {settings.max_steps} steps at t={t} "
-                    f"(reached sample {len(recorded)})")
+            if attempts > MAX_STEPS:
+                raise NumericalFailure(f"exceeded {MAX_STEPS} steps at t={t} "
+                                       f"(reached sample {len(recorded)})")
             x_new, err = _dp_step(f, t, x, h_try)
             if not all(map(isfinite, x_new)):
                 raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)

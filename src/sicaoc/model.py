@@ -272,7 +272,7 @@ def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float]
     return march
 
 
-def costate_march(p: ModelParams, mode: str = "derived"
+def costate_march(p: ModelParams, mode: str
                   ) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
     """The sweep's backward pass as one kernel ``(states, u, h) -> costates``.
 

@@ -1,10 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from sicaoc import ControlBounds, NumericalFailure, SweepSettings, TimeGrid, integrate_fixed
 from sicaoc.analysis import (OCTAVE_ODE45_BASELINE, VARIABLES, NormTriple,
                              build_norm_table, convergence_order, diff_norms,
-                             simplex_drift, stationarity_residual,
+                             refinement_grids, simplex_drift, stationarity_residual,
                              terminal_reference)
 from sicaoc.model import controlled_field
 from sicaoc.sweep import sica_problem, solve
@@ -87,8 +89,14 @@ class TestConvergenceOrder:
         with pytest.raises(NumericalFailure, match="exactly 0"):
             convergence_order("rk4", params, equilibrium)
 
+    def test_the_grids_start_at_zero(self):
+        # the model is autonomous, so the order-study API takes no start time
+        for fn in (refinement_grids, terminal_reference, convergence_order):
+            assert "t0" not in inspect.signature(fn).parameters
+        assert refinement_grids((100, 200, 400), 5.0)[0] == TimeGrid(0.0, 5.0, 100)
+
     def test_shared_reference_gives_the_same_study(self, params):
-        reference = terminal_reference(params, X0, 0.0, 20.0)
+        reference = terminal_reference(params, X0, 20.0)
         own = convergence_order("rk2", params, X0)
         shared = convergence_order("rk2", params, X0, reference=reference)
         assert shared == own

@@ -597,6 +597,7 @@ class TestOverflowingStages:
                               cwd=tmp_path, env=child_env(), capture_output=True, text=True)
         err_lines = proc.stderr.splitlines()
         assert proc.returncode == 3
+        assert proc.stdout == ""
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: numeric: ")
         return err_lines[0]
@@ -634,6 +635,14 @@ class TestOverflowingStages:
         assert self.run_child(tmp_path, doc, ["compare"]) == (
             "error: numeric: rk2 produced a non-finite state at node 90")
 
+    def test_overflowing_norms_of_finite_states_write_nothing(self, tmp_path):
+        # every method succeeds and Euler's states stay finite (up to 2.8e306),
+        # but its 2-norms overflow, which no strict-JSON manifest can hold
+        doc = {"params": {"d": 165.08083705360366}, "horizon": 1.7098773859679104}
+        assert self.run_child(tmp_path, doc, ["compare"]) == (
+            "error: numeric: euler difference norms vs the reference are not finite")
+        assert os.listdir(tmp_path) == ["config.json"]
+
 
 def one_error_line(capsys, category):
     captured = capsys.readouterr()
@@ -652,6 +661,17 @@ class TestExitContract:
         monkeypatch.chdir(tmp_path)
         assert run(["optimize"]) == 3
         assert one_error_line(capsys, "numeric")[1] == "error: numeric: probe"
+
+    def test_non_finite_difference_norms_exit_3(self, tmp_path, capsys, monkeypatch):
+        # compare checks its tables before it writes a file (see TestOverflowingStages)
+        cfg = write_config(tmp_path, {"params": {"d": 165.08083705360366},
+                                      "horizon": 1.7098773859679104})
+        monkeypatch.chdir(tmp_path)
+        assert run(["compare", "--config", cfg]) == 3
+        out, err = one_error_line(capsys, "numeric")
+        assert err == "error: numeric: euler difference norms vs the reference are not finite"
+        assert out == ""
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -702,11 +722,14 @@ class TestOutputPaths:
         ("link.csv", "[Errno 2] No such file or directory: 'link.csv'"),
         ("loop.csv", "[Errno 40] Too many levels of symbolic links: 'loop.csv'"),
         ("a" * 300 + ".csv", f"[Errno 36] File name too long: '{'a' * 300}.csv'"),
-    ], ids=["link-into-missing-directory", "symlink-loop", "name-too-long"])
+        ("afile/x.csv", "[Errno 20] Not a directory: 'afile/x.csv'"),
+    ], ids=["link-into-missing-directory", "symlink-loop", "name-too-long",
+            "file-as-directory"])
     def test_resolved_path_fails_before_the_solve(self, capsys, monkeypatch, out, message):
         # each path is checked after every symlink is followed
         os.symlink("nodir/target.csv", "link.csv")
         os.symlink("loop.csv", "loop.csv")
+        Path("afile").touch()
         monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
         assert run(["optimize", "--out", out]) == 4
         stdout, err = one_error_line(capsys, "io")

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,18 +134,17 @@ class TestAdaptiveSettings:
             AdaptiveSettings(abstol=-1e-9)
 
     @pytest.mark.parametrize("kwargs", [
-        {"reltol": np.nan}, {"reltol": np.inf}, {"abstol": np.nan},
-        {"max_steps": np.nan}, {"max_steps": np.inf}])
+        {"reltol": np.nan}, {"reltol": np.inf}, {"abstol": np.nan}])
     def test_rejects_non_finite_settings(self, kwargs):
-        # a NaN reltol used to reject every step until max_steps, and a NaN
-        # max_steps to never stop at the step budget
-        with pytest.raises(ValueError, match="integer" if "max_steps" in kwargs else "finite"):
+        # a NaN reltol used to reject every step until the step budget
+        with pytest.raises(ValueError, match="finite"):
             AdaptiveSettings(**kwargs)
 
-    @pytest.mark.parametrize("max_steps", [0, 2.5, True])
-    def test_max_steps_must_be_an_integer(self, max_steps):
-        with pytest.raises(ValueError, match="max_steps must be an integer"):
-            AdaptiveSettings(max_steps=max_steps)
+    def test_the_tolerances_are_the_only_settings(self):
+        # the step budget is the constant MAX_STEPS, not a setting
+        assert [f.name for f in fields(AdaptiveSettings)] == ["reltol", "abstol"]
+        with pytest.raises(TypeError):
+            AdaptiveSettings(max_steps=5)
 
 
 class TestSteps:
@@ -288,18 +289,11 @@ class TestIntegrateDp45:
         np.testing.assert_allclose(traj.states[:, 0],
                                    np.exp([0.5, 1.0, 1.5]), rtol=1e-8)
 
-    def test_step_budget_enforced(self, params, x0):
-        settings = AdaptiveSettings(max_steps=5)
+    def test_step_budget_enforced(self, params, x0, monkeypatch):
+        monkeypatch.setattr("sicaoc.integrators.MAX_STEPS", 5)
         with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
             integrate_dp45(controlled_field(params), 0.0, 20.0,
-                           x0, settings, TimeGrid(0.0, 20.0, 100))
-
-    def test_integral_float_budget_means_that_integer(self, params, x0):
-        settings = AdaptiveSettings(max_steps=5.0)
-        assert type(settings.max_steps) is int
-        with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
-            integrate_dp45(controlled_field(params), 0.0, 20.0,
-                           x0, settings, TimeGrid(0.0, 20.0, 100))
+                           x0, AdaptiveSettings(), TimeGrid(0.0, 20.0, 100))
 
     def test_a_state_with_no_components_matches_integrate_fixed(self):
         grid = TimeGrid(0.0, 1.0, 4)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
                     NumericalFailure, TimeGrid, integrate_dp45,
-                    integrate_fixed)
+                    integrate_fixed, integrators)
 from sicaoc.model import controlled_field
 
 
@@ -123,8 +123,8 @@ def ref_integrate_dp45(f, t0, tf, x0, settings, sample, branches=None):
         clipped = t + h >= target
         h_try = target - t if clipped else h
         attempts += 1
-        if attempts > settings.max_steps:
-            raise NumericalFailure(f"exceeded {settings.max_steps} steps at t={t}")
+        if attempts > integrators.MAX_STEPS:
+            raise NumericalFailure(f"exceeded {integrators.MAX_STEPS} steps at t={t}")
         x_new, err = ref_dp_step(f, t, x, h_try)
         if not np.isfinite(x_new).all():
             raise IntegrationFailure(f"non-finite adaptive step at t={t}", t=t)
