@@ -185,6 +185,18 @@ class TestSteps:
         out = step_rk4(lambda t, x: np.array([t]), 0.0, np.array([0.0]), 1.0)
         assert out == pytest.approx([0.5], rel=1e-15)
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_four_component_steps_need_one_field_value_per_component(self, width):
+        # the written-out four-component arithmetic unpacks the field's values,
+        # where the comprehensions of every other size would truncate them
+        f = lambda t, x: [0.0] * width
+        x = [0.6, 0.2, 0.1, 0.1]
+        for step in (step_euler, step_rk2, step_rk4):
+            with pytest.raises(ValueError, match="values to unpack"):
+                step(f, 0.0, x, 0.1)
+        with pytest.raises(ValueError, match="values to unpack"):
+            integrate_dp45(f, 0.0, 1.0, x, AdaptiveSettings(), TimeGrid(0.0, 1.0, 1))
+
     def test_step_raises_on_overflow(self):
         # x' = x^3 from 1e100: Euler reaches 1e300 at node 1 and overflows
         # at node 2; the stages of RK2 and RK4 overflow within the first step

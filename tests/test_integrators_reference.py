@@ -181,6 +181,17 @@ def ref_forced_oscillator(t, x):
     return np.array([x[1], -x[0] - 0.1 * x[1] + math.sin(t)])
 
 
+def forced_quartet(t, x):
+    # four components, so the steps take their written-out branch, and terms
+    # in t, t * t and sin(t), so a wrong stage time changes the states
+    a, b, c, d = x
+    return [b - t * a, math.sin(t) * c - a, 0.3 * t * t * d - 0.5 * c, 0.1 * t - a * d]
+
+
+def ref_forced_quartet(t, x):
+    return np.array(forced_quartet(t, x))
+
+
 # ----------------------------------------------------------------- cases
 
 SCENARIOS = [
@@ -211,10 +222,32 @@ def test_fixed_matches_reference_on_a_time_dependent_field(method):
     assert np.array_equal(got.states, want)
 
 
+@pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
+@pytest.mark.parametrize("steps", [1, 7, 100])
+def test_fixed_matches_reference_on_a_time_dependent_four_component_field(method, steps):
+    grid = TimeGrid(-0.5, 3.0, steps)
+    x0 = [0.4, -0.3, 0.8, 0.2]
+    got = integrate_fixed(method, forced_quartet, grid, x0)
+    want = ref_integrate_fixed(method, ref_forced_quartet, grid, x0)
+    assert np.array_equal(got.states, want)
+
+
 SETTINGS = {
     "default": AdaptiveSettings(),
     "tight": AdaptiveSettings(reltol=1e-12, abstol=1e-14),
 }
+
+
+@pytest.mark.parametrize("name", list(SETTINGS))
+def test_dp45_matches_reference_on_a_time_dependent_four_component_field(name):
+    sample = TimeGrid(-0.5, 3.0, 10)
+    x0 = [0.4, -0.3, 0.8, 0.2]
+    got = integrate_dp45(forced_quartet, -0.5, 3.0, x0, SETTINGS[name], sample)
+    want, rejected = ref_integrate_dp45(ref_forced_quartet, -0.5, 3.0, np.array(x0),
+                                        SETTINGS[name], sample)
+    assert np.array_equal(got.states, want)
+    if name == "tight":
+        assert rejected > 0
 
 
 @pytest.mark.parametrize("name", list(SETTINGS))
