@@ -13,9 +13,10 @@ tuple or 1-D array).  The steppers do their arithmetic on Python
 floats, which keeps numpy's per-call overhead out of the step loops;
 the results equal the element-wise numpy arithmetic bit for bit.  For
 a four-component state the steps and the Dormand-Prince stage inputs
-are written out component by component, with the operands and order of
-the comprehensions that every other size takes, so both give the same
-bits; there a field that returns the wrong number of values raises
+and 5th-order update are written out component by component, with the
+operands and order of the comprehensions that every other size takes,
+and the stage array is built from the unpacked values, so both give the
+same bits; there a field that returns the wrong number of values raises
 ``ValueError`` instead of being truncated.
 """
 
@@ -182,12 +183,15 @@ def integrate_fixed(method: str, f: VectorField, grid: TimeGrid,
     except KeyError:
         raise ValueError(f"unknown fixed-step method {method!r}") from None
     x = np.asarray(x0, dtype=float).tolist()
+    width = len(x)
     t0, h = grid.t0, grid.h
-    rows = [x]
+    # one flat list of node values: a field that returns too few fails the reshape
+    rows = list(x)
     for k in range(grid.steps):
         x = step(f, t0 + k * h, x, h)
-        rows.append(x)
-    return march_trajectory(grid, rows, f"{method} produced a non-finite state")
+        rows += x
+    states = np.array(rows, dtype=float).reshape(grid.node_count, width)
+    return march_trajectory(grid, states, f"{method} produced a non-finite state")
 
 
 def march_trajectory(grid: TimeGrid, rows, failure: str, backward=False) -> Trajectory:
@@ -229,10 +233,11 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-# The weighted sums over all seven stages stay two BLAS dgemv calls: their
-# summation order reaches the sampled states, so a sequential sum would
-# change the output bytes.  ``ndarray.dot`` reaches the same dgemv as ``@``
-# at a lower call cost; one stacked (2, 7) product would go through gemm.
+# The weighted sums over all seven stages stay two BLAS dgemv calls on a
+# C-ordered (7, n) stage array, for every size: their summation order
+# reaches the sampled states, so a sequential sum would change the output
+# bytes.  ``ndarray.dot`` reaches the same dgemv as ``@`` at a lower call
+# cost; one stacked (2, 7) product would go through gemm.
 _DP_B5 = np.array(_DP_A[6] + (0.0,))
 # the 21 stage coefficients row by row, so one multiply scales them all by h
 _DP_A_FLAT = np.array([v for row in _DP_A for v in row])
@@ -254,6 +259,9 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
     then the stage terms in tableau order (zero entries skipped), as the
     tableau rows are written out below: component by component for a
     four-component state, as one comprehension for every other size.
+    A four-component state also builds the same (7, 4) stage array from
+    one flat tuple of the unpacked stage values, so the dgemv sums keep
+    their bits, and writes its 5th-order update out.
     """
     c = _DP_C
     # numpy rounds each product h * a as Python does, so the stage inputs keep their bits
@@ -283,10 +291,15 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
                               x3 + a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * w3,
                               x4 + a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * w4])
         z1, z2, z3, z4 = k6
-        k7 = f(t + c[6] * h, [x1 + a71 * p1 + a73 * r1 + a74 * s1 + a75 * w1 + a76 * z1,
-                              x2 + a71 * p2 + a73 * r2 + a74 * s2 + a75 * w2 + a76 * z2,
-                              x3 + a71 * p3 + a73 * r3 + a74 * s3 + a75 * w3 + a76 * z3,
-                              x4 + a71 * p4 + a73 * r4 + a74 * s4 + a75 * w4 + a76 * z4])
+        v1, v2, v3, v4 = f(t + c[6] * h,
+                           [x1 + a71 * p1 + a73 * r1 + a74 * s1 + a75 * w1 + a76 * z1,
+                            x2 + a71 * p2 + a73 * r2 + a74 * s2 + a75 * w2 + a76 * z2,
+                            x3 + a71 * p3 + a73 * r3 + a74 * s3 + a75 * w3 + a76 * z3,
+                            x4 + a71 * p4 + a73 * r4 + a74 * s4 + a75 * w4 + a76 * z4])
+        k = np.array((p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4, s1, s2, s3, s4,
+                      w1, w2, w3, w4, z1, z2, z3, z4, v1, v2, v3, v4), dtype=float).reshape(7, 4)
+        b1, b2, b3, b4 = _DP_B5.dot(k).tolist()
+        x_new = [x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4]
     else:
         k2 = f(t + c[1] * h, [xi + a21 * p for xi, p in zip(x, k1)])
         k3 = f(t + c[2] * h, [xi + a31 * p + a32 * q for xi, p, q in zip(x, k1, k2)])
@@ -298,8 +311,8 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
                               for xi, p, q, r, s, w in zip(x, k1, k2, k3, k4, k5)])
         k7 = f(t + c[6] * h, [xi + a71 * p + a73 * r + a74 * s + a75 * w + a76 * z
                               for xi, p, r, s, w, z in zip(x, k1, k3, k4, k5, k6)])
-    k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)
-    x_new = [xi + h * v for xi, v in zip(x, _DP_B5.dot(k).tolist())]
+        k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)
+        x_new = [xi + h * v for xi, v in zip(x, _DP_B5.dot(k).tolist())]
     return x_new, _DP_ERR.dot(k).tolist()
 
 

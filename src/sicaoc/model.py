@@ -107,21 +107,25 @@ def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
     take, bit for bit, since ``1.0 - 0.0 == 1.0``; the dynamics are
     autonomous, so t is unused.  The effort u scales the infection term
     and may be any real number, since the Hamiltonian evaluates the
-    dynamics off the admissible set.  The parameters are read once, so
-    each call does float arithmetic only.  On the simplex s+i+c+a = 1
-    the four components sum to zero, so the dynamics preserve it.
+    dynamics off the admissible set.  The parameters and the three
+    constant rate sums are read once, as ``controlled_march`` reads them,
+    so each call does float arithmetic only: Python evaluates
+    ``rho + phi + b - aux2`` left to right, so ``rpb - aux2`` gives its
+    bits.  On the simplex s+i+c+a = 1 the four components sum to zero,
+    so the dynamics preserve it.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+    rpb, ob, abd = rho + phi + b, omega + b, alpha + b + d
 
     def field(t, x, u=0.0):
         s, i, c, a = x
         aux1 = (1.0 - u) * beta * (i + eta_c * c + eta_a * a) * s
         aux2 = d * a
         return (b * (1.0 - s) - aux1 + aux2 * s,
-                aux1 - (rho + phi + b - aux2) * i + alpha * a + omega * c,
-                phi * i - (omega + b - aux2) * c,
-                rho * i - (alpha + b + d - aux2) * a)
+                aux1 - (rpb - aux2) * i + alpha * a + omega * c,
+                phi * i - (ob - aux2) * c,
+                rho * i - (abd - aux2) * a)
     return field
 
 

@@ -252,6 +252,13 @@ class TestIntegrateFixed:
             integrate_fixed("rk3", exponential, TimeGrid(0.0, 1.0, 2),
                             np.array([1.0]))
 
+    @pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
+    def test_a_field_with_too_few_values_raises(self, method):
+        # zip truncates each step of a two-component state to one value, so
+        # the node values cannot fill the grid's rows of two
+        with pytest.raises(ValueError):
+            integrate_fixed(method, lambda t, x: [1.0], TimeGrid(0.0, 1.0, 3), [0.0, 0.0])
+
     def test_failure_carries_node_index(self):
         def exploding(t, x):
             return np.array([np.nan]) if t > 0.45 else x

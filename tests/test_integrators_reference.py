@@ -192,6 +192,10 @@ def ref_forced_quartet(t, x):
     return np.array(forced_quartet(t, x))
 
 
+def tuple_forced_quartet(t, x):
+    return tuple(forced_quartet(t, x))
+
+
 # ----------------------------------------------------------------- cases
 
 SCENARIOS = [
@@ -248,6 +252,21 @@ def test_dp45_matches_reference_on_a_time_dependent_four_component_field(name):
     assert np.array_equal(got.states, want)
     if name == "tight":
         assert rejected > 0
+
+
+@pytest.mark.parametrize("field", [ref_forced_quartet, tuple_forced_quartet])
+def test_four_component_fields_give_the_bits_of_a_list_returning_one(field):
+    # the four-component branches unpack the field's values, so an ndarray or
+    # a tuple from f must stack and step exactly as a list does
+    x0 = np.array([0.4, -0.3, 0.8, 0.2])
+    sample, grid = TimeGrid(-0.5, 3.0, 10), TimeGrid(-0.5, 3.0, 100)
+    runs = [lambda f, s=s: integrate_dp45(f, -0.5, 3.0, x0, s, sample)
+            for s in SETTINGS.values()]
+    runs += [lambda f, m=m: integrate_fixed(m, f, grid, x0) for m in ("euler", "rk2", "rk4")]
+    for run in runs:
+        got, want = run(field).states, run(forced_quartet).states
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", list(SETTINGS))
