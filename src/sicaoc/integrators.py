@@ -1,4 +1,4 @@
-"""Initial-value-problem integrators for vector ODE systems.
+"""Initial-value-problem integrators for four-component ODE systems.
 
 Fixed-step Euler, Heun (RK2) and classical RK4 steps (pure arithmetic),
 ``integrate_fixed``, which walks them across a uniform time grid and
@@ -7,17 +7,16 @@ Dormand-Prince 5(4) integrator whose output is sampled on a requested
 grid.  All routines are pure functions of their arguments and are safe
 to call concurrently.
 
-A vector field is called as ``f(t, x)`` with ``x`` a list of Python
-floats and returns a sequence of floats of the same length (a list,
-tuple or 1-D array).  The steppers do their arithmetic on Python
-floats, which keeps numpy's per-call overhead out of the step loops;
-the results equal the element-wise numpy arithmetic bit for bit.  For
-a four-component state the steps and the Dormand-Prince stage inputs
-and 5th-order update are written out component by component, with the
-operands and order of the comprehensions that every other size takes,
-and the stage array is built from the unpacked values, so both give the
-same bits; there a field that returns the wrong number of values raises
-``ValueError`` instead of being truncated.
+The state has four components, as the SICA model's does:
+``integrate_fixed`` and ``integrate_dp45`` check the initial state with
+``four_state`` before the first field call.  A vector field is called
+as ``f(t, x)`` with ``x`` a list of four Python floats and returns four
+floats (a list, tuple or 1-D array).  The steps and the Dormand-Prince
+stage inputs and 5th-order update are written out component by
+component on Python floats, which keeps numpy's per-call overhead out
+of the step loops; the results equal the element-wise numpy arithmetic
+bit for bit.  The field's values are unpacked, so a field that returns
+the wrong number of values raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# f(t, x): x is a list of the four state components, and f returns four values
 VectorField = Callable[[float, list], Sequence[float]]
 
 
@@ -127,47 +127,42 @@ def whole_count(name: str, value) -> int:
     return int(value)
 
 
+def four_state(x0) -> np.ndarray:
+    """``x0`` as a float vector of four components; any other shape is a ValueError."""
+    x = np.asarray(x0, dtype=float)
+    if x.shape != (4,):
+        raise ValueError(f"initial state must have four components, got shape {x.shape}")
+    return x
+
+
 def step_euler(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
-    """One explicit Euler step; a four-component state takes it written out."""
-    if len(x) == 4:
-        x1, x2, x3, x4 = x
-        a1, a2, a3, a4 = f(t, x)
-        return [x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4]
-    return [xi + h * ki for xi, ki in zip(x, f(t, x))]
+    """One explicit Euler step of a four-component state."""
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = f(t, x)
+    return [x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4]
 
 
 def step_rk2(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
-    """One Heun (second-order Runge-Kutta) step; written out for four components."""
-    if len(x) == 4:
-        x1, x2, x3, x4 = x
-        a1, a2, a3, a4 = f(t, x)
-        b1, b2, b3, b4 = f(t + h, [x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4])
-        h2 = h / 2.0
-        return [x1 + h2 * (a1 + b1), x2 + h2 * (a2 + b2),
-                x3 + h2 * (a3 + b3), x4 + h2 * (a4 + b4)]
-    k1 = f(t, x)
-    k2 = f(t + h, [xi + h * ki for xi, ki in zip(x, k1)])
+    """One Heun (second-order Runge-Kutta) step of a four-component state."""
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = f(t, x)
+    b1, b2, b3, b4 = f(t + h, [x1 + h * a1, x2 + h * a2, x3 + h * a3, x4 + h * a4])
     h2 = h / 2.0
-    return [xi + h2 * (a + b) for xi, a, b in zip(x, k1, k2)]
+    return [x1 + h2 * (a1 + b1), x2 + h2 * (a2 + b2),
+            x3 + h2 * (a3 + b3), x4 + h2 * (a4 + b4)]
 
 
 def step_rk4(f: VectorField, t: float, x: Sequence[float], h: float) -> list:
-    """One classical four-stage Runge-Kutta step; written out for four components."""
+    """One classical four-stage Runge-Kutta step of a four-component state."""
     h2 = h / 2.0
     h6 = h / 6.0
-    if len(x) == 4:
-        x1, x2, x3, x4 = x
-        a1, a2, a3, a4 = f(t, x)
-        b1, b2, b3, b4 = f(t + h2, [x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3, x4 + h2 * a4])
-        c1, c2, c3, c4 = f(t + h2, [x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3, x4 + h2 * b4])
-        d1, d2, d3, d4 = f(t + h, [x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4])
-        return [x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1), x2 + h6 * (a2 + 2.0 * (b2 + c2) + d2),
-                x3 + h6 * (a3 + 2.0 * (b3 + c3) + d3), x4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)]
-    k1 = f(t, x)
-    k2 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k1)])
-    k3 = f(t + h2, [xi + h2 * ki for xi, ki in zip(x, k2)])
-    k4 = f(t + h, [xi + h * ki for xi, ki in zip(x, k3)])
-    return [xi + h6 * (a + 2.0 * (b + c) + d) for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    x1, x2, x3, x4 = x
+    a1, a2, a3, a4 = f(t, x)
+    b1, b2, b3, b4 = f(t + h2, [x1 + h2 * a1, x2 + h2 * a2, x3 + h2 * a3, x4 + h2 * a4])
+    c1, c2, c3, c4 = f(t + h2, [x1 + h2 * b1, x2 + h2 * b2, x3 + h2 * b3, x4 + h2 * b4])
+    d1, d2, d3, d4 = f(t + h, [x1 + h * c1, x2 + h * c2, x3 + h * c3, x4 + h * c4])
+    return [x1 + h6 * (a1 + 2.0 * (b1 + c1) + d1), x2 + h6 * (a2 + 2.0 * (b2 + c2) + d2),
+            x3 + h6 * (a3 + 2.0 * (b3 + c3) + d3), x4 + h6 * (a4 + 2.0 * (b4 + c4) + d4)]
 
 
 STEPPERS = {"euler": step_euler, "rk2": step_rk2, "rk4": step_rk4}
@@ -182,15 +177,13 @@ def integrate_fixed(method: str, f: VectorField, grid: TimeGrid,
         step = STEPPERS[method]
     except KeyError:
         raise ValueError(f"unknown fixed-step method {method!r}") from None
-    x = np.asarray(x0, dtype=float).tolist()
-    width = len(x)
+    x = four_state(x0).tolist()
     t0, h = grid.t0, grid.h
-    # one flat list of node values: a field that returns too few fails the reshape
     rows = list(x)
     for k in range(grid.steps):
         x = step(f, t0 + k * h, x, h)
         rows += x
-    states = np.array(rows, dtype=float).reshape(grid.node_count, width)
+    states = np.array(rows, dtype=float).reshape(grid.node_count, 4)
     return march_trajectory(grid, states, f"{method} produced a non-finite state")
 
 
@@ -234,10 +227,10 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 # The weighted sums over all seven stages stay two BLAS dgemv calls on a
-# C-ordered (7, n) stage array, for every size: their summation order
-# reaches the sampled states, so a sequential sum would change the output
-# bytes.  ``ndarray.dot`` reaches the same dgemv as ``@`` at a lower call
-# cost; one stacked (2, 7) product would go through gemm.
+# C-ordered (7, 4) stage array: their summation order reaches the sampled
+# states, so a sequential sum would change the output bytes.  ``ndarray.dot``
+# reaches the same dgemv as ``@`` at a lower call cost; one stacked (2, 7)
+# product would go through gemm.
 _DP_B5 = np.array(_DP_A[6] + (0.0,))
 # the 21 stage coefficients row by row, so one multiply scales them all by h
 _DP_A_FLAT = np.array([v for row in _DP_A for v in row])
@@ -256,63 +249,43 @@ def _dp_step(f: VectorField, t: float, x: list, h: float):
     """One trial Dormand-Prince step: next state and the unscaled error sums.
 
     Each stage input is one sequential sum per component, x first and
-    then the stage terms in tableau order (zero entries skipped), as the
-    tableau rows are written out below: component by component for a
-    four-component state, as one comprehension for every other size.
-    A four-component state also builds the same (7, 4) stage array from
-    one flat tuple of the unpacked stage values, so the dgemv sums keep
-    their bits, and writes its 5th-order update out.
+    then the stage terms in tableau order (zero entries skipped), written
+    out component by component below.  The (7, 4) stage array is built
+    from one flat tuple of the unpacked stage values, and the 5th-order
+    update is written out from its dgemv sums.
     """
     c = _DP_C
     # numpy rounds each product h * a as Python does, so the stage inputs keep their bits
     (a21, a31, a32, a41, a42, a43, a51, a52, a53, a54, a61, a62, a63, a64, a65,
      a71, _, a73, a74, a75, a76) = (h * _DP_A_FLAT).tolist()
-    k1 = f(t, x)
-    if len(x) == 4:
-        x1, x2, x3, x4 = x
-        p1, p2, p3, p4 = k1
-        k2 = f(t + c[1] * h, [x1 + a21 * p1, x2 + a21 * p2, x3 + a21 * p3, x4 + a21 * p4])
-        q1, q2, q3, q4 = k2
-        k3 = f(t + c[2] * h, [x1 + a31 * p1 + a32 * q1, x2 + a31 * p2 + a32 * q2,
-                              x3 + a31 * p3 + a32 * q3, x4 + a31 * p4 + a32 * q4])
-        r1, r2, r3, r4 = k3
-        k4 = f(t + c[3] * h, [x1 + a41 * p1 + a42 * q1 + a43 * r1,
-                              x2 + a41 * p2 + a42 * q2 + a43 * r2,
-                              x3 + a41 * p3 + a42 * q3 + a43 * r3,
-                              x4 + a41 * p4 + a42 * q4 + a43 * r4])
-        s1, s2, s3, s4 = k4
-        k5 = f(t + c[4] * h, [x1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
-                              x2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
-                              x3 + a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
-                              x4 + a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4])
-        w1, w2, w3, w4 = k5
-        k6 = f(t + c[5] * h, [x1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * w1,
-                              x2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * w2,
-                              x3 + a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * w3,
-                              x4 + a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * w4])
-        z1, z2, z3, z4 = k6
-        v1, v2, v3, v4 = f(t + c[6] * h,
-                           [x1 + a71 * p1 + a73 * r1 + a74 * s1 + a75 * w1 + a76 * z1,
-                            x2 + a71 * p2 + a73 * r2 + a74 * s2 + a75 * w2 + a76 * z2,
-                            x3 + a71 * p3 + a73 * r3 + a74 * s3 + a75 * w3 + a76 * z3,
-                            x4 + a71 * p4 + a73 * r4 + a74 * s4 + a75 * w4 + a76 * z4])
-        k = np.array((p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4, s1, s2, s3, s4,
-                      w1, w2, w3, w4, z1, z2, z3, z4, v1, v2, v3, v4), dtype=float).reshape(7, 4)
-        b1, b2, b3, b4 = _DP_B5.dot(k).tolist()
-        x_new = [x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4]
-    else:
-        k2 = f(t + c[1] * h, [xi + a21 * p for xi, p in zip(x, k1)])
-        k3 = f(t + c[2] * h, [xi + a31 * p + a32 * q for xi, p, q in zip(x, k1, k2)])
-        k4 = f(t + c[3] * h, [xi + a41 * p + a42 * q + a43 * r
-                              for xi, p, q, r in zip(x, k1, k2, k3)])
-        k5 = f(t + c[4] * h, [xi + a51 * p + a52 * q + a53 * r + a54 * s
-                              for xi, p, q, r, s in zip(x, k1, k2, k3, k4)])
-        k6 = f(t + c[5] * h, [xi + a61 * p + a62 * q + a63 * r + a64 * s + a65 * w
-                              for xi, p, q, r, s, w in zip(x, k1, k2, k3, k4, k5)])
-        k7 = f(t + c[6] * h, [xi + a71 * p + a73 * r + a74 * s + a75 * w + a76 * z
-                              for xi, p, r, s, w, z in zip(x, k1, k3, k4, k5, k6)])
-        k = np.array([k1, k2, k3, k4, k5, k6, k7], dtype=float)
-        x_new = [xi + h * v for xi, v in zip(x, _DP_B5.dot(k).tolist())]
+    x1, x2, x3, x4 = x
+    p1, p2, p3, p4 = f(t, x)
+    q1, q2, q3, q4 = f(t + c[1] * h, [x1 + a21 * p1, x2 + a21 * p2,
+                                      x3 + a21 * p3, x4 + a21 * p4])
+    r1, r2, r3, r4 = f(t + c[2] * h, [x1 + a31 * p1 + a32 * q1, x2 + a31 * p2 + a32 * q2,
+                                      x3 + a31 * p3 + a32 * q3, x4 + a31 * p4 + a32 * q4])
+    s1, s2, s3, s4 = f(t + c[3] * h, [x1 + a41 * p1 + a42 * q1 + a43 * r1,
+                                      x2 + a41 * p2 + a42 * q2 + a43 * r2,
+                                      x3 + a41 * p3 + a42 * q3 + a43 * r3,
+                                      x4 + a41 * p4 + a42 * q4 + a43 * r4])
+    w1, w2, w3, w4 = f(t + c[4] * h, [x1 + a51 * p1 + a52 * q1 + a53 * r1 + a54 * s1,
+                                      x2 + a51 * p2 + a52 * q2 + a53 * r2 + a54 * s2,
+                                      x3 + a51 * p3 + a52 * q3 + a53 * r3 + a54 * s3,
+                                      x4 + a51 * p4 + a52 * q4 + a53 * r4 + a54 * s4])
+    z1, z2, z3, z4 = f(t + c[5] * h,
+                       [x1 + a61 * p1 + a62 * q1 + a63 * r1 + a64 * s1 + a65 * w1,
+                        x2 + a61 * p2 + a62 * q2 + a63 * r2 + a64 * s2 + a65 * w2,
+                        x3 + a61 * p3 + a62 * q3 + a63 * r3 + a64 * s3 + a65 * w3,
+                        x4 + a61 * p4 + a62 * q4 + a63 * r4 + a64 * s4 + a65 * w4])
+    v1, v2, v3, v4 = f(t + c[6] * h,
+                       [x1 + a71 * p1 + a73 * r1 + a74 * s1 + a75 * w1 + a76 * z1,
+                        x2 + a71 * p2 + a73 * r2 + a74 * s2 + a75 * w2 + a76 * z2,
+                        x3 + a71 * p3 + a73 * r3 + a74 * s3 + a75 * w3 + a76 * z3,
+                        x4 + a71 * p4 + a73 * r4 + a74 * s4 + a75 * w4 + a76 * z4])
+    k = np.array((p1, p2, p3, p4, q1, q2, q3, q4, r1, r2, r3, r4, s1, s2, s3, s4,
+                  w1, w2, w3, w4, z1, z2, z3, z4, v1, v2, v3, v4), dtype=float).reshape(7, 4)
+    b1, b2, b3, b4 = _DP_B5.dot(k).tolist()
+    x_new = [x1 + h * b1, x2 + h * b2, x3 + h * b3, x4 + h * b4]
     return x_new, _DP_ERR.dot(k).tolist()
 
 
@@ -327,7 +300,7 @@ def integrate_dp45(f: VectorField, t0: float, tf: float, x0: Sequence[float],
     """
     if sample.t0 < t0 or sample.tf > tf:
         raise ValueError("sample grid must lie within the integration span")
-    x = np.asarray(x0, dtype=float).tolist()
+    x = four_state(x0).tolist()
     abstol, reltol = settings.abstol, settings.reltol
     t = t0
     h = first_step(t0, tf)

@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .integrators import NumericalFailure, TimeGrid, Trajectory, march_trajectory, whole_count
+from .integrators import (NumericalFailure, TimeGrid, Trajectory, four_state,
+                          march_trajectory, whole_count)
 from .model import (ControlBounds, ModelParams, controlled_march, costate_march,
                     objective, optimal_control_law)
 
@@ -62,9 +63,7 @@ class OcProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        self.x0 = np.asarray(self.x0, dtype=float)
-        if self.x0.shape != (4,):
-            raise ValueError("initial state must have four components")
+        self.x0 = four_state(self.x0)
 
 
 def sica_problem(params: ModelParams, bounds: ControlBounds, x0: np.ndarray,

@@ -26,6 +26,11 @@ FIELD_AT_X0 = np.array([
 ])
 
 
+# a four-component state whose components are powers of two apart, so the
+# exponential scales each of them exactly as it scales 1.0
+X4 = np.array([1.0, 2.0, -0.5, 0.25])
+
+
 def exponential(t, x):
     return x
 
@@ -53,7 +58,7 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 20.0, 100.0)
         assert type(grid.steps) is int
         assert grid == TimeGrid(0.0, 20.0, 100)
-        assert integrate_fixed("euler", zero_field, grid, [1.0]).states.shape == (101, 1)
+        assert integrate_fixed("euler", zero_field, grid, X4).states.shape == (101, 4)
 
     @pytest.mark.parametrize("t0, tf", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
                                         (0.0, np.nan), (-1e308, 1e308)])
@@ -149,8 +154,8 @@ class TestAdaptiveSettings:
 
 class TestSteps:
     def test_euler_exponential(self):
-        out = step_euler(exponential, 0.0, np.array([1.0]), 0.1)
-        assert out == pytest.approx([1.1], rel=1e-15)
+        out = step_euler(exponential, 0.0, X4, 0.1)
+        assert out == pytest.approx(1.1 * X4, rel=1e-15)
 
     def test_euler_zero_field_is_identity(self):
         x = np.array([0.6, 0.2, 0.1, 0.1])
@@ -161,34 +166,34 @@ class TestSteps:
         np.testing.assert_allclose(out, x0 + 0.2 * FIELD_AT_X0, rtol=1e-12)
 
     def test_rk2_constant_field(self):
-        out = step_rk2(lambda t, x: np.ones_like(x), 0.0, np.array([0.0]), 0.5)
-        assert out == pytest.approx([0.5], rel=1e-15)
+        out = step_rk2(lambda t, x: np.ones_like(x), 0.0, np.zeros(4), 0.5)
+        assert out == pytest.approx([0.5] * 4, rel=1e-15)
 
     def test_rk2_exponential(self):
         # K1 = 1, K2 = 1.1, update h/2 * 2.1
-        out = step_rk2(exponential, 0.0, np.array([1.0]), 0.1)
-        assert out == pytest.approx([1.105], rel=1e-15)
+        out = step_rk2(exponential, 0.0, X4, 0.1)
+        assert out == pytest.approx(1.105 * X4, rel=1e-15)
 
     def test_rk2_preserves_equilibrium(self):
-        out = step_rk2(lambda t, x: [-v for v in x], 0.0, np.array([0.0]), 0.37)
-        assert out == pytest.approx([0.0], abs=0.0)
+        out = step_rk2(lambda t, x: [-v for v in x], 0.0, np.zeros(4), 0.37)
+        assert out == pytest.approx([0.0] * 4, abs=0.0)
 
     def test_rk4_exponential_matches_taylor(self):
-        out = step_rk4(exponential, 0.0, np.array([1.0]), 0.1)
-        assert out == pytest.approx([np.exp(0.1)], abs=1e-7)
+        out = step_rk4(exponential, 0.0, X4, 0.1)
+        assert list(out / X4) == pytest.approx([np.exp(0.1)] * 4, abs=1e-7)
 
     def test_rk4_zero_field_is_identity(self):
-        x = np.array([1.0, -2.0])
+        x = np.array([1.0, -2.0, 0.5, 0.0])
         assert np.array_equal(step_rk4(zero_field, 0.0, x, 1.0), x)
 
     def test_rk4_pure_time_field(self):
-        out = step_rk4(lambda t, x: np.array([t]), 0.0, np.array([0.0]), 1.0)
-        assert out == pytest.approx([0.5], rel=1e-15)
+        out = step_rk4(lambda t, x: np.array([t] * 4), 0.0, np.zeros(4), 1.0)
+        assert out == pytest.approx([0.5] * 4, rel=1e-15)
 
     @pytest.mark.parametrize("width", [3, 5])
     def test_four_component_steps_need_one_field_value_per_component(self, width):
-        # the written-out four-component arithmetic unpacks the field's values,
-        # where the comprehensions of every other size would truncate them
+        # the steps unpack the field's values, so too few or too many raise
+        # instead of being truncated
         f = lambda t, x: [0.0] * width
         x = [0.6, 0.2, 0.1, 0.1]
         for step in (step_euler, step_rk2, step_rk4):
@@ -198,13 +203,14 @@ class TestSteps:
             integrate_dp45(f, 0.0, 1.0, x, AdaptiveSettings(), TimeGrid(0.0, 1.0, 1))
 
     def test_step_raises_on_overflow(self):
-        # x' = x^3 from 1e100: Euler reaches 1e300 at node 1 and overflows
-        # at node 2; the stages of RK2 and RK4 overflow within the first step
+        # x' = x^3 from 1e100 in the second component: Euler reaches 1e300 at
+        # node 1 and overflows at node 2; the stages of RK2 and RK4 overflow
+        # within the first step; the other components stay finite
         blower = lambda t, x: [v * v * v for v in x]
         grid = TimeGrid(0.0, 4.0, 4)
         for method, node in (("euler", 2), ("rk2", 1), ("rk4", 1)):
             with pytest.raises(IntegrationFailure) as exc:
-                integrate_fixed(method, blower, grid, [1e100])
+                integrate_fixed(method, blower, grid, [0.5, 1e100, 0.0, -0.5])
             assert exc.value.node == node
             assert exc.value.t == float(node)
             assert str(exc.value) == f"{method} produced a non-finite state at node {node}"
@@ -219,22 +225,22 @@ class TestIntegrateFixed:
         grid = TimeGrid(0.0, 0.5, 1)
         for method, step in (("euler", step_euler), ("rk2", step_rk2),
                              ("rk4", step_rk4)):
-            traj = integrate_fixed(method, exponential, grid, np.array([2.0]))
-            assert np.array_equal(traj.states[1],
-                                  step(exponential, 0.0, np.array([2.0]), 0.5))
+            traj = integrate_fixed(method, exponential, grid, X4)
+            assert np.array_equal(traj.states[1], step(exponential, 0.0, X4, 0.5))
 
     def test_euler_closed_form(self):
         for n in (10, 64):
-            traj = integrate_fixed("euler", exponential, TimeGrid(0.0, 1.0, n),
-                                   np.array([1.0]))
-            assert traj.states[-1, 0] == pytest.approx((1 + 1 / n) ** n, rel=1e-13)
+            traj = integrate_fixed("euler", exponential, TimeGrid(0.0, 1.0, n), X4)
+            assert list(traj.states[-1] / X4) == pytest.approx([(1 + 1 / n) ** n] * 4,
+                                                               rel=1e-13)
 
     def test_rk4_keeps_fraction_sum(self, params, x0):
         traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
         assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-6
 
     def test_rk4_exact_on_cubic_time_polynomial(self):
-        coeffs = np.array([[0.3, -1.2, 0.7, 2.0], [1.0, 0.0, -0.5, 0.25]])
+        coeffs = np.array([[0.3, -1.2, 0.7, 2.0], [1.0, 0.0, -0.5, 0.25],
+                           [-2.0, 0.5, 0.0, -1.0], [0.0, 1.5, 3.0, -0.75]])
 
         def field(t, x):
             return coeffs @ np.array([1.0, t, t * t, t ** 3])
@@ -248,24 +254,22 @@ class TestIntegrateFixed:
         np.testing.assert_allclose(traj.states, expected, atol=1e-12)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            integrate_fixed("rk3", exponential, TimeGrid(0.0, 1.0, 2),
-                            np.array([1.0]))
+        with pytest.raises(ValueError, match="unknown fixed-step method 'rk3'"):
+            integrate_fixed("rk3", exponential, TimeGrid(0.0, 1.0, 2), X4)
 
     @pytest.mark.parametrize("method", ["euler", "rk2", "rk4"])
     def test_a_field_with_too_few_values_raises(self, method):
-        # zip truncates each step of a two-component state to one value, so
-        # the node values cannot fill the grid's rows of two
-        with pytest.raises(ValueError):
-            integrate_fixed(method, lambda t, x: [1.0], TimeGrid(0.0, 1.0, 3), [0.0, 0.0])
+        # a four-component state passes the entry check, so the step's
+        # unpacking of the field's three values is what raises
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            integrate_fixed(method, lambda t, x: [1.0] * 3, TimeGrid(0.0, 1.0, 3), [0.0] * 4)
 
     def test_failure_carries_node_index(self):
         def exploding(t, x):
-            return np.array([np.nan]) if t > 0.45 else x
+            return np.full(4, np.nan) if t > 0.45 else x
 
         with pytest.raises(IntegrationFailure) as exc:
-            integrate_fixed("euler", exploding, TimeGrid(0.0, 1.0, 10),
-                            np.array([1.0]))
+            integrate_fixed("euler", exploding, TimeGrid(0.0, 1.0, 10), X4)
         assert exc.value.node == 6
 
     def test_deterministic(self, params, x0):
@@ -279,15 +283,15 @@ class TestIntegrateFixed:
 class TestIntegrateDp45:
     def test_exponential_hits_e(self):
         settings = AdaptiveSettings(reltol=1e-9, abstol=1e-12)
-        traj = integrate_dp45(exponential, 0.0, 1.0, np.array([1.0]), settings,
-                              TimeGrid(0.0, 1.0, 4))
-        assert abs(traj.states[-1, 0] - np.e) <= 1e-8
+        traj = integrate_dp45(exponential, 0.0, 1.0, X4, settings, TimeGrid(0.0, 1.0, 4))
+        assert np.abs(traj.states[-1] / X4 - np.e).max() <= 1e-8
 
     def test_zero_field_is_constant(self):
-        traj = integrate_dp45(zero_field, 0.0, 10.0, np.array([0.3, 0.7]),
+        x0 = [0.3, 0.7, -0.2, 0.0]
+        traj = integrate_dp45(zero_field, 0.0, 10.0, x0,
                               AdaptiveSettings(reltol=0.5, abstol=0.5),
                               TimeGrid(0.0, 10.0, 5))
-        assert np.array_equal(traj.states, np.tile([0.3, 0.7], (6, 1)))
+        assert np.array_equal(traj.states, np.tile(x0, (6, 1)))
 
     def test_model_terminal_state_vs_fine_rk4(self, reference_101):
         np.testing.assert_allclose(reference_101.states[-1], FINE_RK4_TERMINAL,
@@ -297,28 +301,22 @@ class TestIntegrateDp45:
         assert reference_101.states.shape == (101, 4)
 
     def test_sample_grid_must_fit_span(self):
-        with pytest.raises(ValueError):
-            integrate_dp45(exponential, 0.0, 1.0, np.array([1.0]),
-                           AdaptiveSettings(), TimeGrid(0.0, 2.0, 4))
+        with pytest.raises(ValueError, match="sample grid must lie within"):
+            integrate_dp45(exponential, 0.0, 1.0, X4, AdaptiveSettings(),
+                           TimeGrid(0.0, 2.0, 4))
 
     def test_inner_sample_window(self):
-        traj = integrate_dp45(exponential, 0.0, 2.0, np.array([1.0]),
+        traj = integrate_dp45(exponential, 0.0, 2.0, X4,
                               AdaptiveSettings(reltol=1e-10, abstol=1e-12),
                               TimeGrid(0.5, 1.5, 2))
-        np.testing.assert_allclose(traj.states[:, 0],
-                                   np.exp([0.5, 1.0, 1.5]), rtol=1e-8)
+        np.testing.assert_allclose(traj.states, np.outer(np.exp([0.5, 1.0, 1.5]), X4),
+                                   rtol=1e-8)
 
     def test_step_budget_enforced(self, params, x0, monkeypatch):
         monkeypatch.setattr("sicaoc.integrators.MAX_STEPS", 5)
         with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
             integrate_dp45(controlled_field(params), 0.0, 20.0,
                            x0, AdaptiveSettings(), TimeGrid(0.0, 20.0, 100))
-
-    def test_a_state_with_no_components_matches_integrate_fixed(self):
-        grid = TimeGrid(0.0, 1.0, 4)
-        fixed = integrate_fixed("rk4", lambda t, x: [], grid, [])
-        adaptive = integrate_dp45(lambda t, x: [], 0.0, 1.0, [], AdaptiveSettings(), grid)
-        assert fixed.states.shape == adaptive.states.shape == (5, 0)
 
     def test_deterministic(self, params, x0):
         f = controlled_field(params)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sicaoc import (ControlBounds, IntegrationFailure, OcProblem, SweepNonConvergence,
-                    SweepSettings, TimeGrid, Trajectory, integrate_fixed, step_rk4)
+from sicaoc import (AdaptiveSettings, ControlBounds, IntegrationFailure, OcProblem,
+                    SweepNonConvergence, SweepSettings, TimeGrid, Trajectory,
+                    integrate_dp45, integrate_fixed, step_rk4)
 from sicaoc.model import adjoint_rhs, controlled_field, objective
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
@@ -35,12 +37,29 @@ def rk4_pass(f, y0, h, steps):
     return rows
 
 
+def no_field(t, x):
+    raise AssertionError("the field was called")
+
+
 class TestOcProblem:
-    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(5), np.zeros((1, 4))],
-                             ids=["three", "five", "row"])
-    def test_initial_state_must_have_four_components(self, x0):
-        with pytest.raises(ValueError, match="^initial state must have four components$"):
-            OcProblem(state_field=None, adjoint_field=None, control_law=None, x0=x0)
+    # the sweep's problem and both integrators check the initial state with
+    # integrators.four_state, the integrators before their first field call
+    ENTRY_POINTS = {
+        "problem": lambda x0: OcProblem(state_field=None, adjoint_field=None,
+                                        control_law=None, x0=x0),
+        "fixed": lambda x0: integrate_fixed("rk4", no_field, TimeGrid(0.0, 1.0, 2), x0),
+        "dp45": lambda x0: integrate_dp45(no_field, 0.0, 1.0, x0, AdaptiveSettings(),
+                                          TimeGrid(0.0, 1.0, 2)),
+    }
+
+    @pytest.mark.parametrize("x0", [np.zeros(0), np.zeros(1), np.zeros(3), np.zeros(5),
+                                    np.zeros((1, 4))],
+                             ids=["zero", "one", "three", "five", "row"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_initial_state_must_have_four_components(self, entry, x0):
+        message = f"initial state must have four components, got shape {x0.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.ENTRY_POINTS[entry](x0)
 
 
 class TestForwardPass:
