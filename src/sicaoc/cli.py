@@ -560,5 +560,6 @@ def entry() -> None:
     try:
         sys.stdout.flush()
     except OSError:   # else the interpreter's exit flush fails again, on stderr
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
     sys.exit(code)

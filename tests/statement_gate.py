@@ -5,19 +5,20 @@
 The arguments go to ``pytest.main`` unchanged.  The interpreter says
 which lines hold code: each module of ``src/sicaoc`` is compiled, and
 every line in the line table (``co_lines()``) of each of its code
-objects, nested ones included, must run under ``sys.settrace``, apart
-from the allowlisted entry points below.  A ``line`` event runs a line;
-a call runs the code object's first line, which on Python 3.11+ holds
-only the ``RESUME`` that gets no ``line`` event.  A code object all of
-whose lines have run is not traced again.  A function's docstring has
-no line in its table, and module and class docstrings run at import.
-Each line never run is printed as ``path:line``.  The exit status is
-pytest's if the tests fail, else 1 if a line never ran or an allowlist
-entry matches nothing, else 0.  Only this thread of this process is
-traced: code that runs only in other threads or in child processes is
-unseen.  pytest does not collect this file;
+objects, nested ones included, must run under ``sys.settrace``.  There
+is no exception: the entry points ``cli.entry`` and ``__main__.py`` run
+in-process too.  A ``line`` event runs a line; a call runs the code
+object's first line, which on Python 3.11+ holds only the ``RESUME``
+that gets no ``line`` event.  A code object all of whose lines have run
+is not traced again.  A function's docstring has no line in its table,
+and module and class docstrings run at import.  Each line never run is
+printed as ``path:line``.  The exit status is pytest's if the tests
+fail, else 1 if a line never ran, else 0.  Only this thread of this
+process is traced: code that runs only in other threads or in child
+processes is unseen.  pytest does not collect this file;
 ``tests/test_statement_gate.py`` checks its premise, that the lines a
-code object reports as it runs are its line table.
+code object reports as it runs are its line table, and its verdict on a
+small package.
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ from types import CodeType
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sicaoc"
-
-# (module, code object's name) -> why tier-1 cannot run it
-ALLOWLIST = {
-    ("cli.py", "entry"): "the console script's entry point; it runs only as the main "
-                         "program of a child process (`python -m sicaoc` in tier-1, the "
-                         "installed `sicaoc` in CI's console-script step)",
-    ("__main__.py", "<module>"): "the `python -m sicaoc` entry point, a module that runs "
-                                 "only as the main program of a child process",
-}
 
 
 def key(code: CodeType) -> tuple[str, int, str]:
@@ -87,23 +79,12 @@ def main(args) -> int:
     for _, code, lines in tables:
         left.setdefault(key(code), set()).update(lines)
     status = trace_run(args, left)
-    missed, used = set(), set()
-    for path, code, lines in tables:
-        never = lines & left[key(code)]
-        if never and (path.name, code.co_name) in ALLOWLIST:
-            used.add((path.name, code.co_name))
-        else:
-            missed.update((path, line) for line in never)
-    stale = [f"allowlist entry {entry} matches no code object with a line never run"
-             for entry in ALLOWLIST if entry not in used]
+    missed = {(path, line) for path, code, lines in tables for line in lines & left[key(code)]}
     for path, line in sorted(missed):
         print(f"{path.relative_to(PACKAGE.parents[1])}:{line}: line never run")
-    for problem in stale:
-        print(problem)
     total = len({(path, line) for path, _, lines in tables for line in lines})
-    print(f"statement gate: {len(missed)} of {total} lines of code never run outside "
-          f"the allowlist of {len(ALLOWLIST)} entry points")
-    return status or (1 if missed or stale else 0)
+    print(f"statement gate: {len(missed)} of {total} lines of code never run")
+    return status or (1 if missed else 0)
 
 
 if __name__ == "__main__":

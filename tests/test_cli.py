@@ -1,8 +1,11 @@
+import errno
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -701,6 +704,71 @@ class TestExitContract:
         assert proc.stderr == "error: io: [Errno 28] No space left on device\n"
         artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
         assert sorted(os.listdir(cwd)) == artifacts
+
+
+class TestEntryPoints:
+    """``python -m sicaoc`` and the console script's ``cli.entry``, run in this process."""
+
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (["--version"], 0, "sicaoc 0.1.0\n"), (["simulate", "--method", "rk3"], 2, ""),
+    ], ids=["version", "usage-error"])
+    def test_python_m_sicaoc(self, capsys, monkeypatch, argv, code, stdout):
+        monkeypatch.setattr(sys, "argv", ["sicaoc"] + argv)
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("sicaoc", run_name="__main__")
+        assert exited.value.code == code
+        if code:
+            out, _ = one_error_line(capsys, "usage")
+        else:
+            out, err = capsys.readouterr()
+            assert err == ""
+        assert out == stdout
+
+    @pytest.fixture
+    def full_stdout(self):
+        """A stdout on a temporary file's descriptor whose every flush fails with ENOSPC."""
+        fd, path = tempfile.mkstemp()
+
+        class FullStdout:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        yield FullStdout()
+        os.close(fd)
+        os.unlink(path)
+
+    @staticmethod
+    def version_exit(monkeypatch, stdout):
+        """Run ``sicaoc --version`` through ``cli.entry`` on ``stdout``; return its exit code."""
+        # patched in the test, not in a fixture: pytest puts its own capture
+        # back on sys.stdout as the test starts
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["sicaoc", "--version"])
+        with pytest.raises(SystemExit) as exited:
+            cli.entry()
+        return exited.value.code
+
+    def test_failing_stdout_is_one_io_error(self, capsys, monkeypatch, full_stdout):
+        # main reports the failed flush; entry then points stdout at the null
+        # device, so the interpreter's exit flush cannot fail a second time
+        assert self.version_exit(monkeypatch, full_stdout) == 4
+        assert one_error_line(capsys, "io") == (
+            "", "error: io: [Errno 28] No space left on device")
+        assert os.path.samestat(os.fstat(full_stdout.fileno()), os.stat(os.devnull))
+
+    def test_failing_stdout_leaks_no_descriptor(self, monkeypatch, full_stdout):
+        probe = os.open(os.devnull, os.O_RDONLY)
+        os.close(probe)
+        assert self.version_exit(monkeypatch, full_stdout) == 4
+        lowest = os.open(os.devnull, os.O_RDONLY)
+        os.close(lowest)
+        assert lowest == probe
 
 
 class TestOutputPaths:
