@@ -21,6 +21,8 @@ from sicaoc import (AdaptiveSettings, IntegrationFailure, ModelParams,
                     integrate_fixed, integrators)
 from sicaoc.model import controlled_field
 
+from reference import ref_rhs
+
 
 # ------------------------------------------------------------- reference
 
@@ -158,18 +160,8 @@ BRANCHES = ("rejected", "zero ratio", "growth clamp", "shrink clamp",
 
 
 def ref_field(p):
-    """The fraction dynamics on numpy arrays, one array per call."""
-    def f(t, x):
-        s, i, c, a = x
-        aux1 = p.beta * (i + p.eta_c * c + p.eta_a * a) * s
-        aux2 = p.d * a
-        return np.array([
-            p.b * (1.0 - s) - aux1 + aux2 * s,
-            aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
-            p.phi * i - (p.omega + p.b - aux2) * c,
-            p.rho * i - (p.alpha + p.b + p.d - aux2) * a,
-        ])
-    return f
+    """The uncontrolled fraction dynamics on numpy arrays, one array per call."""
+    return lambda t, x: ref_rhs(p, x)
 
 
 def forced_quartet(t, x):

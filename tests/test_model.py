@@ -8,6 +8,8 @@ from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rh
                     rhs_absolute, running_cost, sica_problem)
 from sicaoc.model import controlled_field, controlled_march
 
+from reference import draw_params, ref_rhs
+
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
 FIELD_AT_X0 = np.array([
@@ -133,37 +135,19 @@ class TestRhsControlled:
             assert np.array_equal(controlled_field(params)(0.0, x, 0.0),
                                   controlled_field(params)(0.0, x.tolist()))
 
-    @staticmethod
-    def per_call_field(p):
-        """The field as it was first written: every rate sum formed at each call."""
-        def f(t, x, u=0.0):
-            s, i, c, a = x
-            aux1 = (1.0 - u) * p.beta * (i + p.eta_c * c + p.eta_a * a) * s
-            aux2 = p.d * a
-            return (p.b * (1.0 - s) - aux1 + aux2 * s,
-                    aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
-                    p.phi * i - (p.omega + p.b - aux2) * c,
-                    p.rho * i - (p.alpha + p.b + p.d - aux2) * a)
-        return f
-
     def test_any_control_matches_the_per_call_rate_sums_bitwise(self):
         # the Hamiltonian's path: random rates, u inside and outside [0, 1],
         # one point on Python floats and (n,) node stacks with one u per node
         rng = np.random.default_rng(32)
         for _ in range(100):
-            p = ModelParams(mu=rng.uniform(0.005, 0.05), beta=rng.uniform(0.1, 3.0),
-                            eta_c=rng.uniform(0.001, 1.0), eta_a=rng.uniform(1.0, 2.0),
-                            phi=rng.uniform(0.1, 2.0), rho=rng.uniform(0.01, 1.0),
-                            alpha=rng.uniform(0.05, 1.0), omega=rng.uniform(0.01, 1.0),
-                            d=rng.uniform(0.1, 2.0))
-            got, want = controlled_field(p), self.per_call_field(p)
+            p = draw_params(rng)
+            got = controlled_field(p)
             x = rng.dirichlet(np.ones(4)).tolist()
             for u in (rng.uniform(0.0, 1.0), rng.uniform(-3.0, 0.0), rng.uniform(1.0, 4.0)):
-                assert np.array(got(0.0, x, u)).tobytes() == np.array(want(0.0, x, u)).tobytes()
+                assert np.array(got(0.0, x, u)).tobytes() == ref_rhs(p, x, u).tobytes()
             stack = rng.dirichlet(np.ones(4), 50).T
             u = rng.uniform(-3.0, 4.0, 50)
-            assert (np.stack(got(0.0, stack, u)).tobytes()
-                    == np.stack(want(0.0, stack, u)).tobytes())
+            assert np.stack(got(0.0, stack, u)).tobytes() == ref_rhs(p, stack, u).tobytes()
 
     def test_full_control_removes_infection_term(self, params):
         out = controlled_field(params)(0.0, X0, 1.0)
@@ -196,11 +180,7 @@ class TestOneRk4Arithmetic:
     def test_random_rates_and_starts(self):
         rng = np.random.default_rng(20)
         for _ in range(100):
-            p = ModelParams(mu=rng.uniform(0.005, 0.05), beta=rng.uniform(0.1, 3.0),
-                            eta_c=rng.uniform(0.001, 1.0), eta_a=rng.uniform(1.0, 2.0),
-                            phi=rng.uniform(0.1, 2.0), rho=rng.uniform(0.01, 1.0),
-                            alpha=rng.uniform(0.05, 1.0), omega=rng.uniform(0.01, 1.0),
-                            d=rng.uniform(0.1, 2.0))
+            p = draw_params(rng)
             horizon = rng.uniform(1.0, 30.0)
             # at least horizon / 0.5 steps, so h <= 0.5
             steps = int(rng.integers(int(np.ceil(2.0 * horizon)), 300))

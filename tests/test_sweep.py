@@ -14,6 +14,8 @@ from sicaoc.model import adjoint_rhs, controlled_field, objective
 from sicaoc.sweep import (backward_pass, forward_pass, relative_change_test,
                           sica_problem, solve, update_control)
 
+from reference import fold_margin
+
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
 
@@ -225,18 +227,6 @@ class TestUpdateControl:
         lam = Trajectory(TimeGrid(0.0, 2.0, 3), np.zeros((4, 4)))
         with pytest.raises(ValueError, match="^state and costate grids must agree$"):
             update_control(problem, x, lam, u, 0.5)
-
-
-def fold_margin(old_columns, new_columns, delta):
-    """Reference margin: a per-pair ``np.minimum`` fold, one vector pair at a time.
-
-    Each pair is one column of two ``(n, k)`` node arrays, a strided
-    view as a state or costate column of a pass is.
-    """
-    margin = np.inf
-    for old, new in zip(old_columns, new_columns):
-        margin = np.minimum(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
-    return float(margin)
 
 
 def same_float_bits(a, b):

@@ -1,12 +1,14 @@
 """Bitwise comparison of the float sweep with a numpy-array reference.
 
-The reference below is the sweep as first written: kernels that build a
-length-4 numpy array per call, forward and backward RK4 passes on numpy
-rows, and a control law evaluated node by node with builtin ``min`` and
-``max``.  The package runs the same arithmetic on Python floats, so
+The reference is the sweep as first written: kernels that build a
+length-4 numpy array per call (the field and the margin fold from
+``reference.py``, the costate field here), forward and backward RK4
+passes on numpy rows, and a control law evaluated node by node with
+builtin ``min`` and ``max``.  The package runs the same arithmetic on Python floats, so
 every state, costate, control (with the signs of their zeros), iteration
 count and margin must agree exactly, not within a tolerance, and so must
-single forward and backward passes under any control.  The passes and
+single forward and backward passes under any control, and the point
+kernels at random rates.  The passes and
 the solves are checked twice through the same loops: with the reference
 kernels, and with the package's own point functions ``controlled_field``
 and ``adjoint_rhs``, since each fused march is, bit for bit, an RK4 loop
@@ -32,20 +34,10 @@ from sicaoc.model import (adjoint_rhs, controlled_field, hamiltonian, objective,
                           optimal_control_law)
 from sicaoc.sweep import backward_pass, forward_pass, sica_problem, solve
 
+from reference import draw_params, fold_margin, ref_rhs
+
 
 # ------------------------------------------------------------- reference
-
-
-def ref_rhs(p, x, u):
-    s, i, c, a = x
-    aux1 = (1.0 - u) * p.beta * (i + p.eta_c * c + p.eta_a * a) * s
-    aux2 = p.d * a
-    return np.array([
-        p.b * (1.0 - s) - aux1 + aux2 * s,
-        aux1 - (p.rho + p.phi + p.b - aux2) * i + p.alpha * a + p.omega * c,
-        p.phi * i - (p.omega + p.b - aux2) * c,
-        p.rho * i - (p.alpha + p.b + p.d - aux2) * a,
-    ])
 
 
 def ref_adjoint(p, x, lam, u, mode):
@@ -142,13 +134,6 @@ def per_kernel_set(cases):
             for kernels in KERNEL_SETS for case in cases]
 
 
-def ref_margin(pairs, delta):
-    margin = np.inf
-    for old, new in pairs:
-        margin = min(margin, delta * np.abs(new).sum() - np.abs(old - new).sum())
-    return float(margin)
-
-
 def ref_solve(f, g, law, x0, settings):
     """The sweep loop on numpy rows; returns states, costates, control,
     iterations and final margin."""
@@ -167,9 +152,8 @@ def ref_solve(f, g, law, x0, settings):
         lams = ref_backward(g, xs, u, grid)
         new = np.array([law(xs[k], lams[k]) for k in range(n)])
         u = settings.relaxation * new + (1.0 - settings.relaxation) * u
-        pairs = ([(old_xs[:, j], xs[:, j]) for j in range(4)] + [(old_u, u)]
-                 + [(old_lams[:, j], lams[:, j]) for j in range(4)])
-        margin = ref_margin(pairs, settings.delta_error)
+        margin = fold_margin([*old_xs.T, old_u, *old_lams.T], [*xs.T, u, *lams.T],
+                             settings.delta_error)
         if margin >= 0.0:
             break
     control = np.array([law(xs[k], lams[k]) for k in range(n)])
@@ -267,19 +251,21 @@ def test_constant_law_matches_reference_bitwise(params):
     assert_same(result, reference)
 
 
-def test_public_kernels_match_reference_bitwise(params):
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        x = rng.dirichlet(np.ones(4))
+def test_public_kernels_match_reference_bitwise():
+    # test_model's TestRhsControlled checks the field under any control and on node rows
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        p = draw_params(rng)
+        # one point on Python floats, as the integrators call the field
+        x = rng.dirichlet(np.ones(4)).tolist()
         lam = rng.normal(scale=5.0, size=4)
-        u = float(rng.uniform(0.0, 1.0))
-        assert np.array_equal(np.array(controlled_field(params)(0.0, x)), ref_rhs(params, x, 0.0))
-        assert np.array_equal(np.array(controlled_field(params)(0.0, x, u)),
-                              ref_rhs(params, x, u))
-        for mode in ("derived", "verbatim"):
-            assert np.array_equal(adjoint_rhs(params, x, lam, u, mode),
-                                  ref_adjoint(params, x, lam, u, mode))
-        assert hamiltonian(params, x, lam, u) == ref_hamiltonian(params, x, lam, u)
+        assert np.array(controlled_field(p)(0.0, x)).tobytes() == ref_rhs(p, x).tobytes()
+        # u inside and outside [0, 1], as the Hamiltonian evaluates the dynamics
+        for u in (rng.uniform(0.0, 1.0), rng.uniform(-3.0, 0.0), rng.uniform(1.0, 4.0)):
+            for mode in ("derived", "verbatim"):
+                assert (adjoint_rhs(p, x, lam, u, mode).tobytes()
+                        == ref_adjoint(p, x, lam, u, mode).tobytes())
+            assert hamiltonian(p, x, lam, u) == ref_hamiltonian(p, x, lam, u)
 
 
 @pytest.mark.parametrize("per_node_u", [False, True], ids=["one-u", "u-per-node"])
