@@ -115,16 +115,13 @@ def _reject_unknown(mapping: dict, allowed, where: str):
 
 def _number(mapping: dict, key: str, where: str, default=None) -> float:
     value = mapping.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not _finite(value):
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _finite(value: int | float) -> bool:
     try:
-        return math.isfinite(value)
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value)):
+            return float(value)
     except OverflowError:   # an integer too large for a float
-        return False
+        pass
+    raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
 
 
 def _build(section: str, cls, *args, **kwargs):

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sicaoc import (AdaptiveSettings, ControlBounds, ModelParams, SweepSettings,
                     TimeGrid)
@@ -9,6 +10,11 @@ from sicaoc.analysis import reference_trajectory
 from sicaoc.sweep import sica_problem, solve
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
+
+# every property draws the same examples on every run and host, keeps no
+# example database and has no per-example deadline; each sets its own count
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -14,11 +14,9 @@ import pytest
 import sicaoc
 from sicaoc import NumericalFailure, cli
 from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, emit_plot_script,
-                        load_config, main, parse_config)
+                        load_config, parse_config)
 
-
-def run(argv):
-    return main(argv)
+from cli_run import check_contract, run_cli
 
 
 def read_csv(path):
@@ -26,12 +24,6 @@ def read_csv(path):
     header = lines[0].split(",")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
     return header, data
-
-
-def write_config(tmp_path, doc, name="config.json"):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
 
 
 def child_env():
@@ -139,9 +131,8 @@ class TestConfig:
         resolved = json.dumps(cfg.resolved_dict())
         assert '"steps": 100,' in resolved and '"refinements": [100, 200, 400]' in resolved
         # and the manifest a run writes records the integer
-        out = tmp_path / "whole.csv"
-        assert run(["simulate", "--method", "rk4", "--out", str(out),
-                    "--config", write_config(tmp_path, {"steps": 100.0})]) == 0
+        assert run_cli(["simulate", "--method", "rk4", "--out", "whole.csv"], {"steps": 100.0},
+                       tmp_path).code == 0
         steps = json.loads((tmp_path / "whole.manifest.json").read_text())["config"]["steps"]
         assert steps == 100 and isinstance(steps, int)
 
@@ -182,9 +173,9 @@ class TestConfig:
 
 
 class TestSimulate:
-    def test_default_rk4_run(self, tmp_path, capsys):
+    def test_default_rk4_run(self, tmp_path):
         out = tmp_path / "sim.csv"
-        assert run(["simulate", "--method", "rk4", "--out", str(out)]) == 0
+        assert run_cli(["simulate", "--method", "rk4", "--out", str(out)]).code == 0
         header, data = read_csv(out)
         assert header == ["t", "s", "i", "c", "a"]
         assert data.shape == (101, 5)
@@ -200,33 +191,25 @@ class TestSimulate:
 
     def test_dp45_samples_same_grid(self, tmp_path):
         out = tmp_path / "dp.csv"
-        assert run(["simulate", "--method", "dp45", "--out", str(out)]) == 0
+        assert run_cli(["simulate", "--method", "dp45", "--out", str(out)]).code == 0
         _, data = read_csv(out)
         assert data.shape == (101, 5)
 
-    def test_zero_steps_is_a_config_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"steps": 0})
-        code = run(["simulate", "--method", "rk4", "--config", cfg,
-                    "--out", str(tmp_path / "x.csv")])
-        captured = capsys.readouterr()
+    def test_zero_steps_is_a_config_error(self):
+        code, _, err, _ = run_cli(["simulate", "--method", "rk4", "--out", "x.csv"], {"steps": 0})
         assert code == 2
-        err_lines = captured.err.strip().splitlines()
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error: config:")
-        assert "grid" in err_lines[0]
+        assert err[0].startswith("error: config:")
+        assert "grid" in err[0]
 
-    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
-        code = run(["simulate", "--method", "rk4",
-                    "--out", str(tmp_path / "missing_dir" / "x.csv")])
-        assert code == 4
-        out, _ = one_error_line(capsys, "io")
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+    def test_unwritable_output_is_io_error(self):
+        code, out, err, files = run_cli(["simulate", "--method", "rk4",
+                                         "--out", "missing_dir/x.csv"])
+        assert (code, out, files) == (4, "", [])
+        assert err[0].startswith("error: io: ")
 
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "sim.csv"
-        assert run(["simulate", "--method", "rk4", "--out", str(out),
-                    "--plot"]) == 0
+        assert run_cli(["simulate", "--method", "rk4", "--out", str(out), "--plot"]).code == 0
         script = tmp_path / "sim.states.gp"
         text = script.read_text()
         assert '"t":"s"' in text and '"t":"a"' in text
@@ -236,7 +219,7 @@ class TestSimulate:
 class TestOptimize:
     def test_default_run(self, tmp_path):
         out = tmp_path / "opt.csv"
-        assert run(["optimize", "--out", str(out)]) == 0
+        assert run_cli(["optimize", "--out", str(out)]).code == 0
         header, data = read_csv(out)
         assert header == ["t", "s", "i", "c", "a", "u",
                           "lambda1", "lambda2", "lambda3", "lambda4"]
@@ -250,27 +233,25 @@ class TestOptimize:
         assert manifest["config"]["steps"] == 1000
 
     def test_degenerate_bounds_match_simulation(self, tmp_path):
-        cfg = write_config(tmp_path, {"steps": 1000, "control": {"u_max": 0.0}})
         opt = tmp_path / "opt.csv"
         sim = tmp_path / "sim.csv"
-        assert run(["optimize", "--config", cfg, "--out", str(opt)]) == 0
-        cfg_sim = write_config(tmp_path, {"steps": 1000}, "sim.json")
-        assert run(["simulate", "--method", "rk4", "--config", cfg_sim,
-                    "--out", str(sim)]) == 0
+        assert run_cli(["optimize", "--out", str(opt)],
+                       {"steps": 1000, "control": {"u_max": 0.0}}).code == 0
+        assert run_cli(["simulate", "--method", "rk4", "--out", str(sim)],
+                       {"steps": 1000}).code == 0
         _, opt_data = read_csv(opt)
         _, sim_data = read_csv(sim)
         assert np.abs(opt_data[:, 1:5] - sim_data[:, 1:5]).max() <= 1e-12
         assert np.all(opt_data[:, 5] == 0.0)
 
-    def test_forced_non_convergence(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
+    def test_forced_non_convergence(self, tmp_path):
+        out = tmp_path / "opt.csv"
+        code, _, err, _ = run_cli(["optimize", "--out", str(out)], {
             "steps": 100,
             "control": {"max_iterations": 1, "delta_error": 1e-12},
         })
-        out = tmp_path / "opt.csv"
-        code = run(["optimize", "--config", cfg, "--out", str(out)])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: numeric:")
+        assert err[0].startswith("error: numeric:")
         manifest = json.loads((tmp_path / "opt.manifest.json").read_text())
         assert manifest["diagnostics"]["converged"] is False
         assert out.is_file()
@@ -278,30 +259,24 @@ class TestOptimize:
     @pytest.mark.parametrize("control", [
         {"delta_error": float("nan")}, {"delta_error": float("inf")},
         {"relaxation": float("nan")}, {"relaxation": float("inf")}])
-    def test_non_finite_tolerance_is_a_config_error(self, tmp_path, capsys, control):
+    def test_non_finite_tolerance_is_a_config_error(self, control):
         # a NaN delta_error used to stop the sweep after one iteration as converged
-        cfg = write_config(tmp_path, {"steps": 100, "control": control})
-        out = tmp_path / "opt.csv"
-        code = run(["optimize", "--config", cfg, "--out", str(out)])
-        err_lines = capsys.readouterr().err.strip().splitlines()
+        code, _, err, files = run_cli(["optimize", "--out", "opt.csv"],
+                                      {"steps": 100, "control": control})
         assert code == 2
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error: config: control.")
-        assert not out.exists()
+        assert err[0].startswith("error: config: control.")
+        assert files == []
 
     def test_verbatim_adjoint_mode_recorded(self, tmp_path):
-        cfg = write_config(tmp_path, {"steps": 200})
         out = tmp_path / "opt.csv"
-        assert run(["optimize", "--config", cfg, "--adjoint", "verbatim",
-                    "--out", str(out)]) == 0
+        assert run_cli(["optimize", "--adjoint", "verbatim", "--out", str(out)],
+                       {"steps": 200}).code == 0
         manifest = json.loads((tmp_path / "opt.manifest.json").read_text())
         assert manifest["config"]["adjoint_mode"] == "verbatim"
 
     def test_plot_artifacts(self, tmp_path):
-        cfg = write_config(tmp_path, {"steps": 200})
         out = tmp_path / "opt.csv"
-        assert run(["optimize", "--config", cfg, "--out", str(out),
-                    "--plot"]) == 0
+        assert run_cli(["optimize", "--out", str(out), "--plot"], {"steps": 200}).code == 0
         assert (tmp_path / "opt.uncontrolled.csv").is_file()
         versus = (tmp_path / "opt.states-vs-uncontrolled.gp").read_text()
         assert "no control" in versus
@@ -320,9 +295,8 @@ class TestOptimize:
             return problem
         sica_problem = cli.sica_problem
         monkeypatch.setattr(cli, "sica_problem", counting_problem)
-        cfg = write_config(tmp_path, {"steps": 200})
-        assert run(["optimize", "--config", cfg, "--out", str(tmp_path / "opt.csv"),
-                    "--plot"]) == 0
+        assert run_cli(["optimize", "--out", str(tmp_path / "opt.csv"), "--plot"],
+                       {"steps": 200}).code == 0
         manifest = json.loads((tmp_path / "opt.manifest.json").read_text())
         assert len(marches) == manifest["diagnostics"]["iterations"]
 
@@ -340,10 +314,10 @@ class TestWriteCsv:
 
 
 class TestCompare:
-    def test_tables_and_baseline_column(self, tmp_path, capsys):
+    def test_tables_and_baseline_column(self, tmp_path):
         out = tmp_path / "cmp.csv"
-        assert run(["compare", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
+        code, stdout, _, _ = run_cli(["compare", "--out", str(out)])
+        assert code == 0
         for printed in ("0.4495660", "0.0659270", "0.0161175",
                         "0.0151705", "0.0022508", "0.0006695"):
             assert printed in stdout
@@ -354,10 +328,9 @@ class TestCompare:
 
 
 class TestOrders:
-    def test_slope_report(self, tmp_path, capsys):
-        out = tmp_path / "orders.csv"
-        assert run(["orders", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
+    def test_slope_report(self, tmp_path):
+        code, stdout, _, _ = run_cli(["orders", "--out", str(tmp_path / "orders.csv")])
+        assert code == 0
         for method in ("euler", "rk2", "rk4"):
             assert method in stdout
         assert "FAIL" not in stdout
@@ -367,17 +340,13 @@ class TestOrders:
         assert 1.8 <= slopes["rk2"]["slope"] <= 2.2
         assert 3.5 <= slopes["rk4"]["slope"] <= 4.5
 
-    def test_equilibrium_is_a_numeric_error(self, tmp_path, capsys):
+    def test_equilibrium_is_a_numeric_error(self):
         # every terminal error is exactly 0, so no slope exists to report
-        cfg = write_config(tmp_path, {"initial": {"s": 1, "i": 0, "c": 0, "a": 0}})
-        out = tmp_path / "orders.csv"
-        code = run(["orders", "--config", cfg, "--out", str(out)])
-        err_lines = capsys.readouterr().err.strip().splitlines()
+        code, _, err, files = run_cli(["orders", "--out", "orders.csv"],
+                                      {"initial": {"s": 1, "i": 0, "c": 0, "a": 0}})
         assert code == 3
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error: numeric: ")
-        assert not out.exists()
-        assert not (tmp_path / "orders.manifest.json").exists()
+        assert err[0].startswith("error: numeric: ")
+        assert files == []
 
 
 class TestManifestReplay:
@@ -392,16 +361,12 @@ class TestManifestReplay:
         (["orders"], {"refinements": [50, 100.0, 200]}),
     ], ids=["simulate-rk2", "simulate-dp45", "optimize-verbatim", "compare", "orders"])
     def test_manifest_round_trip_reproduces_csv(self, tmp_path, argv, doc):
-        out1 = tmp_path / "a.csv"
-        config = [] if doc is None else ["--config", write_config(tmp_path, doc)]
-        assert run(argv + config + ["--out", str(out1)]) == 0
+        assert run_cli(argv + ["--out", "a.csv"], doc, tmp_path).code == 0
         manifest = json.loads((tmp_path / "a.manifest.json").read_text())
-        cfg = write_config(tmp_path, manifest["config"], "replay.json")
         method = ["--method", manifest["method"]] if "method" in manifest else []
-        out2 = tmp_path / "b.csv"
-        assert run([manifest["command"], *method, "--config", cfg,
-                    "--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        assert run_cli([manifest["command"], *method, "--out", "b.csv"], manifest["config"],
+                       tmp_path).code == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         replayed = json.loads((tmp_path / "b.manifest.json").read_text())
         assert replayed["config"] == manifest["config"]
 
@@ -418,11 +383,10 @@ class TestPlotEmission:
 
     @pytest.mark.parametrize("stem, quoted", [('a"b', 'a\\"b'), ("a\\b", "a\\\\b")],
                              ids=["quote", "backslash"])
-    def test_file_names_are_escaped(self, tmp_path, monkeypatch, stem, quoted):
+    def test_file_names_are_escaped(self, tmp_path, stem, quoted):
         # gnuplot reads a backslash escape inside a double-quoted string
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, {"steps": 10})
-        assert run(["optimize", "--plot", "--config", cfg, "--out", f"{stem}.csv"]) == 0
+        assert run_cli(["optimize", "--plot", "--out", f"{stem}.csv"], {"steps": 10},
+                       tmp_path).code == 0
         versus = (tmp_path / f"{stem}.states-vs-uncontrolled.gp").read_text()
         assert f'set output "{quoted}.states-vs-uncontrolled.png"' in versus
         assert f'plot "{quoted}.csv" using "t":"s"' in versus
@@ -433,28 +397,22 @@ class TestPlotEmission:
 
 
 class TestUsageErrors:
-    def test_unknown_method_is_usage_error(self, tmp_path, capsys):
-        code = run(["simulate", "--method", "rk3",
-                    "--out", str(tmp_path / "x.csv")])
-        capsys.readouterr()
-        assert code == 2
+    def test_unknown_method_is_usage_error(self):
+        assert run_cli(["simulate", "--method", "rk3", "--out", "x.csv"]).code == 2
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--method", "rk3"], ["simulate"], [],
         ["simulate", "--method", "rk4", "--bogus"], ["optimize", "--adjoint", "x"],
     ], ids=["unknown-method", "no-method", "no-command", "unknown-option", "unknown-adjoint"])
-    def test_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
-        monkeypatch.chdir(tmp_path)
-        assert run(argv) == 2
-        out, _ = one_error_line(capsys, "usage")
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+    def test_one_error_line(self, argv):
+        code, out, err, files = run_cli(argv)
+        assert (code, out, files) == (2, "", [])
+        assert err[0].startswith("error: usage: ")
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["--version"]])
-    def test_help_and_version_exit_zero_on_stdout(self, capsys, argv):
-        assert run(argv) == 0
-        captured = capsys.readouterr()
-        assert captured.out and not captured.err
+    def test_help_and_version_exit_zero_on_stdout(self, argv):
+        code, out, _, _ = run_cli(argv)
+        assert code == 0 and out
 
 
 class TestReusedParser:
@@ -470,25 +428,22 @@ class TestReusedParser:
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "0\n"
 
-    def test_options_and_defaults_do_not_carry_over(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-
+    def test_options_and_defaults_do_not_carry_over(self, tmp_path):
         def config(stem):
             return json.loads((tmp_path / f"{stem}.manifest.json").read_text())["config"]
 
-        assert run(["simulate", "--method", "rk4", "--plot", "--out", "a.csv"]) == 0
-        assert run(["simulate", "--method", "euler", "--out", "b.csv"]) == 0
+        for argv in (["simulate", "--method", "rk4", "--plot", "--out", "a.csv"],
+                     ["simulate", "--method", "euler", "--out", "b.csv"],
+                     ["optimize", "--adjoint", "verbatim", "--out", "v.csv"],
+                     ["optimize", "--out", "d.csv"], ["compare", "--out", "c.csv"]):
+            assert run_cli(argv, cwd=tmp_path).code == 0
         assert (tmp_path / "a.states.gp").is_file()
         assert not (tmp_path / "b.states.gp").exists()
-        assert run(["optimize", "--adjoint", "verbatim", "--out", "v.csv"]) == 0
-        assert run(["optimize", "--out", "d.csv"]) == 0
         assert config("v")["adjoint_mode"] == "verbatim"
         assert (config("d")["adjoint_mode"], config("d")["steps"]) == ("derived", 1000)
-        assert run(["compare", "--out", "c.csv"]) == 0
         assert config("c")["steps"] == 100
 
-    def test_each_call_gives_its_own_exit_and_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_each_call_gives_its_own_exit_and_output(self):
         calls = [["simulate", "--method", "rk3"], ["--version"], ["--help"],
                  ["simulate", "--method", "rk4"]]
 
@@ -497,16 +452,16 @@ class TestReusedParser:
             for argv in calls:
                 if fresh:
                     cli._build_parser.cache_clear()
-                got.append((run(argv), *capsys.readouterr()))
+                got.append(run_cli(argv))
             return got
 
         reused = outputs(fresh=False)
-        (code, out, err), version, helped, simulated = reused
+        (code, out, err, _), version, helped, simulated = reused
         assert (code, out) == (2, "")
-        assert err.startswith("error: usage: ") and err.count("\n") == 1
-        assert version == (0, f"sicaoc {sicaoc.__version__}\n", "")
-        assert helped[0] == 0 and helped[1].startswith("usage: sicaoc ") and helped[2] == ""
-        assert simulated[0] == 0 and simulated[1] and simulated[2] == ""
+        assert err[0].startswith("error: usage: ")
+        assert version[:2] == (0, f"sicaoc {sicaoc.__version__}\n")
+        assert helped.code == 0 and helped.out.startswith("usage: sicaoc ")
+        assert simulated.code == 0 and simulated.out
         assert reused == outputs(fresh=True)
 
 
@@ -540,45 +495,30 @@ class TestHostileConfig:
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
-    def test_is_a_config_error(self, tmp_path, capsys, text, argv):
-        cfg = tmp_path / "config.json"
-        cfg.write_text(text)
-        out = tmp_path / "run.csv"
-        code = run(argv + ["--config", str(cfg), "--out", str(out)])
-        err_lines = capsys.readouterr().err.strip().splitlines()
+    def test_is_a_config_error(self, text, argv):
+        code, _, err, files = run_cli(argv + ["--out", "run.csv"], text)
         assert code == 2
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error: config: ")
+        assert err[0].startswith("error: config: ")
         if text in self.EXACT:
-            assert err_lines[0] == "error: config: " + self.EXACT[text]
-        assert os.listdir(tmp_path) == ["config.json"]
+            assert err[0] == "error: config: " + self.EXACT[text]
+        assert files == []
 
 
 class TestIterationCap:
     @pytest.mark.parametrize("budget", ["1e300", "1" + "0" * 400, str(MAX_ITERATIONS + 1)],
                              ids=["1e300", "10**400", "cap-plus-one"])
-    def test_budget_past_the_cap_is_a_config_error(self, tmp_path, capsys, monkeypatch,
-                                                   budget):
+    def test_budget_past_the_cap_is_a_config_error(self, budget):
         # a sweep that never converges would run on under such a budget
-        cfg = tmp_path / "config.json"
-        cfg.write_text('{"control": {"max_iterations": %s}}' % budget)
-        workdir = tmp_path / "run"
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert run(["optimize", "--plot", "--config", str(cfg)]) == 2
-        out, line = one_error_line(capsys, "config")
-        assert out == ""
-        assert line == (f"error: config: invalid control: max_iterations exceeds the cap "
-                        f"of {MAX_ITERATIONS}")
-        assert list(workdir.iterdir()) == []
+        assert run_cli(["optimize", "--plot"], '{"control": {"max_iterations": %s}}' % budget) == (
+            2, "", [f"error: config: invalid control: max_iterations exceeds the cap "
+                    f"of {MAX_ITERATIONS}"], [])
 
-    def test_budget_at_the_cap_is_accepted(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        cfg = write_config(tmp_path, {"steps": 10, "control": {"max_iterations": MAX_ITERATIONS}})
-        assert run(["optimize", "--config", cfg, "--out", "run.csv"]) == 0
+    def test_budget_at_the_cap_is_accepted(self, tmp_path):
+        assert run_cli(["optimize", "--out", "run.csv"],
+                       {"steps": 10, "control": {"max_iterations": MAX_ITERATIONS}},
+                       tmp_path).code == 0
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["config"]["control"]["max_iterations"] == MAX_ITERATIONS
-        assert capsys.readouterr().err == ""
 
 
 class TestOverflowingStages:
@@ -595,15 +535,12 @@ class TestOverflowingStages:
 
     @staticmethod
     def run_child(tmp_path, doc, argv):
-        cfg = write_config(tmp_path, doc)
-        proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv + ["--config", cfg],
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-m", "sicaoc", *argv, "--config", "config.json"],
                               cwd=tmp_path, env=child_env(), capture_output=True, text=True)
-        err_lines = proc.stderr.splitlines()
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert len(err_lines) == 1
-        assert err_lines[0].startswith("error: numeric: ")
-        return err_lines[0]
+        check_contract(proc.returncode, proc.stderr.splitlines())
+        assert (proc.returncode, proc.stdout) == (3, "")
+        return proc.stderr.rstrip("\n")
 
     @CONFIGS
     @pytest.mark.parametrize("argv", [["orders"], ["compare"],
@@ -647,34 +584,20 @@ class TestOverflowingStages:
         assert os.listdir(tmp_path) == ["config.json"]
 
 
-def one_error_line(capsys, category):
-    captured = capsys.readouterr()
-    err_lines = captured.err.strip().splitlines()
-    assert len(err_lines) == 1
-    assert err_lines[0].startswith(f"error: {category}: ")
-    return captured.out, err_lines[0]
-
-
 class TestExitContract:
-    def test_any_numerical_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+    def test_any_numerical_failure_exits_3(self, monkeypatch):
         # main keys on the base class, not on a list of its subclasses
         def fail(*args):
             raise NumericalFailure("probe")
         monkeypatch.setattr("sicaoc.cli.solve", fail)
-        monkeypatch.chdir(tmp_path)
-        assert run(["optimize"]) == 3
-        assert one_error_line(capsys, "numeric")[1] == "error: numeric: probe"
+        code, _, err, _ = run_cli(["optimize"])
+        assert (code, err) == (3, ["error: numeric: probe"])
 
-    def test_non_finite_difference_norms_exit_3(self, tmp_path, capsys, monkeypatch):
+    def test_non_finite_difference_norms_exit_3(self):
         # compare checks its tables before it writes a file (see TestOverflowingStages)
-        cfg = write_config(tmp_path, {"params": {"d": 165.08083705360366},
-                                      "horizon": 1.7098773859679104})
-        monkeypatch.chdir(tmp_path)
-        assert run(["compare", "--config", cfg]) == 3
-        out, err = one_error_line(capsys, "numeric")
-        assert err == "error: numeric: euler difference norms vs the reference are not finite"
-        assert out == ""
-        assert os.listdir(tmp_path) == ["config.json"]
+        assert run_cli(["compare"], {"params": {"d": 165.08083705360366},
+                                     "horizon": 1.7098773859679104}) == (
+            3, "", ["error: numeric: euler difference norms vs the reference are not finite"], [])
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -689,8 +612,8 @@ class TestExitContract:
         # every file is written before the first print, so a run leaves all its
         # artifacts whether the write fails in a print or in the flush after it;
         # the io error also wins over the sweep's non-convergence
-        write_config(tmp_path, {"steps": 100, "control": {"max_iterations": 1,
-                                                          "delta_error": 1e-12}}, "nc.json")
+        (tmp_path / "nc.json").write_text(json.dumps(
+            {"steps": 100, "control": {"max_iterations": 1, "delta_error": 1e-12}}))
         cwd = tmp_path / "run"
         cwd.mkdir()
         env = child_env()
@@ -716,13 +639,11 @@ class TestEntryPoints:
         monkeypatch.setattr(sys, "argv", ["sicaoc"] + argv)
         with pytest.raises(SystemExit) as exited:
             runpy.run_module("sicaoc", run_name="__main__")
-        assert exited.value.code == code
+        out, err = capsys.readouterr()
+        check_contract(exited.value.code, err.splitlines())
+        assert (exited.value.code, out) == (code, stdout)
         if code:
-            out, _ = one_error_line(capsys, "usage")
-        else:
-            out, err = capsys.readouterr()
-            assert err == ""
-        assert out == stdout
+            assert err.startswith("error: usage: ")
 
     @pytest.fixture
     def full_stdout(self):
@@ -758,8 +679,7 @@ class TestEntryPoints:
         # main reports the failed flush; entry then points stdout at the null
         # device, so the interpreter's exit flush cannot fail a second time
         assert self.version_exit(monkeypatch, full_stdout) == 4
-        assert one_error_line(capsys, "io") == (
-            "", "error: io: [Errno 28] No space left on device")
+        assert capsys.readouterr() == ("", "error: io: [Errno 28] No space left on device\n")
         assert os.path.samestat(os.fstat(full_stdout.fileno()), os.stat(os.devnull))
 
     def test_failing_stdout_leaks_no_descriptor(self, monkeypatch, full_stdout):
@@ -774,17 +694,11 @@ class TestEntryPoints:
 class TestOutputPaths:
     """Output paths are resolved and checked before anything is computed."""
 
-    @pytest.fixture(autouse=True)
-    def in_tmp_path(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-
-    def test_missing_directory_fails_before_the_solve(self, tmp_path, capsys, monkeypatch):
+    def test_missing_directory_fails_before_the_solve(self, monkeypatch):
         monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
-        cfg = write_config(tmp_path, {"output": {"csv": "x/y.dat"}})
-        assert run(["optimize", "--config", cfg]) == 4
-        out, err = one_error_line(capsys, "io")
-        assert err == "error: io: [Errno 2] No such file or directory: 'x/y.dat'"
-        assert out == ""
+        code, out, err, _ = run_cli(["optimize"], {"output": {"csv": "x/y.dat"}})
+        assert (code, out) == (4, "")
+        assert err == ["error: io: [Errno 2] No such file or directory: 'x/y.dat'"]
 
     @pytest.mark.parametrize("out, message", [
         ("link.csv", "[Errno 2] No such file or directory: 'link.csv'"),
@@ -793,41 +707,40 @@ class TestOutputPaths:
         ("afile/x.csv", "[Errno 20] Not a directory: 'afile/x.csv'"),
     ], ids=["link-into-missing-directory", "symlink-loop", "name-too-long",
             "file-as-directory"])
-    def test_resolved_path_fails_before_the_solve(self, capsys, monkeypatch, out, message):
+    def test_resolved_path_fails_before_the_solve(self, tmp_path, monkeypatch, out, message):
         # each path is checked after every symlink is followed
-        os.symlink("nodir/target.csv", "link.csv")
-        os.symlink("loop.csv", "loop.csv")
-        Path("afile").touch()
+        os.symlink("nodir/target.csv", tmp_path / "link.csv")
+        os.symlink("loop.csv", tmp_path / "loop.csv")
+        (tmp_path / "afile").touch()
         monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
-        assert run(["optimize", "--out", out]) == 4
-        stdout, err = one_error_line(capsys, "io")
-        assert err == f"error: io: {message}"
-        assert stdout == ""
+        code, stdout, err, _ = run_cli(["optimize", "--out", out], cwd=tmp_path)
+        assert (code, stdout) == (4, "")
+        assert err == [f"error: io: {message}"]
 
-    def test_link_to_a_file_writes_through_the_link(self, tmp_path, capsys):
+    def test_link_to_a_file_writes_through_the_link(self, tmp_path):
         (tmp_path / "sub").mkdir()
         (tmp_path / "sub" / "target.csv").write_text("old\n")
-        os.symlink("sub/target.csv", "link.csv")
-        cfg = write_config(tmp_path, {"steps": 10})
-        assert run(["simulate", "--method", "rk4", "--out", "link.csv", "--config", cfg]) == 0
+        os.symlink("sub/target.csv", tmp_path / "link.csv")
+        code, out, _, _ = run_cli(["simulate", "--method", "rk4", "--out", "link.csv"],
+                                  {"steps": 10}, tmp_path)
+        assert code == 0
         assert (tmp_path / "link.csv").is_symlink()
         assert (tmp_path / "sub" / "target.csv").read_text().startswith("t,s,i,c,a\n")
-        assert capsys.readouterr().out.endswith("wrote link.csv\nwrote link.manifest.json\n")
+        assert out.endswith("wrote link.csv\nwrote link.manifest.json\n")
 
-    def test_compare_fails_before_computing(self, capsys, monkeypatch):
+    def test_compare_fails_before_computing(self, monkeypatch):
         monkeypatch.setattr("sicaoc.cli.reference_trajectory",
                             lambda *args: pytest.fail("compare ran"))
-        assert run(["compare", "--out", "nodir/c.csv"]) == 4
-        out, err = one_error_line(capsys, "io")
-        assert err == "error: io: [Errno 2] No such file or directory: 'nodir/c.csv'"
-        assert out == ""
+        code, out, err, _ = run_cli(["compare", "--out", "nodir/c.csv"])
+        assert (code, out) == (4, "")
+        assert err == ["error: io: [Errno 2] No such file or directory: 'nodir/c.csv'"]
 
-    def test_directory_as_output_is_io_error(self, tmp_path, capsys):
+    def test_directory_as_output_is_io_error(self, tmp_path):
         (tmp_path / "taken").mkdir()
-        assert run(["simulate", "--method", "rk4", "--out", "taken"]) == 4
-        out, err = one_error_line(capsys, "io")
-        assert err == "error: io: [Errno 21] Is a directory: 'taken'"
-        assert out == ""
+        code, out, err, _ = run_cli(["simulate", "--method", "rk4", "--out", "taken"],
+                                    cwd=tmp_path)
+        assert (code, out) == (4, "")
+        assert err == ["error: io: [Errno 21] Is a directory: 'taken'"]
 
     @pytest.mark.parametrize("argv, doc", [
         (["simulate", "--method", "rk4", "--out", "."], {}),
@@ -869,15 +782,12 @@ class TestOutputPaths:
             "out-trailing-separator", "out-existing-dir-separator",
             "manifest-trailing-separator", "out-trailing-dot", "out-existing-file-dot",
             "manifest-trailing-dot"])
-    def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, capsys,
-                                                           argv, doc):
+    def test_unusable_or_colliding_paths_are_config_errors(self, tmp_path, argv, doc):
         (tmp_path / "sub").mkdir()
         (tmp_path / "notes.txt").write_bytes(b"precious\n")
-        cfg = write_config(tmp_path, {"steps": 10, **doc}, "cfg.json")
-        assert run(argv + ["--config", cfg]) == 2
-        out, _ = one_error_line(capsys, "config")
-        assert out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "notes.txt", "sub"]
+        code, out, err, files = run_cli(argv, {"steps": 10, **doc}, tmp_path)
+        assert (code, out, files) == (2, "", ["notes.txt", "sub"])
+        assert err[0].startswith("error: config: ")
         assert (tmp_path / "notes.txt").read_bytes() == b"precious\n"
 
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
@@ -886,17 +796,10 @@ class TestOutputPaths:
     @pytest.mark.parametrize("out, output", [
         ("", {}), (None, {"manifest": ""}), ("x.csv", {"csv": ""}), (None, {"csv": ""}),
     ], ids=["out", "manifest", "overridden-csv", "csv"])
-    def test_empty_path_names_no_file(self, tmp_path, capsys, monkeypatch, argv, out,
-                                      output):
-        cfg = write_config(tmp_path, {"steps": 10, "output": output})
-        (tmp_path / "work").mkdir()
-        monkeypatch.chdir(tmp_path / "work")
+    def test_empty_path_names_no_file(self, argv, out, output):
         flag = [] if out is None else ["--out", out]
-        assert run(argv + flag + ["--config", cfg]) == 2
-        stdout, err = one_error_line(capsys, "config")
-        assert err == "error: config: output path '' names no file"
-        assert stdout == ""
-        assert list((tmp_path / "work").iterdir()) == []
+        assert run_cli(argv + flag, {"steps": 10, "output": output}) == (
+            2, "", ["error: config: output path '' names no file"], [])
 
     @pytest.mark.parametrize("argv, written, outputs", [
         (["optimize", "--plot", "--out", "run.dat"],
@@ -911,35 +814,31 @@ class TestOutputPaths:
          ["run", "run.manifest.json", "run.states.gp"],
          {"csv": "run", "plots": ["run.states.gp"]}),
     ], ids=["optimize", "simulate-in-subdirectory", "simulate-no-suffix"])
-    def test_companions_share_the_csv_stem(self, tmp_path, capsys, argv, written, outputs):
+    def test_companions_share_the_csv_stem(self, tmp_path, argv, written, outputs):
         (tmp_path / "sub").mkdir()
-        cfg = write_config(tmp_path, {"steps": 50}, "cfg.json")
-        assert run(argv + ["--config", cfg]) == 0
+        code, out, _, _ = run_cli(argv, {"steps": 50}, tmp_path)
+        assert code == 0
         assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
-                      if p.is_file()) == sorted(written + ["cfg.json"])
-        assert capsys.readouterr().out.endswith("".join(f"wrote {p}\n" for p in written))
-        assert json.loads(Path(written[1]).read_text())["outputs"] == outputs
+                      if p.is_file()) == sorted(written)
+        assert out.endswith("".join(f"wrote {p}\n" for p in written))
+        assert json.loads((tmp_path / written[1]).read_text())["outputs"] == outputs
         for script in outputs["plots"]:
             png = Path(script).name.removesuffix(".gp") + ".png"
-            assert f'set output "{png}"' in Path(script).read_text()
+            assert f'set output "{png}"' in (tmp_path / script).read_text()
 
-    def test_config_path_with_nul_is_a_config_error(self, tmp_path, capsys):
-        assert run(["simulate", "--method", "rk4", "--config", "a\0b.json"]) == 2
-        out, err = one_error_line(capsys, "config")
-        assert err.startswith("error: config: cannot read config ")
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
+    def test_config_path_with_nul_is_a_config_error(self):
+        code, out, err, files = run_cli(["simulate", "--method", "rk4", "--config", "a\0b.json"])
+        assert (code, out, files) == (2, "", [])
+        assert err[0].startswith("error: config: cannot read config ")
 
-    def test_config_path_is_quoted_in_the_error(self, tmp_path, capsys):
+    def test_config_path_is_quoted_in_the_error(self):
         # an escape sequence in the path must not reach the terminal
-        assert run(["simulate", "--method", "rk4", "--config", "a\x1b[31mb.json"]) == 2
-        out, err = one_error_line(capsys, "config")
-        assert err.startswith("error: config: cannot read config 'a\\x1b[31mb.json': ")
-        assert "\x1b" not in err
-        assert out == ""
+        code, out, err, _ = run_cli(["simulate", "--method", "rk4", "--config", "a\x1b[31mb.json"])
+        assert (code, out) == (2, "")
+        assert err[0].startswith("error: config: cannot read config 'a\\x1b[31mb.json': ")
+        assert "\x1b" not in err[0]
 
-    def test_plot_files_may_share_a_name_without_plot(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"steps": 10,
-                                      "output": {"manifest": "m.control.gp"}})
-        assert run(["optimize", "--out", "m.csv", "--config", cfg]) == 0
-        assert capsys.readouterr().out.endswith("wrote m.csv\nwrote m.control.gp\n")
+    def test_plot_files_may_share_a_name_without_plot(self):
+        code, out, _, _ = run_cli(["optimize", "--out", "m.csv"],
+                                  {"steps": 10, "output": {"manifest": "m.control.gp"}})
+        assert code == 0 and out.endswith("wrote m.csv\nwrote m.control.gp\n")

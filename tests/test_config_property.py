@@ -6,28 +6,24 @@ integers, bools, strings, lists, zero, negatives, grid sizes past the
 bound).  Each one goes through ``load_config`` as a JSON file, exactly as
 the CLI reads it, and must either parse or raise ``ConfigError``.  Small
 documents of the same shape also run whole subcommands through
-``cli.main``, which must keep the README's exit-code and stderr contract.
+``cli.main`` through ``cli_run.run_cli``, which checks the README's
+exit-code and stderr contract, and that every ``wrote`` line names a file.
 A character the output-path rule rejects, in any output path of an
 otherwise valid document, must be a config error that writes nothing.
 """
 
-import contextlib
-import io
 import json
 import math
-import os
-import re
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sicaoc.cli import (MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, load_config, main,
-                        parse_config)
+from sicaoc.cli import MAX_GRID_STEPS, MAX_ITERATIONS, ConfigError, load_config, parse_config
 from sicaoc.integrators import TimeGrid
 from sicaoc.model import ADJOINT_MODES
+
+from cli_run import run_cli
 
 HUGE = 10 ** 400
 
@@ -100,7 +96,7 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("config") / "config.json"
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(doc=documents, default_steps=st.sampled_from([100, 1000]))
 def test_config_parses_or_is_a_config_error(config_path, doc, default_steps):
     config_path.write_text(json.dumps(doc))   # NaN and Infinity become bare tokens
@@ -132,35 +128,9 @@ small_documents = config_documents(small_grid_size, st.one_of(
 commands = st.sampled_from([["simulate", "--method", m] for m in
                             ("euler", "rk2", "rk4", "dp45")]
                            + [["compare"], ["orders"], ["optimize"]])
-ERROR_LINE = re.compile(r"^error: (usage|config|numeric|io): ")
 
 
-def run_main(doc, argv):
-    """Run ``main`` on ``doc`` as its config file, from a new empty work directory.
-
-    Returns the exit code, the stderr lines, the work directory's entries
-    and the paths of stdout's ``wrote`` lines that name no file there.
-    """
-    with tempfile.TemporaryDirectory() as scratch:
-        config = Path(scratch) / "config.json"
-        config.write_text(json.dumps(doc))
-        workdir = Path(scratch) / "run"
-        workdir.mkdir()
-        out, err = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(workdir)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv + ["--config", str(config)])
-            written = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
-                       if line.startswith("wrote ")]
-            missing = [path for path in written if not Path(path).is_file()]
-        finally:
-            os.chdir(cwd)
-        return code, err.getvalue().splitlines(), list(workdir.iterdir()), missing
-
-
-@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(doc=small_documents, argv=commands)
 # a sweep that stops short writes its CSV and manifest, then exits 3;
 # few drawn documents reach it
@@ -172,15 +142,10 @@ def run_main(doc, argv):
 @example(doc={"steps": 10, "output": {"csv": "a\u2028b.csv"}},
          argv=["simulate", "--method", "rk4"])
 def test_cli_keeps_its_exit_contract(doc, argv):
-    code, err_lines, entries, missing = run_main(doc, argv)
-    assert missing == []
+    code, _, _, files = run_cli(argv, doc)
     assert code in (0, 2, 3, 4)
-    if code == 0:
-        assert err_lines == []
-    else:
-        assert len(err_lines) == 1 and ERROR_LINE.match(err_lines[0])
     if code == 2:
-        assert entries == []
+        assert files == []
 
 
 # Every character the output-path rule rejects, one strategy per branch of
@@ -191,7 +156,7 @@ rejected_characters = st.one_of(
     st.sampled_from(["\u2028", "\u2029"]))
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(argv=commands, char=rejected_characters,
        template=st.sampled_from(["{}run.csv", "run{}.csv", "run.csv{}", "sub{}dir/run.csv"]),
        where=st.sampled_from(["--out", "csv", "manifest"]))
@@ -204,7 +169,7 @@ def test_rejected_character_in_any_output_path_is_a_config_error(argv, char, tem
         argv = argv + ["--out", path]
     else:
         doc["output"] = {where: path}
-    code, err_lines, entries, _ = run_main(doc, argv)
+    code, _, err, files = run_cli(argv, doc)
     assert code == 2
-    assert len(err_lines) == 1 and err_lines[0].startswith("error: config: ")
-    assert entries == []
+    assert err[0].startswith("error: config: ")
+    assert files == []

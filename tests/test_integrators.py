@@ -326,7 +326,7 @@ class TestIntegrateDp45:
         assert np.array_equal(a.states, b.states)
 
 
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
 def test_dot_weighted_sums_equal_the_matmul_bytes(n, seed):
     # the DP45 step takes its two weighted sums with ndarray.dot, which must

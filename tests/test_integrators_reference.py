@@ -345,7 +345,7 @@ def dp45_problems(draw):
     return beta, x0, tf, adaptive, sample
 
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(dp45_problems())
 def test_dp45_matches_reference_on_drawn_problems(problem):
     beta, x0, tf, adaptive, sample = problem

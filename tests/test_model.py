@@ -107,7 +107,7 @@ class TestRhsAbsolute:
                 expected, rel=1e-12, abs=1e-14)
 
 
-class TestRhsNormalized:
+class TestUncontrolledField:
     """The uncontrolled fraction field, ``controlled_field(params)`` called as ``f(t, x)``."""
 
     def test_default_state_value(self, params):
@@ -126,7 +126,7 @@ class TestRhsNormalized:
             np.array(controlled_field(params)(0.0, [1.0, 0.0, 0.0, 0.0])), np.zeros(4))
 
 
-class TestRhsControlled:
+class TestControlledField:
     def test_zero_control_reduces_bitwise(self, params):
         rng = np.random.default_rng(5)
         for _ in range(25):

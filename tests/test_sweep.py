@@ -306,7 +306,7 @@ class TestRelativeChangeTest:
         with pytest.raises(ValueError):
             relative_change_test([], [], 1e-3)
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(pair=node_columns(), delta=st.floats(min_value=5e-324, max_value=1e300))
     def test_stacked_margin_equals_the_per_pair_fold(self, pair, delta):
         old, new = pair
@@ -320,7 +320,7 @@ class TestRelativeChangeTest:
         assert same_float_bits(stacked, expected)
         assert same_float_bits(viewed, expected)
 
-    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(pair=node_columns(), side=st.integers(0, 1), data=st.data())
     def test_a_nan_in_any_row_gives_nan(self, pair, side, data):
         stacks = [np.ascontiguousarray(a.T) for a in pair]

@@ -252,7 +252,7 @@ def test_constant_law_matches_reference_bitwise(params):
 
 
 def test_public_kernels_match_reference_bitwise():
-    # test_model's TestRhsControlled checks the field under any control and on node rows
+    # test_model's TestControlledField checks the field under any control and on node rows
     rng = np.random.default_rng(32)
     for _ in range(100):
         p = draw_params(rng)
@@ -346,18 +346,20 @@ def collocation_extremal(p, bounds, x0, mode, horizon=20.0):
     which T60/u_max 0.9/beta 1.6 needs.  J is the trapezoid rule on points
     1e-4 apart (200 001 on [0, 20]) of the interpolant.
     """
+    f, g = KERNEL_SETS["reference"](p, mode)
+
     def law(y):
         return optimal_control_law(p, y[:4].T, y[4:].T, bounds)
 
     def field(t, y):
         u = law(y)
-        return np.concatenate((ref_rhs(p, y[:4], u), ref_adjoint(p, y[:4], y[4:], u, mode)))
+        return np.concatenate((f(y[:4], u), g(y[:4], y[4:], u)))
 
     def boundary(ya, yb):
         return np.concatenate((ya[:4] - x0, yb[4:]))
 
     grid = TimeGrid(0.0, horizon, round(2.5 * horizon))
-    start = ref_forward(lambda x, u: ref_rhs(p, x, u), x0, np.zeros(grid.node_count), grid)
+    start = ref_forward(f, x0, np.zeros(grid.node_count), grid)
     sol = solve_bvp(field, boundary, grid.nodes(),
                     np.vstack((start.T, np.zeros((4, grid.node_count)))), tol=1e-6,
                     max_nodes=5000)
