@@ -16,7 +16,10 @@ return numpy arrays over the float kernels ``controlled_field`` and
 it is their field ``f(t, x)``, on Python floats to skip numpy's per-call
 overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
 (forward) and ``costate_march`` (backward), the arithmetic of
-``controlled_field`` and ``adjoint_rhs`` written out per stage.
+``controlled_field`` and ``adjoint_rhs`` written out per stage.  The
+backward march walks its costate term arrays through memoryviews and
+carries each step's stage 1 from the previous step's node terms, so it
+makes no Python-float copy of the term table.
 """
 
 from __future__ import annotations
@@ -285,9 +288,12 @@ def costate_march(p: ModelParams, mode: str
     means at stages 2 and 3, and returns the ``(n, 4)`` node costates in
     node order, finite or not.  The (x, u)-only terms of ``adjoint_rhs``
     are one array pass over the rows of a ``(5, 2n - 1)`` table of the
-    nodes and midpoints, interleaved last node first, walked lazily a
-    (midpoint, node) pair per step; each stage does the arithmetic linear
-    in the costate, bit for bit an RK4 loop over it.
+    nodes and midpoints, interleaved last node first.  The eleven term
+    arrays are walked through memoryviews, a (midpoint, node) column pair
+    per step, so no Python-float copy of the table is made; stage 1 of
+    each step is carried from the previous step's node terms (column 0
+    before the first).  Each stage does the arithmetic linear in the
+    costate, bit for bit an RK4 loop over it.
     """
     terms = _costate_terms(p, mode)
     phi, rho, d = p.phi, p.rho, p.d
@@ -300,33 +306,34 @@ def costate_march(p: ModelParams, mode: str
             y = np.empty((5, 2 * len(u) - 1))
             y[:4, ::2], y[4, ::2] = states[::-1].T, u[::-1]
             y[:, 1::2] = midpoints(y[:, ::2].T).T
-            table = zip(*(t.tolist() for t in terms(*y)))
+            views = [memoryview(t) for t in terms(*y)]
         l1, l2, l3, l4 = rows = [0.0] * 4
-        # each step's stage 4 leaves the terms of the node the next step starts at
-        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = next(table)
-        for mid, end in zip(table, table):
-            a1 = -1.0 + l1 * k11 - l2 * k12
-            a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
-            a3 = l1 * k31 - l2 * k32 + l3 * k33
-            a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
-            k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = mid
+        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = (v[0] for v in views)
+        a1 = -1.0 + l1 * k11 - l2 * k12
+        a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
+        a3 = l1 * k31 - l2 * k32 + l3 * k33
+        a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
+        # one 22-tuple per step, the midpoint's terms (q) then the end node's
+        # (k); unpacked in the for target, so zip reuses it
+        for (q11, q12, q21, q22, q31, q32, q33, q41, q42, qc, q44,
+             k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44) in zip(
+                *(v[1::2] for v in views), *(v[2::2] for v in views)):
             m1 = l1 + h2 * a1
             m2 = l2 + h2 * a2
             m3 = l3 + h2 * a3
             m4 = l4 + h2 * a4
-            b1 = -1.0 + m1 * k11 - m2 * k12
-            b2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
-            b3 = m1 * k31 - m2 * k32 + m3 * k33
-            b4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
+            b1 = -1.0 + m1 * q11 - m2 * q12
+            b2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
+            b3 = m1 * q31 - m2 * q32 + m3 * q33
+            b4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
             m1 = l1 + h2 * b1
             m2 = l2 + h2 * b2
             m3 = l3 + h2 * b3
             m4 = l4 + h2 * b4
-            c1 = -1.0 + m1 * k11 - m2 * k12
-            c2 = 1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho
-            c3 = m1 * k31 - m2 * k32 + m3 * k33
-            c4 = m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44
-            k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = end
+            c1 = -1.0 + m1 * q11 - m2 * q12
+            c2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
+            c3 = m1 * q31 - m2 * q32 + m3 * q33
+            c4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
             m1 = l1 + h * c1
             m2 = l2 + h * c2
             m3 = l3 + h * c3
@@ -338,6 +345,11 @@ def costate_march(p: ModelParams, mode: str
             l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4)
                             + (m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44))
             rows += (l1, l2, l3, l4)
+            # the next step's stage 1, on the node this step's stage 4 ended at
+            a1 = -1.0 + l1 * k11 - l2 * k12
+            a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
+            a3 = l1 * k31 - l2 * k32 + l3 * k33
+            a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
         return np.array(rows, dtype=float).reshape(-1, 4)[::-1]
     return march
 

@@ -397,13 +397,12 @@ class TestPlotEmission:
 
 
 class TestUsageErrors:
-    def test_unknown_method_is_usage_error(self):
-        assert run_cli(["simulate", "--method", "rk3", "--out", "x.csv"]).code == 2
-
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--method", "rk3"], ["simulate"], [],
+        ["simulate", "--method", "rk3"], ["simulate", "--method", "rk3", "--out", "x.csv"],
+        ["simulate"], [],
         ["simulate", "--method", "rk4", "--bogus"], ["optimize", "--adjoint", "x"],
-    ], ids=["unknown-method", "no-method", "no-command", "unknown-option", "unknown-adjoint"])
+    ], ids=["unknown-method", "unknown-method-with-out", "no-method", "no-command",
+            "unknown-option", "unknown-adjoint"])
     def test_one_error_line(self, argv):
         code, out, err, files = run_cli(argv)
         assert (code, out, files) == (2, "", [])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rhs,
                     hamiltonian, integrate_fixed, objective, optimal_control_law,
                     rhs_absolute, running_cost, sica_problem)
-from sicaoc.model import controlled_field, controlled_march
+from sicaoc.model import controlled_field, controlled_march, costate_march
 
 from reference import draw_params, ref_rhs
 
@@ -187,6 +188,29 @@ class TestOneRk4Arithmetic:
             grid = TimeGrid(0.0, horizon, steps)
             assert grid.h <= 0.5
             self.assert_same_march(p, grid, rng.dirichlet(np.ones(4)))
+
+
+def traced_peak(call):
+    """Bytes that ``call()`` allocates at its peak, above what was live before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_costate_march_peak_memory_stays_near_the_forward_march(params):
+    # the backward march reads its term arrays in place: a Python-float copy
+    # of the 11 x (2n - 1) table would put its peak at over 4x the forward one
+    grid = TimeGrid(0.0, 20.0, 1000)
+    u = np.full(grid.node_count, 0.3)
+    forward, backward = controlled_march(params), costate_march(params, "derived")
+    states = forward(X0, u, grid.h)
+    assert traced_peak(lambda: backward(states, u, grid.h)) <= 3 * traced_peak(
+        lambda: forward(X0, u, grid.h))
 
 
 class TestRunningCost:

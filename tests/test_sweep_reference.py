@@ -27,7 +27,7 @@ import pytest
 from scipy.integrate import solve_bvp
 
 from sicaoc import (ControlBounds, ModelParams, SweepNonConvergence,
-                    SweepSettings, TimeGrid)
+                    SweepSettings, TimeGrid, Trajectory)
 from sicaoc import analysis
 from sicaoc.analysis import FD_STEP, stationarity_residual
 from sicaoc.model import (adjoint_rhs, controlled_field, hamiltonian, objective,
@@ -218,9 +218,12 @@ def test_sweep_matches_reference_bitwise(name, kernels):
     assert_same(result, reference)
 
 
-@pytest.mark.parametrize("mode, kernels", per_kernel_set(["derived", "verbatim"]))
 # 1, 2 and 3 steps are the edges of the costate march's term-table walk
-@pytest.mark.parametrize("steps", [1, 2, 3, 37])
+WALK_STEPS = [1, 2, 3, 37]
+
+
+@pytest.mark.parametrize("mode, kernels", per_kernel_set(["derived", "verbatim"]))
+@pytest.mark.parametrize("steps", WALK_STEPS)
 def test_passes_match_reference_bitwise_for_any_control(mode, kernels, steps):
     # no rate of 1.0, which would hide a regrouped product such as d * c
     p = ModelParams(mu=0.017, beta=1.7, eta_c=0.04, eta_a=1.35, phi=0.93,
@@ -239,6 +242,26 @@ def test_passes_match_reference_bitwise_for_any_control(mode, kernels, steps):
         assert_same_bits(x.states, ref_forward(f, x0, u, grid))
         assert_same_bits(backward_pass(prob, x, u).states,
                          ref_backward(g, x.states, u, grid))
+
+
+@pytest.mark.parametrize("mode", ["derived", "verbatim"])
+@pytest.mark.parametrize("steps", WALK_STEPS)
+def test_backward_pass_bits_do_not_depend_on_the_input_layout(params, mode, steps):
+    rng = np.random.default_rng(steps)
+    grid = TimeGrid(0.0, 5.0, steps)
+    n = grid.node_count
+    prob = sica_problem(params, ControlBounds(0.5), rng.dirichlet(np.ones(4)), mode)
+    u = rng.uniform(-1.0, 2.0, size=n)
+    x = forward_pass(prob, u, grid)
+    expected = backward_pass(prob, x, u).states
+    reversed_rows = np.empty((n, 4))[::-1]
+    reversed_rows[:] = x.states
+    strided_u = np.empty(2 * n)[::2]
+    strided_u[:] = u
+    for states in (reversed_rows, np.asfortranarray(x.states)):
+        assert not states.flags.c_contiguous
+        assert_same_bits(backward_pass(prob, Trajectory(grid, states), strided_u).states,
+                         expected)
 
 
 def test_constant_law_matches_reference_bitwise(params):
