@@ -246,7 +246,8 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     Each given path (``out``, ``output.csv``, ``output.manifest``), used or
     not, is a config error if it names no file (``""``, ``"."``, ``"dir/"``, ``"f/."``) or
     holds a control character (U+0000 to U+001F, DEL, U+0080 to U+009F) or
-    line separator (U+2028, U+2029), every break of ``str.splitlines``; only
+    line separator (U+2028, U+2029), every break of ``str.splitlines``, or a
+    lone surrogate (U+D800 to U+DFFF), which no UTF-8 stdout can print; only
     an absent one takes a default.  The CSV is ``out``, else ``output.csv``,
     else ``<default_stem>.csv``; the manifest (unless given) and each of
     ``suffixes`` are its name less a trailing ``.csv`` plus that suffix, in
@@ -258,6 +259,9 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
         if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
             raise ConfigError(f"output path {path!r} holds a control character "
                               "or line separator")
+        if any("\ud800" <= c <= "\udfff" for c in path):   # argv's non-UTF-8 bytes come as these
+            raise ConfigError(f"output path {path!r} holds a lone surrogate, "
+                              "which is not valid UTF-8")
         # Path drops a trailing separator or "." part: "dir/" and "f/." would name "dir", "f"
         if os.path.basename(path) in ("", "."):
             raise ConfigError(f"output path {path!r} names no file")

@@ -2,8 +2,10 @@
 
 Exit 0 leaves stderr empty; any other exit prints exactly one
 ``error: <category>: <message>`` line, and the exit code is the one
-``cli.FAILURES`` gives that category.  Every ``wrote`` line of stdout
-names a file.  Runs that need a child interpreter check the same
+``cli.FAILURES`` gives that category.  Stdout encodes as strict UTF-8,
+as a stdout under a UTF-8 locale other than C must, and every ``wrote``
+line of it names a file.  Runs that do not go through ``cli.main`` here
+(the entry points, a failing stdout, a child interpreter) check the same
 contract with ``check_contract``.  pytest does not collect this module;
 the tests import it by name.
 """
@@ -61,6 +63,7 @@ def run_cli(argv: list[str], doc=None, cwd=None) -> Run:
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
+            out.getvalue().encode("utf-8")   # raises UnicodeEncodeError as a strict stdout would
             written = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
                        if line.startswith("wrote ")]
             assert all(Path(path).is_file() for path in written), written

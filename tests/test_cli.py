@@ -520,12 +520,14 @@ class TestIterationCap:
         assert manifest["config"]["control"]["max_iterations"] == MAX_ITERATIONS
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestOverflowingStages:
     """A stage or step that overflows is reported in one stderr line.
 
-    numpy prints its floating-point warnings straight to stderr, and
-    pytest's warning capture hides them in-process, so the command runs
-    in a child interpreter.
+    numpy reports an overflow as a RuntimeWarning, which a real run prints
+    to stderr before its error line.  The class's warning filter, which
+    outranks the ini file and ``-W``, makes such a warning an exception
+    that ``cli.main`` does not catch, so a stray one fails ``run_cli``.
     """
 
     CONFIGS = pytest.mark.parametrize(
@@ -533,20 +535,17 @@ class TestOverflowingStages:
         ids=["beta-1e308", "horizon-1.797e308"])
 
     @staticmethod
-    def run_child(tmp_path, doc, argv):
-        (tmp_path / "config.json").write_text(json.dumps(doc))
-        proc = subprocess.run([sys.executable, "-m", "sicaoc", *argv, "--config", "config.json"],
-                              cwd=tmp_path, env=child_env(), capture_output=True, text=True)
-        check_contract(proc.returncode, proc.stderr.splitlines())
-        assert (proc.returncode, proc.stdout) == (3, "")
-        return proc.stderr.rstrip("\n")
+    def failed_run(doc, argv):
+        run = run_cli(argv, doc)
+        assert (run.code, run.out) == (3, "")
+        return run
 
     @CONFIGS
     @pytest.mark.parametrize("argv", [["orders"], ["compare"],
                                       ["simulate", "--method", "dp45"]],
                              ids=["orders", "compare", "simulate-dp45"])
-    def test_one_error_line(self, tmp_path, doc, argv):
-        self.run_child(tmp_path, doc, argv)
+    def test_one_error_line(self, doc, argv):
+        self.failed_run(doc, argv)
 
     @CONFIGS
     @pytest.mark.parametrize("argv, message", [
@@ -554,33 +553,78 @@ class TestOverflowingStages:
         (["simulate", "--method", "rk4"], "rk4 produced a non-finite state at node 1"),
         (["optimize"], "forward pass produced a non-finite state at node 1"),
     ], ids=["simulate-euler", "simulate-rk4", "optimize"])
-    def test_first_failing_node_is_named(self, tmp_path, doc, argv, message):
+    def test_first_failing_node_is_named(self, doc, argv, message):
         # one check after each march finds the node where the states overflowed
-        assert self.run_child(tmp_path, doc, argv) == f"error: numeric: {message}"
+        assert self.failed_run(doc, argv).err == [f"error: numeric: {message}"]
 
-    def test_overflowing_costate_terms_add_no_warning(self, tmp_path):
+    def test_overflowing_costate_terms_add_no_warning(self):
         # the costate march computes its (x, u)-only terms as arrays, where an
         # overflow must not print a numpy warning before the error line
         doc = {"params": {"beta": 1e10, "eta_a": 1e300},
                "initial": {"s": 1, "i": 0, "c": 0, "a": 0}, "steps": 50}
-        assert self.run_child(tmp_path, doc, ["optimize", "--out", "costate.csv"]) == (
-            "error: numeric: backward pass produced a non-finite costate at node 49")
-        assert os.listdir(tmp_path) == ["config.json"]
+        run = self.failed_run(doc, ["optimize", "--out", "costate.csv"])
+        assert (run.err, run.files) == (
+            ["error: numeric: backward pass produced a non-finite costate at node 49"], [])
 
-    def test_overflowing_norms_add_no_warning(self, tmp_path):
+    def test_overflowing_norms_add_no_warning(self):
         # Euler's states stay finite but reach 5.6e274, so its 2-norms
         # overflow; rk2's failure must still be the only stderr line
         doc = {"params": {"d": 20.0}, "horizon": 11.40396685193138}
-        assert self.run_child(tmp_path, doc, ["compare"]) == (
-            "error: numeric: rk2 produced a non-finite state at node 90")
+        assert self.failed_run(doc, ["compare"]).err == [
+            "error: numeric: rk2 produced a non-finite state at node 90"]
 
-    def test_overflowing_norms_of_finite_states_write_nothing(self, tmp_path):
+    def test_overflowing_norms_of_finite_states_write_nothing(self):
         # every method succeeds and Euler's states stay finite (up to 2.8e306),
         # but its 2-norms overflow, which no strict-JSON manifest can hold
         doc = {"params": {"d": 165.08083705360366}, "horizon": 1.7098773859679104}
-        assert self.run_child(tmp_path, doc, ["compare"]) == (
-            "error: numeric: euler difference norms vs the reference are not finite")
-        assert os.listdir(tmp_path) == ["config.json"]
+        run = self.failed_run(doc, ["compare"])
+        assert (run.err, run.files) == (
+            ["error: numeric: euler difference norms vs the reference are not finite"], [])
+
+
+class FullStdout:
+    """A stdout on a temporary file's descriptor that fails as ``/dev/full`` does.
+
+    Every flush fails with ENOSPC.  Unbuffered, every write fails too, as
+    a stream with ``PYTHONUNBUFFERED`` set fails at its first print.
+    """
+
+    def __init__(self, fd, unbuffered):
+        self.fd, self.unbuffered = fd, unbuffered
+
+    def write(self, text):
+        if self.unbuffered:
+            self.flush()
+        return len(text)
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.fixture
+def full_stdout(request):
+    """A ``FullStdout``, unbuffered if the test parametrizes it indirectly with True."""
+    fd, path = tempfile.mkstemp()
+    yield FullStdout(fd, getattr(request, "param", False))
+    os.close(fd)
+    os.unlink(path)
+
+
+def entry_exit(monkeypatch, stdout, argv):
+    """Run ``sicaoc <argv>`` through ``cli.entry`` on ``stdout``; return its exit code."""
+    # patched in the test, not in a fixture: pytest puts its own capture
+    # back on sys.stdout as the test starts
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "argv", ["sicaoc", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    return exited.value.code
+
+
+NO_SPACE = "error: io: [Errno 28] No space left on device\n"
 
 
 class TestExitContract:
@@ -592,14 +636,8 @@ class TestExitContract:
         code, _, err, _ = run_cli(["optimize"])
         assert (code, err) == (3, ["error: numeric: probe"])
 
-    def test_non_finite_difference_norms_exit_3(self):
-        # compare checks its tables before it writes a file (see TestOverflowingStages)
-        assert run_cli(["compare"], {"params": {"d": 165.08083705360366},
-                                     "horizon": 1.7098773859679104}) == (
-            3, "", ["error: numeric: euler difference norms vs the reference are not finite"], [])
-
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("full_stdout", [False, True], indirect=True,
+                             ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv, stem", [
         (["simulate", "--method", "rk4"], "simulate_rk4"), (["optimize"], "optimize"),
         (["optimize", "--config", "../nc.json", "--out", "nc.csv"], "nc"),
@@ -607,7 +645,8 @@ class TestExitContract:
         (["--version"], None), (["simulate", "--help"], None),
     ], ids=["simulate", "optimize", "optimize-not-converged", "compare", "orders", "help",
             "version", "simulate-help"])
-    def test_full_stdout_is_an_io_error(self, tmp_path, argv, stem, unbuffered):
+    def test_full_stdout_is_an_io_error(self, tmp_path, capsys, monkeypatch, full_stdout,
+                                        argv, stem):
         # every file is written before the first print, so a run leaves all its
         # artifacts whether the write fails in a print or in the flush after it;
         # the io error also wins over the sweep's non-convergence
@@ -615,17 +654,27 @@ class TestExitContract:
             {"steps": 100, "control": {"max_iterations": 1, "delta_error": 1e-12}}))
         cwd = tmp_path / "run"
         cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        code = entry_exit(monkeypatch, full_stdout, argv)
+        _, err = capsys.readouterr()
+        check_contract(code, err.splitlines())
+        assert (code, err) == (4, NO_SPACE)
+        artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
+        assert sorted(os.listdir(cwd)) == artifacts
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_stdout_through_the_interpreter(self, tmp_path, unbuffered):
+        # the witness that FullStdout fails where a real /dev/full stream does
         env = child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "sicaoc"] + argv, cwd=cwd,
+            proc = subprocess.run([sys.executable, "-m", "sicaoc", "optimize"], cwd=tmp_path,
                                   env=env, stdout=full, stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 4
-        assert proc.stderr == "error: io: [Errno 28] No space left on device\n"
-        artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
-        assert sorted(os.listdir(cwd)) == artifacts
+        assert (proc.returncode, proc.stderr) == (4, NO_SPACE)
+        assert sorted(os.listdir(tmp_path)) == ["optimize.csv", "optimize.manifest.json"]
 
 
 class TestEntryPoints:
@@ -644,47 +693,17 @@ class TestEntryPoints:
         if code:
             assert err.startswith("error: usage: ")
 
-    @pytest.fixture
-    def full_stdout(self):
-        """A stdout on a temporary file's descriptor whose every flush fails with ENOSPC."""
-        fd, path = tempfile.mkstemp()
-
-        class FullStdout:
-            def write(self, text):
-                return len(text)
-
-            def flush(self):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            def fileno(self):
-                return fd
-
-        yield FullStdout()
-        os.close(fd)
-        os.unlink(path)
-
-    @staticmethod
-    def version_exit(monkeypatch, stdout):
-        """Run ``sicaoc --version`` through ``cli.entry`` on ``stdout``; return its exit code."""
-        # patched in the test, not in a fixture: pytest puts its own capture
-        # back on sys.stdout as the test starts
-        monkeypatch.setattr(sys, "stdout", stdout)
-        monkeypatch.setattr(sys, "argv", ["sicaoc", "--version"])
-        with pytest.raises(SystemExit) as exited:
-            cli.entry()
-        return exited.value.code
-
     def test_failing_stdout_is_one_io_error(self, capsys, monkeypatch, full_stdout):
         # main reports the failed flush; entry then points stdout at the null
         # device, so the interpreter's exit flush cannot fail a second time
-        assert self.version_exit(monkeypatch, full_stdout) == 4
-        assert capsys.readouterr() == ("", "error: io: [Errno 28] No space left on device\n")
+        assert entry_exit(monkeypatch, full_stdout, ["--version"]) == 4
+        assert capsys.readouterr() == ("", NO_SPACE)
         assert os.path.samestat(os.fstat(full_stdout.fileno()), os.stat(os.devnull))
 
     def test_failing_stdout_leaks_no_descriptor(self, monkeypatch, full_stdout):
         probe = os.open(os.devnull, os.O_RDONLY)
         os.close(probe)
-        assert self.version_exit(monkeypatch, full_stdout) == 4
+        assert entry_exit(monkeypatch, full_stdout, ["--version"]) == 4
         lowest = os.open(os.devnull, os.O_RDONLY)
         os.close(lowest)
         assert lowest == probe
@@ -760,6 +779,10 @@ class TestOutputPaths:
         (["simulate", "--method", "rk4", "--out", "a\x85b.csv"], {}),
         (["simulate", "--method", "rk4"], {"output": {"csv": "a\u2028b.csv"}}),
         (["orders"], {"output": {"manifest": "a\u2029b.json"}}),
+        # argv holds each byte that is not UTF-8 as a lone surrogate, which a
+        # strict UTF-8 stdout cannot print in a `wrote` line
+        (["simulate", "--method", "rk4", "--out", "a\udcffb.csv"], {}),
+        (["simulate", "--method", "rk4"], {"output": {"csv": "a\udcffb.csv"}}),
         # an empty string is a given path, not an absent one, even when overridden
         (["simulate", "--method", "rk4", "--out", ""], {}),
         (["orders"], {"output": {"manifest": ""}}),
@@ -776,7 +799,8 @@ class TestOutputPaths:
             "manifest-is-control-script", "manifest-is-uncontrolled-csv",
             "manifest-is-states-script", "simulate-plot-out-newline",
             "optimize-plot-out-newline", "out-nul", "out-next-line",
-            "csv-line-separator", "manifest-paragraph-separator",
+            "csv-line-separator", "manifest-paragraph-separator", "out-lone-surrogate",
+            "csv-lone-surrogate",
             "out-empty", "manifest-empty", "overridden-csv-empty",
             "out-trailing-separator", "out-existing-dir-separator",
             "manifest-trailing-separator", "out-trailing-dot", "out-existing-file-dot",

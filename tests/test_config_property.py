@@ -56,9 +56,9 @@ grid_size = st.one_of(st.integers(min_value=-2, max_value=300),
 
 
 def output_path(name):
-    """``name`` most of the time, else a name holding a line break or control character."""
+    """``name`` most of the time, else one holding a line break, control or lone surrogate."""
     return st.sampled_from([name] * 5 + ["a\nb.csv", "a\x00b.csv", "a\x85b.csv",
-                                         "a\u2028b.csv", "a\u2029b.csv"])
+                                         "a\u2028b.csv", "a\u2029b.csv", "a\udcffb.csv"])
 
 
 def config_documents(sizes, max_iterations):
@@ -141,6 +141,10 @@ commands = st.sampled_from([["simulate", "--method", m] for m in
          argv=["simulate", "--method", "rk4"])
 @example(doc={"steps": 10, "output": {"csv": "a\u2028b.csv"}},
          argv=["simulate", "--method", "rk4"])
+# a lone surrogate in a written path used to fail its `wrote` line on a
+# strict UTF-8 stdout, after the files were written
+@example(doc={"steps": 10, "output": {"csv": "a\udcffb.csv"}},
+         argv=["simulate", "--method", "rk4"])
 def test_cli_keeps_its_exit_contract(doc, argv):
     code, _, _, files = run_cli(argv, doc)
     assert code in (0, 2, 3, 4)
@@ -149,11 +153,13 @@ def test_cli_keeps_its_exit_contract(doc, argv):
 
 
 # Every character the output-path rule rejects, one strategy per branch of
-# the rule: the C0 controls, DEL and the C1 controls, the line separators.
+# the rule: the C0 controls, DEL and the C1 controls, the line separators,
+# the lone surrogates.
 rejected_characters = st.one_of(
     st.sampled_from([chr(c) for c in range(0x20)]),
     st.sampled_from([chr(c) for c in range(0x7f, 0xa0)]),
-    st.sampled_from(["\u2028", "\u2029"]))
+    st.sampled_from(["\u2028", "\u2029"]),
+    st.sampled_from([chr(c) for c in range(0xd800, 0xe000)]))
 
 
 @settings(max_examples=200)

@@ -2,6 +2,7 @@
 
 Each command runs with the default configuration in an empty directory,
 so artifact names (and the paths the manifests record) are relative.
+It runs through ``cli_run.run_cli``, which also checks its exit contract.
 The digest of what the command prints is recorded under the key
 ``"stdout"``.
 Rerun determinism is checked by the acceptance suite; these digests pin
@@ -14,14 +15,11 @@ weighted stage sums are BLAS calls and whose step-size controller takes
 differently may legitimately disagree on those three.
 """
 
-import contextlib
 import hashlib
-import io
-import json
 
 import pytest
 
-from sicaoc.cli import main
+from cli_run import run_cli
 
 COMMANDS = {
     "simulate-euler": ["simulate", "--method", "euler"],
@@ -129,20 +127,18 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(argv, workdir, monkeypatch) -> dict:
-    """Run one command in ``workdir``; digests of its files and its stdout."""
-    monkeypatch.chdir(workdir)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        assert main(argv) == 0
-    digests = {p.name: _sha256(p.read_bytes()) for p in sorted(workdir.iterdir())}
-    digests["stdout"] = _sha256(stdout.getvalue().encode("utf-8"))
+def run_digests(argv, work, doc=None) -> dict:
+    """Run one command in the empty directory ``work``; digests of its files and its stdout."""
+    run = run_cli(argv, doc, cwd=work)
+    assert run.code == 0
+    digests = {name: _sha256((work / name).read_bytes()) for name in run.files}
+    digests["stdout"] = _sha256(run.out.encode("utf-8"))
     return digests
 
 
 @pytest.mark.parametrize("key", list(COMMANDS))
-def test_default_artifacts_match_golden_digests(key, tmp_path, monkeypatch):
-    assert run_digests(COMMANDS[key], tmp_path, monkeypatch) == GOLDEN[key]
+def test_default_artifacts_match_golden_digests(key, tmp_path):
+    assert run_digests(COMMANDS[key], tmp_path) == GOLDEN[key]
 
 
 # A non-default scenario written with integer literals wherever JSON allows
@@ -199,10 +195,5 @@ CUSTOM_GOLDEN = {
 
 
 @pytest.mark.parametrize("key", list(CUSTOM_GOLDEN))
-def test_custom_config_artifacts_match_golden_digests(key, tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(CUSTOM_CONFIG))
-    work = tmp_path / "run"
-    work.mkdir()
-    argv = COMMANDS[key] + ["--config", str(config)]
-    assert run_digests(argv, work, monkeypatch) == CUSTOM_GOLDEN[key]
+def test_custom_config_artifacts_match_golden_digests(key, tmp_path):
+    assert run_digests(COMMANDS[key], tmp_path, CUSTOM_CONFIG) == CUSTOM_GOLDEN[key]
