@@ -246,22 +246,28 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     Each given path (``out``, ``output.csv``, ``output.manifest``), used or
     not, is a config error if it names no file (``""``, ``"."``, ``"dir/"``, ``"f/."``) or
     holds a control character (U+0000 to U+001F, DEL, U+0080 to U+009F) or
-    line separator (U+2028, U+2029), every break of ``str.splitlines``, or a
-    lone surrogate (U+D800 to U+DFFF), which no UTF-8 stdout can print; only
-    an absent one takes a default.  The CSV is ``out``, else ``output.csv``,
+    line separator (U+2028, U+2029), every break of ``str.splitlines``, or
+    a character that the file system or stdout's encoding cannot encode,
+    so that each is a file name and its ``wrote`` line prints; only an
+    absent one takes a default.  The CSV is ``out``, else ``output.csv``,
     else ``<default_stem>.csv``; the manifest (unless given) and each of
     ``suffixes`` are its name less a trailing ``.csv`` plus that suffix, in
     its directory.  Returns ``[csv, manifest, *more]``.  Two paths naming one
     file are a config error.  Each path is checked after every symlink is
     followed: a missing directory or a symlink loop raises the OSError of a write.
     """
+    encoding = getattr(sys.stdout, "encoding", None)   # a StringIO has none: it takes any str
     for path in (p for p in (out, *config.output.values()) if p is not None):
         if any(c < " " or "\x7f" <= c <= "\x9f" or c in "\u2028\u2029" for c in path):
             raise ConfigError(f"output path {path!r} holds a control character "
                               "or line separator")
-        if any("\ud800" <= c <= "\udfff" for c in path):   # argv's non-UTF-8 bytes come as these
-            raise ConfigError(f"output path {path!r} holds a lone surrogate, "
-                              "which is not valid UTF-8")
+        try:   # argv holds each byte that is not UTF-8 as a lone surrogate
+            os.fsencode(path)
+            if encoding:
+                path.encode(encoding, sys.stdout.errors)
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"output path {path!r} holds {exc.object[exc.start]!r}, "
+                              f"which {exc.encoding} cannot encode") from None
         # Path drops a trailing separator or "." part: "dir/" and "f/." would name "dir", "f"
         if os.path.basename(path) in ("", "."):
             raise ConfigError(f"output path {path!r} names no file")

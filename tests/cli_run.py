@@ -2,9 +2,9 @@
 
 Exit 0 leaves stderr empty; any other exit prints exactly one
 ``error: <category>: <message>`` line, and the exit code is the one
-``cli.FAILURES`` gives that category.  Stdout encodes as strict UTF-8,
-as a stdout under a UTF-8 locale other than C must, and every ``wrote``
-line of it names a file.  Runs that do not go through ``cli.main`` here
+``cli.FAILURES`` gives that category.  Stdout is a text stream with an
+encoding, strict UTF-8 unless the test names another, as under a UTF-8
+locale other than C; every ``wrote`` line of it names a file.  Runs that do not go through ``cli.main`` here
 (the entry points, a failing stdout, a child interpreter) check the same
 contract with ``check_contract``.  pytest does not collect this module;
 the tests import it by name.
@@ -42,13 +42,15 @@ def check_contract(code: int, err: list[str]) -> None:
         assert category and EXIT_CODES[category[1]] == code, (code, err)
 
 
-def run_cli(argv: list[str], doc=None, cwd=None) -> Run:
+def run_cli(argv: list[str], doc=None, cwd=None, io_encoding="utf-8:strict") -> Run:
     """Run ``cli.main(argv)`` in ``cwd``, or in a new empty directory, and check the contract.
 
     ``doc``, if given, is the config file, passed as ``--config``: a str
     is written as it is, anything else as JSON.  The file lies beside
     the work directory, not in it, so ``files`` holds only what the run
-    and the test left there.
+    and the test left there.  Stdout has the encoding and error handler
+    of ``io_encoding``, spelled as in ``PYTHONIOENCODING``; a print it
+    cannot encode raises out of ``cli.main``.
     """
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch, "run") if cwd is None else Path(cwd)
@@ -57,17 +59,19 @@ def run_cli(argv: list[str], doc=None, cwd=None) -> Run:
             config = Path(scratch, "config.json")
             config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             argv = [*argv, "--config", str(config)]
-        out, err = io.StringIO(), io.StringIO()
+        encoding, errors = io_encoding.split(":")
+        out = io.TextIOWrapper(io.BytesIO(), encoding, errors, newline="", write_through=True)
+        err = io.StringIO()
         home = os.getcwd()
         os.chdir(work)
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            out.getvalue().encode("utf-8")   # raises UnicodeEncodeError as a strict stdout would
-            written = [line.removeprefix("wrote ") for line in out.getvalue().splitlines()
+            stdout = out.buffer.getvalue().decode(encoding, errors)
+            written = [line.removeprefix("wrote ") for line in stdout.splitlines()
                        if line.startswith("wrote ")]
             assert all(Path(path).is_file() for path in written), written
-            run = Run(code, out.getvalue(), err.getvalue().splitlines(), sorted(os.listdir()))
+            run = Run(code, stdout, err.getvalue().splitlines(), sorted(os.listdir()))
         finally:
             os.chdir(home)
     check_contract(run.code, run.err)

@@ -1,4 +1,5 @@
 import errno
+import io
 import json
 import math
 import os
@@ -520,14 +521,15 @@ class TestIterationCap:
         assert manifest["config"]["control"]["max_iterations"] == MAX_ITERATIONS
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 class TestOverflowingStages:
     """A stage or step that overflows is reported in one stderr line.
 
     numpy reports an overflow as a RuntimeWarning, which a real run prints
     to stderr before its error line.  The class's warning filter, which
-    outranks the ini file and ``-W``, makes such a warning an exception
-    that ``cli.main`` does not catch, so a stray one fails ``run_cli``.
+    outranks the ini file and ``-W``, makes every warning, of any category,
+    an exception that ``cli.main`` does not catch, so a stray one fails
+    ``run_cli``.
     """
 
     CONFIGS = pytest.mark.parametrize(
@@ -582,11 +584,17 @@ class TestOverflowingStages:
             ["error: numeric: euler difference norms vs the reference are not finite"], [])
 
 
+def no_space():
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 class FullStdout:
     """A stdout on a temporary file's descriptor that fails as ``/dev/full`` does.
 
-    Every flush fails with ENOSPC.  Unbuffered, every write fails too, as
-    a stream with ``PYTHONUNBUFFERED`` set fails at its first print.
+    Buffered, every write succeeds and every flush fails with ENOSPC: the
+    buffer keeps the bytes it could not write.  Unbuffered, as with
+    ``PYTHONUNBUFFERED``, every write fails and a flush then succeeds: the
+    stream drops the bytes of a failed write.
     """
 
     def __init__(self, fd, unbuffered):
@@ -594,11 +602,12 @@ class FullStdout:
 
     def write(self, text):
         if self.unbuffered:
-            self.flush()
+            raise no_space()
         return len(text)
 
     def flush(self):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        if not self.unbuffered:
+            raise no_space()
 
     def fileno(self):
         return self.fd
@@ -625,6 +634,18 @@ def entry_exit(monkeypatch, stdout, argv):
 
 
 NO_SPACE = "error: io: [Errno 28] No space left on device\n"
+
+
+def failures(stream):
+    """The errno, or None, of one write and then of two flushes on ``stream``."""
+    result = []
+    for call in (lambda: stream.write("x\n"), stream.flush, stream.flush):
+        try:
+            call()
+            result.append(None)
+        except OSError as exc:
+            result.append(exc.errno)
+    return result
 
 
 class TestExitContract:
@@ -656,9 +677,7 @@ class TestExitContract:
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         code = entry_exit(monkeypatch, full_stdout, argv)
-        _, err = capsys.readouterr()
-        check_contract(code, err.splitlines())
-        assert (code, err) == (4, NO_SPACE)
+        assert (code, capsys.readouterr().err) == (4, NO_SPACE)
         artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
         assert sorted(os.listdir(cwd)) == artifacts
 
@@ -675,6 +694,22 @@ class TestExitContract:
                                   env=env, stdout=full, stderr=subprocess.PIPE, text=True)
         assert (proc.returncode, proc.stderr) == (4, NO_SPACE)
         assert sorted(os.listdir(tmp_path)) == ["optimize.csv", "optimize.manifest.json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("full_stdout", [False, True], indirect=True,
+                             ids=["buffered", "unbuffered"])
+    def test_full_stdout_fails_where_dev_full_does(self, full_stdout):
+        # the stdout the interpreter opens on /dev/full: a text layer on a
+        # buffer or, with PYTHONUNBUFFERED, on the file itself, written through
+        raw = io.FileIO("/dev/full", "w")
+        real = (io.TextIOWrapper(raw, write_through=True) if full_stdout.unbuffered
+                else io.TextIOWrapper(io.BufferedWriter(raw)))
+        try:
+            assert failures(full_stdout) == failures(real)
+        finally:   # the close flushes what the buffer kept into the null device
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), raw.fileno())
+            real.close()
 
 
 class TestEntryPoints:
@@ -812,6 +847,24 @@ class TestOutputPaths:
         assert (code, out, files) == (2, "", ["notes.txt", "sub"])
         assert err[0].startswith("error: config: ")
         assert (tmp_path / "notes.txt").read_bytes() == b"precious\n"
+
+    @pytest.mark.parametrize("io_encoding, path, message", [
+        # a C.UTF-8 locale's stdout prints a byte of argv that is not UTF-8 as it came
+        ("utf-8:surrogateescape", "a\udcffb.csv", None),
+        # no byte comes as this surrogate, so it is no file name whatever stdout is
+        ("utf-8:surrogateescape", "a\ud800b.csv", "'\\ud800', which utf-8 cannot encode"),
+        ("utf-8:strict", "\u4e00.csv", None),
+        ("ascii:strict", "\u4e00.csv", "'\u4e00', which ascii cannot encode"),
+    ], ids=["surrogateescape-argv-byte", "surrogateescape-no-byte", "strict-cjk",
+            "ascii-cjk"])
+    def test_path_must_be_a_file_name_that_stdout_prints(self, io_encoding, path, message):
+        # a path that fails is refused before anything is written, not after
+        run = run_cli(["simulate", "--method", "rk4", "--out", path], {"steps": 10},
+                      io_encoding=io_encoding)
+        if message:
+            assert run == (2, "", [f"error: config: output path {path!r} holds {message}"], [])
+        else:
+            assert (run.code, run.files) == (0, [path, path[:-4] + ".manifest.json"])
 
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["optimize"],
                                       ["compare"], ["orders"]],

@@ -154,7 +154,7 @@ def test_cli_keeps_its_exit_contract(doc, argv):
 
 # Every character the output-path rule rejects, one strategy per branch of
 # the rule: the C0 controls, DEL and the C1 controls, the line separators,
-# the lone surrogates.
+# the lone surrogates, which run_cli's strict UTF-8 stdout cannot print.
 rejected_characters = st.one_of(
     st.sampled_from([chr(c) for c in range(0x20)]),
     st.sampled_from([chr(c) for c in range(0x7f, 0xa0)]),
