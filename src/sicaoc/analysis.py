@@ -146,7 +146,9 @@ def convergence_order(method: str, params: ModelParams, x0: np.ndarray,
 
 def simplex_drift(traj: Trajectory) -> float:
     """Largest deviation of s+i+c+a from one over the trajectory nodes."""
-    return float(np.abs(traj.states.sum(axis=1) - 1.0).max())
+    # finite states whose sum passes the float range give inf, without a numpy warning
+    with np.errstate(over="ignore"):
+        return float(np.abs(traj.states.sum(axis=1) - 1.0).max())
 
 
 def stationarity_residual(result: SweepResult, p: ModelParams,

@@ -15,7 +15,8 @@ byte-deterministic for a fixed configuration, and each manifest embeds
 the fully resolved configuration needed to reproduce the run.
 
 Output paths are resolved and checked before anything is computed, and
-every file is written before anything is printed.
+every file is written before anything is printed.  A run whose manifest
+would hold a non-finite number writes nothing: a ``NumericalFailure``.
 Exit codes: 0 success, 2 bad command line or configuration (output paths
 included), 3 any ``NumericalFailure``, 4 any OSError (stdout's included).
 Errors print one line ``error: <category>: <message>`` on stderr, the
@@ -296,17 +297,37 @@ def _output_paths(config: RunConfig, out: str | None, default_stem: str,
     return paths
 
 
-def _emit(command: str, config: RunConfig, paths: list[Path], summary: list[str],
-          header, rows, fields: dict, extra: dict) -> None:
-    """Write a run's CSV and manifest, then print ``summary`` and a ``wrote`` line per path.
+def _numbers(value, key: str = ""):
+    """Each float in ``value`` with its dotted key; a list's items share the list's key."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v, key)
+    elif isinstance(value, float):
+        yield key, value
 
-    ``paths`` come from ``_output_paths``; the command writes those past
-    the first two before it calls this.  The manifest holds the tool, the
-    command, the resolved config, ``fields`` and ``outputs``: the CSV,
-    then ``extra``.  Every file is written before anything is printed and
+
+def _emit(command: str, config: RunConfig, paths: list[Path], summary: list[str],
+          header, rows, fields: dict, extra: dict, companions=()) -> None:
+    """Write a run's files, then print ``summary`` and a ``wrote`` line per path.
+
+    ``paths`` come from ``_output_paths``; ``companions`` are calls without
+    arguments that write those past the first two, then come the CSV and
+    the manifest.  The manifest holds the tool, the command, the resolved
+    config, ``fields`` and ``outputs``: the CSV, then ``extra``.  A
+    non-finite number in ``fields``, which no strict-JSON manifest can
+    hold, is a ``NumericalFailure`` that names its key, before any file
+    is written.  Every file is written before anything is printed and
     stdout is flushed last, so an unwritable stdout fails the run after
     its artifacts, buffered or not.
     """
+    for key, value in _numbers(fields):
+        if not math.isfinite(value):
+            raise NumericalFailure(f"{key} is not finite")
+    for write in companions:
+        write()
     csv_path, manifest_path = paths[:2]
     write_csv(csv_path, header, rows)
     write_manifest(manifest_path, {
@@ -380,14 +401,14 @@ def cmd_simulate(config: RunConfig, args: argparse.Namespace) -> int:
     drift = simplex_drift(traj)
     summary = [f"simulate method={args.method} steps={grid.steps} horizon={grid.tf}",
                f"max |s+i+c+a-1| = {_fmt(drift)}"]
-    extra = {}
+    extra, companions = {}, ()
     if args.plot:
-        emit_plot_script(paths[2], paths[0], "states")
         extra = {"plots": [str(paths[2])]}
+        companions = (functools.partial(emit_plot_script, paths[2], paths[0], "states"),)
     _emit("simulate", config, paths, summary, SIMULATE_HEADER,
           np.column_stack((grid.nodes(), traj.states)).tolist(),
           {"method": args.method, "integrator": integrator,
-           "diagnostics": {"simplex_drift": drift}}, extra)
+           "diagnostics": {"simplex_drift": drift}}, extra, companions)
     return 0
 
 
@@ -411,14 +432,16 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
                f"converged={result.converged} iterations={result.iterations} "
                f"margin={_fmt(result.final_margin)}",
                f"J(u*) = {_fmt(result.objective)}  J(0) = {_fmt(j_zero)}"]
-    extra = {}
+    extra, companions = {}, ()
     if args.plot:
         csv_path, _, baseline, versus, control = paths
-        write_csv(baseline, SIMULATE_HEADER,
-                  np.column_stack((times, uncontrolled.states)).tolist())
-        emit_plot_script(versus, csv_path, "states-vs-uncontrolled", baseline)
-        emit_plot_script(control, csv_path, "control")
         extra = {"uncontrolled_csv": str(baseline), "plots": [str(versus), str(control)]}
+        companions = (
+            functools.partial(write_csv, baseline, SIMULATE_HEADER,
+                              np.column_stack((times, uncontrolled.states)).tolist()),
+            functools.partial(emit_plot_script, versus, csv_path, "states-vs-uncontrolled",
+                              baseline),
+            functools.partial(emit_plot_script, control, csv_path, "control"))
     diagnostics = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -435,7 +458,7 @@ def cmd_optimize(config: RunConfig, args: argparse.Namespace) -> int:
           np.column_stack((times, result.states.states, result.control,
                            result.adjoints.states)).tolist(),
           {"integrator": {"scheme": "forward-backward rk4", "step_size": grid.h},
-           "diagnostics": diagnostics}, extra)
+           "diagnostics": diagnostics}, extra, companions)
     if failure is not None:
         raise failure
     return 0
@@ -448,9 +471,6 @@ def cmd_compare(config: RunConfig, args: argparse.Namespace) -> int:
     reference = reference_trajectory(config.params, config.initial, grid, settings)
     tables = {m: build_norm_table(m, config.params, config.initial, reference)
               for m in FIXED_METHODS}
-    for method, table in tables.items():   # finite states can still overflow a norm
-        if not np.isfinite(list(table.values())).all():
-            raise NumericalFailure(f"{method} difference norms vs the reference are not finite")
     summary = [f"difference norms vs adaptive 5(4) reference "
                f"(reltol={settings.reltol}, abstol={settings.abstol}) "
                f"on {grid.node_count} nodes of [0, {grid.tf}]",

@@ -196,18 +196,6 @@ class TestSimulate:
         _, data = read_csv(out)
         assert data.shape == (101, 5)
 
-    def test_zero_steps_is_a_config_error(self):
-        code, _, err, _ = run_cli(["simulate", "--method", "rk4", "--out", "x.csv"], {"steps": 0})
-        assert code == 2
-        assert err[0].startswith("error: config:")
-        assert "grid" in err[0]
-
-    def test_unwritable_output_is_io_error(self):
-        code, out, err, files = run_cli(["simulate", "--method", "rk4",
-                                         "--out", "missing_dir/x.csv"])
-        assert (code, out, files) == (4, "", [])
-        assert err[0].startswith("error: io: ")
-
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "sim.csv"
         assert run_cli(["simulate", "--method", "rk4", "--out", str(out), "--plot"]).code == 0
@@ -471,7 +459,8 @@ class TestHostileConfig:
     EXACT = {**dict.fromkeys(("[]", "3", "null"), "config root must be a JSON object"),
              **dict.fromkeys(('{"control": {"delta_error": 1.0}}',
                               '{"control": {"delta_error": 1e300}}'),
-                             "invalid control: delta_error must lie in (0, 1)")}
+                             "invalid control: delta_error must lie in (0, 1)"),
+             '{"steps": 0}': "invalid grid: grid steps must be an integer of at least 1, got 0"}
 
     @pytest.mark.parametrize("text", [
         '{"horizon": NaN}', '{"horizon": Infinity}', '{"horizon": -Infinity}',
@@ -491,7 +480,7 @@ class TestHostileConfig:
             "horizon-null", "refinement-step-underflow", "output-nul", "output-newline",
             "nested-past-recursion-limit", "steps-fractional",
             "root-array", "root-number", "root-null", "delta-error-one",
-            "delta-error-1e300"])
+            "delta-error-1e300", "steps-zero"])
     @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"],
                                       ["simulate", "--method", "dp45"], ["optimize"]],
                              ids=["simulate-rk4", "simulate-dp45", "optimize"])
@@ -581,7 +570,15 @@ class TestOverflowingStages:
         doc = {"params": {"d": 165.08083705360366}, "horizon": 1.7098773859679104}
         run = self.failed_run(doc, ["compare"])
         assert (run.err, run.files) == (
-            ["error: numeric: euler difference norms vs the reference are not finite"], [])
+            ["error: numeric: diagnostics.max_abs_rel_dev.euler is not finite"], [])
+
+    @pytest.mark.parametrize("plot", [[], ["--plot"]], ids=["plain", "plot"])
+    def test_finite_states_whose_sums_overflow_write_nothing(self, plot):
+        # every state is finite (up to 1.36e308), but a node's s+i+c+a is not,
+        # so neither is the simplex drift that the manifest would hold
+        doc = {"horizon": 13.62560649408172, "steps": 3}
+        assert run_cli(["simulate", "--method", "rk4", *plot], doc) == (
+            3, "", ["error: numeric: diagnostics.simplex_drift is not finite"], [])
 
 
 def no_space():
@@ -749,9 +746,8 @@ class TestOutputPaths:
 
     def test_missing_directory_fails_before_the_solve(self, monkeypatch):
         monkeypatch.setattr("sicaoc.cli.solve", lambda *args: pytest.fail("solve ran"))
-        code, out, err, _ = run_cli(["optimize"], {"output": {"csv": "x/y.dat"}})
-        assert (code, out) == (4, "")
-        assert err == ["error: io: [Errno 2] No such file or directory: 'x/y.dat'"]
+        assert run_cli(["optimize"], {"output": {"csv": "x/y.dat"}}) == (
+            4, "", ["error: io: [Errno 2] No such file or directory: 'x/y.dat'"], [])
 
     @pytest.mark.parametrize("out, message", [
         ("link.csv", "[Errno 2] No such file or directory: 'link.csv'"),

@@ -145,6 +145,8 @@ commands = st.sampled_from([["simulate", "--method", m] for m in
 # strict UTF-8 stdout, after the files were written
 @example(doc={"steps": 10, "output": {"csv": "a\udcffb.csv"}},
          argv=["simulate", "--method", "rk4"])
+# finite states whose sum overflows used to crash the manifest's strict-JSON dump
+@example(doc={"horizon": 13.62560649408172, "steps": 3}, argv=["simulate", "--method", "rk4"])
 def test_cli_keeps_its_exit_contract(doc, argv):
     code, _, _, files = run_cli(argv, doc)
     assert code in (0, 2, 3, 4)

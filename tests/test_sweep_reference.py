@@ -272,6 +272,8 @@ def test_constant_law_matches_reference_bitwise(params):
     result, reference = solve_both(prob, settings, *KERNEL_SETS["reference"](params, "derived"),
                                    lambda x, lam: 0.3, x0)
     assert_same(result, reference)
+    # from zero the first update sets 0.3, and the third iterate repeats the second
+    assert result.converged and result.iterations <= 3
 
 
 def test_public_kernels_match_reference_bitwise():
