@@ -3,11 +3,13 @@ import inspect
 import numpy as np
 import pytest
 
-from sicaoc import ControlBounds, NumericalFailure, TimeGrid, integrate_fixed
-from sicaoc.analysis import (VARIABLES, NormTriple, build_norm_table, convergence_order,
-                             diff_norms, refinement_grids, simplex_drift,
-                             stationarity_residual, terminal_reference)
+from sicaoc import ControlBounds, NumericalFailure, SweepSettings, TimeGrid, integrate_fixed
+from sicaoc.analysis import (OCTAVE_ODE45_BASELINE, VARIABLES, NormTriple,
+                             build_norm_table, convergence_order, diff_norms,
+                             refinement_grids, simplex_drift, stationarity_residual,
+                             terminal_reference)
 from sicaoc.model import controlled_field
+from sicaoc.sweep import sica_problem, solve
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -33,6 +35,15 @@ class TestDiffNorms:
 
 
 class TestMethodNorms:
+    def test_first_and_second_order_tables_match_baseline(self, params, reference_101):
+        for method in ("euler", "rk2"):
+            table = build_norm_table(method, params, X0, reference=reference_101)
+            for var in VARIABLES:
+                got = table[var]
+                ref = OCTAVE_ODE45_BASELINE[method][var]
+                for g, r in zip(got, ref):
+                    assert abs(g - r) / r <= 0.10
+
     def test_higher_order_methods_dominate(self, params, reference_101):
         tables = {m: build_norm_table(m, params, X0, reference=reference_101)
                   for m in ("euler", "rk2", "rk4")}
@@ -40,6 +51,11 @@ class TestMethodNorms:
             e, r2, r4 = (tables[m][var] for m in ("euler", "rk2", "rk4"))
             for a, b, c in zip(e, r2, r4):
                 assert a > b > c
+
+    def test_reference_against_itself_is_zero(self, reference_101):
+        for k in range(4):
+            col = reference_101.states[:, k]
+            assert diff_norms(col, col) == NormTriple(0.0, 0.0, 0.0)
 
 
 class TestConvergenceOrder:
@@ -61,6 +77,11 @@ class TestConvergenceOrder:
         # when every level was the same
         with pytest.raises(ValueError, match=r"distinct step counts, got \[100, 100, "):
             convergence_order("euler", params, X0, refinements=refinements)
+
+    def test_euler_slope_near_one(self, params):
+        study = convergence_order("euler", params, X0)
+        assert 0.9 <= study.slope <= 1.1
+        assert len(study.terminal_errors) == 4
 
     def test_zero_terminal_error_is_degenerate(self, params):
         # at the disease-free equilibrium every method is exact, and log(0) has no fit
@@ -98,6 +119,12 @@ class TestSimplexDrift:
 
 
 class TestStationarityResidual:
+    def test_all_boundary_control_is_not_applicable(self, params):
+        prob = sica_problem(params, ControlBounds(0.0), X0)
+        result = solve(prob, SweepSettings(grid=TimeGrid(0.0, 20.0, 100)))
+        assert np.all(result.control == 0.0)
+        assert stationarity_residual(result, params, ControlBounds(0.0)) is None
+
     def test_converged_default_run(self, params, default_sweep):
         residual = stationarity_residual(default_sweep["result"], params,
                                          ControlBounds(0.5))

@@ -19,6 +19,13 @@ FINE_RK4_TERMINAL = np.array([
     0.74972780421538798, 0.0063240356427692133,
 ])
 
+# hand-substituted field value at the default initial state
+FIELD_AT_X0 = np.array([
+    -0.24616062122519416, 0.1542003106125971,
+    0.19798015530629853, -0.10601984469370147,
+])
+
+
 # a four-component state whose components are powers of two apart, so the
 # exponential scales each of them exactly as it scales 1.0
 X4 = np.array([1.0, 2.0, -0.5, 0.25])
@@ -142,6 +149,10 @@ class TestSteps:
         x = np.array([0.6, 0.2, 0.1, 0.1])
         assert np.array_equal(step_euler(zero_field, 3.0, x, 0.2), x)
 
+    def test_euler_on_model_field(self, params, x0):
+        out = step_euler(controlled_field(params), 0.0, x0, 0.2)
+        np.testing.assert_allclose(out, x0 + 0.2 * FIELD_AT_X0, rtol=1e-12)
+
     def test_rk2_constant_field(self):
         out = step_rk2(lambda t, x: np.ones_like(x), 0.0, np.zeros(4), 0.5)
         assert out == pytest.approx([0.5] * 4, rel=1e-15)
@@ -198,11 +209,22 @@ class TestIntegrateFixed:
         traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
         assert np.array_equal(traj.states[0], x0)
 
+    def test_single_step_grid_equals_one_step(self):
+        grid = TimeGrid(0.0, 0.5, 1)
+        for method, step in (("euler", step_euler), ("rk2", step_rk2),
+                             ("rk4", step_rk4)):
+            traj = integrate_fixed(method, exponential, grid, X4)
+            assert np.array_equal(traj.states[1], step(exponential, 0.0, X4, 0.5))
+
     def test_euler_closed_form(self):
         for n in (10, 64):
             traj = integrate_fixed("euler", exponential, TimeGrid(0.0, 1.0, n), X4)
             assert list(traj.states[-1] / X4) == pytest.approx([(1 + 1 / n) ** n] * 4,
                                                                rel=1e-13)
+
+    def test_rk4_keeps_fraction_sum(self, params, x0):
+        traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
+        assert np.abs(traj.states.sum(axis=1) - 1.0).max() <= 1e-6
 
     def test_rk4_exact_on_cubic_time_polynomial(self):
         coeffs = np.array([[0.3, -1.2, 0.7, 2.0], [1.0, 0.0, -0.5, 0.25],
@@ -238,6 +260,13 @@ class TestIntegrateFixed:
             integrate_fixed("euler", exploding, TimeGrid(0.0, 1.0, 10), X4)
         assert exc.value.node == 6
 
+    def test_deterministic(self, params, x0):
+        grid = TimeGrid(0.0, 20.0, 100)
+        f = controlled_field(params)
+        a = integrate_fixed("rk2", f, grid, x0)
+        b = integrate_fixed("rk2", f, grid, x0)
+        assert np.array_equal(a.states, b.states)
+
 
 class TestIntegrateDp45:
     def test_exponential_hits_e(self):
@@ -256,6 +285,9 @@ class TestIntegrateDp45:
         np.testing.assert_allclose(reference_101.states[-1], FINE_RK4_TERMINAL,
                                    atol=1e-8)
 
+    def test_sampling_returns_requested_nodes(self, reference_101):
+        assert reference_101.states.shape == (101, 4)
+
     def test_sample_grid_must_fit_span(self):
         with pytest.raises(ValueError, match="sample grid must lie within"):
             integrate_dp45(exponential, 0.0, 1.0, X4, AdaptiveSettings(),
@@ -273,6 +305,13 @@ class TestIntegrateDp45:
         with pytest.raises(NumericalFailure, match="exceeded 5 steps"):
             integrate_dp45(controlled_field(params), 0.0, 20.0,
                            x0, AdaptiveSettings(), TimeGrid(0.0, 20.0, 100))
+
+    def test_deterministic(self, params, x0):
+        f = controlled_field(params)
+        grid = TimeGrid(0.0, 20.0, 100)
+        a = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
+        b = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
+        assert np.array_equal(a.states, b.states)
 
 
 @settings(max_examples=300)

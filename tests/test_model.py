@@ -283,6 +283,21 @@ class TestAdjointRhs:
         assert adjoint_rhs(params, X0, lam, 0.0)[0] == pytest.approx(
             expected, rel=1e-12)
 
+    def test_matches_negative_hamiltonian_gradient(self, params):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            x = random_state(rng)
+            lam = rng.uniform(-5.0, 5.0, 4)
+            u = rng.uniform(0.0, 0.5)
+            out = adjoint_rhs(params, x, lam, u)
+            fd = np.empty(4)
+            for j in range(4):
+                e = np.zeros(4)
+                e[j] = 1e-6
+                fd[j] = (hamiltonian(params, x + e, lam, u)
+                         - hamiltonian(params, x - e, lam, u)) / 2e-6
+            np.testing.assert_allclose(out, -fd, rtol=1e-6, atol=1e-9)
+
     def test_verbatim_mode_flips_one_coupling(self, params):
         rng = np.random.default_rng(29)
         for _ in range(10):

@@ -65,6 +65,12 @@ class TestOcProblem:
 
 
 class TestForwardPass:
+    def test_zero_control_matches_fixed_rk4_bitwise(self, params, problem):
+        grid = TimeGrid(0.0, 20.0, 100)
+        swept = forward_pass(problem, np.zeros(101), grid)
+        plain = integrate_fixed("rk4", controlled_field(params), grid, X0)
+        assert np.array_equal(swept.states, plain.states)
+
     def test_single_interval_uses_endpoint_and_midpoint_controls(self, params, problem):
         grid = TimeGrid(0.0, 0.02, 1)
         u = np.array([0.1, 0.3])
@@ -125,6 +131,12 @@ class TestForwardPass:
 
 
 class TestBackwardPass:
+    def test_terminal_node_is_exact_transversality(self, problem):
+        grid = TimeGrid(0.0, 20.0, 50)
+        x = forward_pass(problem, np.zeros(51), grid)
+        lam = backward_pass(problem, x, np.zeros(51))
+        assert np.array_equal(lam.states[-1], np.zeros(4))
+
     def test_zero_problem_keeps_zero_costate(self):
         prob = zero_problem()
         grid = TimeGrid(0.0, 1.0, 10)
@@ -320,6 +332,18 @@ class TestRelativeChangeTest:
 
 
 class TestSolve:
+    def test_default_instance_converges_and_improves(self, default_sweep):
+        result = default_sweep["result"]
+        settings = default_sweep["settings"]
+        assert result.converged
+        assert result.iterations <= settings.max_iterations
+        assert np.array_equal(result.adjoints.states[-1], np.zeros(4))
+        assert np.all(result.control >= 0.0)
+        assert np.all(result.control <= 0.5)
+        j_zero = objective(default_sweep["uncontrolled"],
+                           np.zeros(settings.grid.node_count))
+        assert result.objective > j_zero
+
     def test_degenerate_bounds_reproduce_uncontrolled_run(self, params):
         grid = TimeGrid(0.0, 20.0, 200)
         prob = sica_problem(params, ControlBounds(0.0), X0)
