@@ -564,6 +564,8 @@ FAILURES = {argparse.ArgumentError: ("usage", 2), ConfigError: ("config", 2),
 
 def main(argv=None) -> int:
     try:
+        if sys.stdout is None:   # the interpreter started with fd 1 closed
+            raise OSError(errno.EBADF, "stdout is closed")
         try:
             args = _build_parser().parse_args(argv)
         except SystemExit:   # --help or --version, printed to stdout
@@ -585,7 +587,8 @@ def main(argv=None) -> int:
 def entry() -> None:
     code = main()
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:   # else the interpreter's exit flush fails again, on stderr
         with open(os.devnull, "w") as null:
             os.dup2(null.fileno(), sys.stdout.fileno())

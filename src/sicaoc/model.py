@@ -15,11 +15,11 @@ return numpy arrays over the float kernels ``controlled_field`` and
 ``_costate_terms``.  Only ``controlled_field`` reaches the integrators:
 it is their field ``f(t, x)``, on Python floats to skip numpy's per-call
 overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
-(forward) and ``costate_march`` (backward), the arithmetic of
-``controlled_field`` and ``adjoint_rhs`` written out per stage.  The
-backward march walks its costate term arrays through memoryviews and
-carries each step's stage 1 from the previous step's node terms, so it
-makes no Python-float copy of the term table.
+(forward) and ``costate_march`` (backward), each the feed of one body,
+``_forward_body`` or ``_backward_body``: the arithmetic of ``controlled_field``
+or ``adjoint_rhs`` written out per stage once, on Python floats for one
+scenario or, with the same bits, on float64 arrays of a column per scenario.
+The backward feed is memoryviews of the term arrays: no Python-float copy.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
     autonomous, so t is unused.  The effort u scales the infection term
     and may be any real number, since the Hamiltonian evaluates the
     dynamics off the admissible set.  The parameters and the three
-    constant rate sums are read once, as ``controlled_march`` reads them,
+    constant rate sums are read once, as ``_forward_body`` reads them,
     so each call does float arithmetic only: Python evaluates
     ``rho + phi + b - aux2`` left to right, so ``rpb - aux2`` gives its
     bits.  On the simplex s+i+c+a = 1 the four components sum to zero,
@@ -217,66 +217,134 @@ def midpoints(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v[1:] + v[:-1])
 
 
+def _forward_body(x1, x2, x3, x4, nodes, mids, h, p):
+    """RK4 steps of h from ``(x1, x2, x3, x4)``; the flat list of node rows.
+
+    ``nodes`` and ``mids`` are the rates ``(1 - u) * beta`` at the nodes and
+    midpoints: a step's start node at stage 1, its midpoint at stages 2 and
+    3, its end node at stage 4 (inside the update).  Written for Python
+    floats, it runs unchanged on ``(B,)`` components and ``(n, B)`` rates, each
+    column with its scalar march's bits: float64 arithmetic rounds as Python's.
+    """
+    b, eta_c, eta_a = p.b, p.eta_c, p.eta_a
+    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
+    rpb, ob, abd = rho + phi + b, omega + b, alpha + b + d
+    h2, h6 = h / 2.0, h / 6.0
+    rows = [x1, x2, x3, x4]
+    for start, mid, end in zip(nodes, mids, nodes[1:]):
+        aux1 = start * (x2 + eta_c * x3 + eta_a * x4) * x1
+        aux2 = d * x4
+        a1 = b * (1.0 - x1) - aux1 + aux2 * x1
+        a2 = aux1 - (rpb - aux2) * x2 + alpha * x4 + omega * x3
+        a3 = phi * x2 - (ob - aux2) * x3
+        a4 = rho * x2 - (abd - aux2) * x4
+        s = x1 + h2 * a1
+        i = x2 + h2 * a2
+        c = x3 + h2 * a3
+        a = x4 + h2 * a4
+        aux1 = mid * (i + eta_c * c + eta_a * a) * s
+        aux2 = d * a
+        b1 = b * (1.0 - s) - aux1 + aux2 * s
+        b2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+        b3 = phi * i - (ob - aux2) * c
+        b4 = rho * i - (abd - aux2) * a
+        s = x1 + h2 * b1
+        i = x2 + h2 * b2
+        c = x3 + h2 * b3
+        a = x4 + h2 * b4
+        aux1 = mid * (i + eta_c * c + eta_a * a) * s
+        aux2 = d * a
+        c1 = b * (1.0 - s) - aux1 + aux2 * s
+        c2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
+        c3 = phi * i - (ob - aux2) * c
+        c4 = rho * i - (abd - aux2) * a
+        s = x1 + h * c1
+        i = x2 + h * c2
+        c = x3 + h * c3
+        a = x4 + h * c4
+        aux1 = end * (i + eta_c * c + eta_a * a) * s
+        aux2 = d * a
+        x1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + (b * (1.0 - s) - aux1 + aux2 * s))
+        x2 = x2 + h6 * (a2 + 2.0 * (b2 + c2)
+                        + (aux1 - (rpb - aux2) * i + alpha * a + omega * c))
+        x3 = x3 + h6 * (a3 + 2.0 * (b3 + c3) + (phi * i - (ob - aux2) * c))
+        x4 = x4 + h6 * (a4 + 2.0 * (b4 + c4) + (rho * i - (abd - aux2) * a))
+        rows += (x1, x2, x3, x4)
+    return rows
+
+
 def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float], np.ndarray]:
     """The sweep's forward pass as one kernel ``(x0, u, h) -> states``.
 
     Takes RK4 steps of h from x0 under the node controls u, each step
     with the stage controls of the sweep (endpoint values at stages 1
     and 4, their mean at stages 2 and 3), and returns the ``(n, 4)``
-    array of node states, finite or not.  It is the ``controlled_field``
-    arithmetic written out per stage (stage 4 inside the update), bit
-    for bit an RK4 loop that calls that field four times per step.
+    array of node states, finite or not: ``_forward_body`` on Python
+    floats, bit for bit an RK4 loop calling ``controlled_field`` per stage.
     """
-    b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
-    phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
-    rpb, ob, abd = rho + phi + b, omega + b, alpha + b + d
-
     def march(x0, u, h):
-        h2, h6 = h / 2.0, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes, mids = (((1.0 - v) * beta).tolist() for v in (u, midpoints(u)))
-        x1, x2, x3, x4 = rows = x0.tolist()
-        for start, mid, end in zip(nodes, mids, nodes[1:]):
-            aux1 = start * (x2 + eta_c * x3 + eta_a * x4) * x1
-            aux2 = d * x4
-            a1 = b * (1.0 - x1) - aux1 + aux2 * x1
-            a2 = aux1 - (rpb - aux2) * x2 + alpha * x4 + omega * x3
-            a3 = phi * x2 - (ob - aux2) * x3
-            a4 = rho * x2 - (abd - aux2) * x4
-            s = x1 + h2 * a1
-            i = x2 + h2 * a2
-            c = x3 + h2 * a3
-            a = x4 + h2 * a4
-            aux1 = mid * (i + eta_c * c + eta_a * a) * s
-            aux2 = d * a
-            b1 = b * (1.0 - s) - aux1 + aux2 * s
-            b2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
-            b3 = phi * i - (ob - aux2) * c
-            b4 = rho * i - (abd - aux2) * a
-            s = x1 + h2 * b1
-            i = x2 + h2 * b2
-            c = x3 + h2 * b3
-            a = x4 + h2 * b4
-            aux1 = mid * (i + eta_c * c + eta_a * a) * s
-            aux2 = d * a
-            c1 = b * (1.0 - s) - aux1 + aux2 * s
-            c2 = aux1 - (rpb - aux2) * i + alpha * a + omega * c
-            c3 = phi * i - (ob - aux2) * c
-            c4 = rho * i - (abd - aux2) * a
-            s = x1 + h * c1
-            i = x2 + h * c2
-            c = x3 + h * c3
-            a = x4 + h * c4
-            aux1 = end * (i + eta_c * c + eta_a * a) * s
-            aux2 = d * a
-            x1 = x1 + h6 * (a1 + 2.0 * (b1 + c1) + (b * (1.0 - s) - aux1 + aux2 * s))
-            x2 = x2 + h6 * (a2 + 2.0 * (b2 + c2)
-                            + (aux1 - (rpb - aux2) * i + alpha * a + omega * c))
-            x3 = x3 + h6 * (a3 + 2.0 * (b3 + c3) + (phi * i - (ob - aux2) * c))
-            x4 = x4 + h6 * (a4 + 2.0 * (b4 + c4) + (rho * i - (abd - aux2) * a))
-            rows += (x1, x2, x3, x4)
+            nodes, mids = (((1.0 - v) * p.beta).tolist() for v in (u, midpoints(u)))
+        rows = _forward_body(*x0.tolist(), nodes, mids, h, p)
         return np.array(rows, dtype=float).reshape(-1, 4)
     return march
+
+
+def _backward_body(l1, l2, l3, l4, terms, h, p):
+    """RK4 steps of h from ``(l1, ..., l4)``; the flat list of node rows.
+
+    ``terms`` are the eleven of ``_costate_terms`` at the nodes and midpoints,
+    interleaved in marching order.  A step reads its midpoint's terms at
+    stages 2 and 3 and its end node's at stage 4, and carries stage 1 from
+    the previous step (index 0 before the first).  Like ``_forward_body`` it
+    runs unchanged on ``(B,)`` costates and ``(2n - 1, B)`` terms.
+    """
+    phi, rho, d = p.phi, p.rho, p.d
+    h2, h6 = h / 2.0, h / 6.0
+    rows = [l1, l2, l3, l4]
+    k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = (v[0] for v in terms)
+    a1 = -1.0 + l1 * k11 - l2 * k12
+    a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
+    a3 = l1 * k31 - l2 * k32 + l3 * k33
+    a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
+    # one 22-tuple per step, the midpoint's terms (q) then the end node's
+    # (k); unpacked in the for target, so zip reuses it
+    for (q11, q12, q21, q22, q31, q32, q33, q41, q42, qc, q44,
+         k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44) in zip(
+            *(v[1::2] for v in terms), *(v[2::2] for v in terms)):
+        m1 = l1 + h2 * a1
+        m2 = l2 + h2 * a2
+        m3 = l3 + h2 * a3
+        m4 = l4 + h2 * a4
+        b1 = -1.0 + m1 * q11 - m2 * q12
+        b2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
+        b3 = m1 * q31 - m2 * q32 + m3 * q33
+        b4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
+        m1 = l1 + h2 * b1
+        m2 = l2 + h2 * b2
+        m3 = l3 + h2 * b3
+        m4 = l4 + h2 * b4
+        c1 = -1.0 + m1 * q11 - m2 * q12
+        c2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
+        c3 = m1 * q31 - m2 * q32 + m3 * q33
+        c4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
+        m1 = l1 + h * c1
+        m2 = l2 + h * c2
+        m3 = l3 + h * c3
+        m4 = l4 + h * c4
+        l1 = l1 + h6 * (a1 + 2.0 * (b1 + c1) + (-1.0 + m1 * k11 - m2 * k12))
+        l2 = l2 + h6 * (a2 + 2.0 * (b2 + c2)
+                        + (1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho))
+        l3 = l3 + h6 * (a3 + 2.0 * (b3 + c3) + (m1 * k31 - m2 * k32 + m3 * k33))
+        l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4)
+                        + (m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44))
+        rows += (l1, l2, l3, l4)
+        # the next step's stage 1, on the node this step's stage 4 ended at
+        a1 = -1.0 + l1 * k11 - l2 * k12
+        a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
+        a3 = l1 * k31 - l2 * k32 + l3 * k33
+        a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
+    return rows
 
 
 def costate_march(p: ModelParams, mode: str
@@ -288,68 +356,20 @@ def costate_march(p: ModelParams, mode: str
     means at stages 2 and 3, and returns the ``(n, 4)`` node costates in
     node order, finite or not.  The (x, u)-only terms of ``adjoint_rhs``
     are one array pass over the rows of a ``(5, 2n - 1)`` table of the
-    nodes and midpoints, interleaved last node first.  The eleven term
-    arrays are walked through memoryviews, a (midpoint, node) column pair
-    per step, so no Python-float copy of the table is made; stage 1 of
-    each step is carried from the previous step's node terms (column 0
-    before the first).  Each stage does the arithmetic linear in the
-    costate, bit for bit an RK4 loop over it.
+    nodes and midpoints, interleaved last node first.  ``_backward_body``
+    walks the term arrays through memoryviews, making no Python-float copy
+    of the table, and is bit for bit an RK4 loop over the costate.
     """
     terms = _costate_terms(p, mode)
-    phi, rho, d = p.phi, p.rho, p.d
 
     def march(states, u, h):
-        h = -h
-        h2, h6 = h / 2.0, h / 6.0
         with np.errstate(over="ignore", invalid="ignore"):
             # rows s, i, c, a, u; columns the nodes and midpoints, last node first
             y = np.empty((5, 2 * len(u) - 1))
             y[:4, ::2], y[4, ::2] = states[::-1].T, u[::-1]
             y[:, 1::2] = midpoints(y[:, ::2].T).T
             views = [memoryview(t) for t in terms(*y)]
-        l1, l2, l3, l4 = rows = [0.0] * 4
-        k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = (v[0] for v in views)
-        a1 = -1.0 + l1 * k11 - l2 * k12
-        a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
-        a3 = l1 * k31 - l2 * k32 + l3 * k33
-        a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
-        # one 22-tuple per step, the midpoint's terms (q) then the end node's
-        # (k); unpacked in the for target, so zip reuses it
-        for (q11, q12, q21, q22, q31, q32, q33, q41, q42, qc, q44,
-             k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44) in zip(
-                *(v[1::2] for v in views), *(v[2::2] for v in views)):
-            m1 = l1 + h2 * a1
-            m2 = l2 + h2 * a2
-            m3 = l3 + h2 * a3
-            m4 = l4 + h2 * a4
-            b1 = -1.0 + m1 * q11 - m2 * q12
-            b2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
-            b3 = m1 * q31 - m2 * q32 + m3 * q33
-            b4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
-            m1 = l1 + h2 * b1
-            m2 = l2 + h2 * b2
-            m3 = l3 + h2 * b3
-            m4 = l4 + h2 * b4
-            c1 = -1.0 + m1 * q11 - m2 * q12
-            c2 = 1.0 + m1 * q21 - m2 * q22 - m3 * phi - m4 * rho
-            c3 = m1 * q31 - m2 * q32 + m3 * q33
-            c4 = m1 * q41 - m2 * q42 - m3 * d * qc + m4 * q44
-            m1 = l1 + h * c1
-            m2 = l2 + h * c2
-            m3 = l3 + h * c3
-            m4 = l4 + h * c4
-            l1 = l1 + h6 * (a1 + 2.0 * (b1 + c1) + (-1.0 + m1 * k11 - m2 * k12))
-            l2 = l2 + h6 * (a2 + 2.0 * (b2 + c2)
-                            + (1.0 + m1 * k21 - m2 * k22 - m3 * phi - m4 * rho))
-            l3 = l3 + h6 * (a3 + 2.0 * (b3 + c3) + (m1 * k31 - m2 * k32 + m3 * k33))
-            l4 = l4 + h6 * (a4 + 2.0 * (b4 + c4)
-                            + (m1 * k41 - m2 * k42 - m3 * d * c + m4 * k44))
-            rows += (l1, l2, l3, l4)
-            # the next step's stage 1, on the node this step's stage 4 ended at
-            a1 = -1.0 + l1 * k11 - l2 * k12
-            a2 = 1.0 + l1 * k21 - l2 * k22 - l3 * phi - l4 * rho
-            a3 = l1 * k31 - l2 * k32 + l3 * k33
-            a4 = l1 * k41 - l2 * k42 - l3 * d * c + l4 * k44
+        rows = _backward_body(0.0, 0.0, 0.0, 0.0, views, -h, p)
         return np.array(rows, dtype=float).reshape(-1, 4)[::-1]
     return march
 

@@ -136,7 +136,7 @@ def update_control(prob: OcProblem, x: Trajectory, lam: Trajectory,
                    u_old: np.ndarray, weight: float) -> np.ndarray:
     """Relaxed control update: weight * clamped law + (1 - weight) * old."""
     u_old = x.grid.node_values("control", u_old)
-    if lam.grid.node_count != x.grid.node_count:
+    if lam.grid != x.grid:
         raise ValueError("state and costate grids must agree")
     law = prob.control_law(x.states, lam.states)
     return weight * law + (1.0 - weight) * u_old

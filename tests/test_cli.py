@@ -678,6 +678,16 @@ class TestExitContract:
         artifacts = [] if stem is None else [f"{stem}.csv", f"{stem}.manifest.json"]
         assert sorted(os.listdir(cwd)) == artifacts
 
+    @pytest.mark.parametrize("argv", [["simulate", "--method", "rk4"], ["--version"]],
+                             ids=["simulate", "version"])
+    def test_closed_stdout_is_an_io_error(self, tmp_path, capsys, monkeypatch, argv):
+        # the interpreter sets sys.stdout to None when it starts with fd 1
+        # closed; main refuses before it computes or writes anything
+        monkeypatch.chdir(tmp_path)
+        code = entry_exit(monkeypatch, None, argv)
+        assert (code, capsys.readouterr().err) == (4, "error: io: [Errno 9] stdout is closed\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_full_stdout_through_the_interpreter(self, tmp_path, unbuffered):

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ import pytest
 from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rhs,
                     hamiltonian, integrate_fixed, objective, optimal_control_law,
                     rhs_absolute, running_cost, sica_problem)
-from sicaoc.model import controlled_field, controlled_march, costate_march
+from sicaoc.model import (ADJOINT_MODES, _backward_body, _costate_terms, _forward_body,
+                          controlled_field, controlled_march, costate_march, midpoints)
 
 from reference import draw_params, ref_rhs
 
@@ -188,6 +189,44 @@ class TestOneRk4Arithmetic:
             grid = TimeGrid(0.0, horizon, steps)
             assert grid.h <= 0.5
             self.assert_same_march(p, grid, rng.dirichlet(np.ones(4)))
+
+
+class TestMarchBodiesOnArrays:
+    """Each march body on float64 arrays, a column per scenario, gives every column
+    the bits of its own scalar march."""
+
+    GRID = TimeGrid(0.0, 20.0, 200)
+
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_forward_body(self, batch):
+        rng = np.random.default_rng(22)
+        p, h, n = draw_params(rng), self.GRID.h, self.GRID.node_count
+        betas = rng.uniform(0.1, 3.0, batch)
+        x0 = rng.dirichlet(np.ones(4), batch)
+        u = rng.uniform(0.0, 0.9, (n, batch))
+        nodes, mids = ((1.0 - v) * betas for v in (u, midpoints(u)))
+        states = np.array(_forward_body(*x0.T, nodes, mids, h, p)).reshape(n, 4, batch)
+        for j, beta in enumerate(betas):
+            scalar = controlled_march(replace(p, beta=float(beta)))(x0[j], u[:, j], h)
+            assert states[..., j].tobytes() == scalar.tobytes()
+
+    @pytest.mark.parametrize("mode", ADJOINT_MODES)
+    @pytest.mark.parametrize("batch", [1, 64])
+    def test_backward_body(self, batch, mode):
+        rng = np.random.default_rng(23)
+        p, h, n = draw_params(rng), self.GRID.h, self.GRID.node_count
+        states = rng.dirichlet(np.ones(4), (n, batch)).transpose(0, 2, 1)
+        u = rng.uniform(0.0, 0.9, (n, batch))
+        # rows s, i, c, a, u; the nodes and midpoints, last node first; a column per scenario
+        y = np.empty((5, 2 * n - 1, batch))
+        y[:4, ::2], y[4, ::2] = states[::-1].transpose(1, 0, 2), u[::-1]
+        y[:, 1::2] = 0.5 * (y[:, 2::2] + y[:, :-2:2])
+        rows = _backward_body(*np.zeros((4, batch)), _costate_terms(p, mode)(*y), -h, p)
+        costates = np.array(rows).reshape(n, 4, batch)[::-1]
+        march = costate_march(p, mode)
+        for j in range(batch):
+            scalar = march(states[..., j], u[:, j], h)
+            assert costates[..., j].tobytes() == scalar.tobytes()
 
 
 def traced_peak(call):

@@ -221,10 +221,14 @@ class TestUpdateControl:
         out = update_control(problem, x, lam, u_old, 0.5)
         np.testing.assert_array_equal(out, np.full(5, 0.25))
 
-    def test_state_and_costate_grids_must_agree(self, problem):
-        u = np.zeros(5)
-        x = forward_pass(problem, u, TimeGrid(0.0, 2.0, 4))
-        lam = Trajectory(TimeGrid(0.0, 2.0, 3), np.zeros((4, 4)))
+    @pytest.mark.parametrize("state_grid, costate_grid", [
+        (TimeGrid(0.0, 2.0, 4), TimeGrid(0.0, 2.0, 3)),
+        (TimeGrid(0.0, 20.0, 100), TimeGrid(0.0, 10.0, 100)),
+    ], ids=["node-count", "horizon"])
+    def test_state_and_costate_grids_must_agree(self, problem, state_grid, costate_grid):
+        u = np.zeros(state_grid.node_count)
+        x = forward_pass(problem, u, state_grid)
+        lam = Trajectory(costate_grid, np.zeros((costate_grid.node_count, 4)))
         with pytest.raises(ValueError, match="^state and costate grids must agree$"):
             update_control(problem, x, lam, u, 0.5)
 
