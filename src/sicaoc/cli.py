@@ -579,8 +579,12 @@ def main(argv=None) -> int:
         return code
     except tuple(FAILURES) as exc:
         category, code = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
-        # one line, whatever whitespace the message holds
-        print(f"error: {category}: {' '.join(str(exc).split())}", file=sys.stderr)
+        # one line, whatever whitespace the message holds; none on a closed stderr
+        if sys.stderr is not None:
+            try:
+                print(f"error: {category}: {' '.join(str(exc).split())}", file=sys.stderr)
+            except OSError:
+                pass
         return code
 
 

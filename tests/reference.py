@@ -3,13 +3,26 @@
 The fraction field as first written, a length-4 numpy array per call,
 the sweep's convergence margin as a per-pair fold, and the random rate
 sets the bitwise tests draw.  The package's float kernels must give
-these bits exactly.  Each test module keeps the references only it uses.
+these bits exactly, and ``assert_same_bits`` is the one check of that
+claim: equal float64 bytes, so the sign of every zero and every NaN
+payload counts.  Each test module keeps the references only it uses.
 pytest does not collect this module; the tests import it by name.
 """
 
 import numpy as np
 
 from sicaoc import ModelParams
+
+
+def assert_same_bits(got, want):
+    """Assert that ``got`` and ``want`` are the same float64 array, byte for byte.
+
+    ``np.array_equal`` counts ``-0.0 == 0.0`` and fails NaN against NaN;
+    equal bytes count the sign of a zero and the payload of a NaN.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    assert got.tobytes() == want.tobytes(), (got, want)
 
 
 def ref_rhs(p, x, u=0.0):

@@ -610,6 +610,13 @@ class FullStdout:
         return self.fd
 
 
+class ClosedStderr:
+    """A stderr whose descriptor was closed under it: every write fails with EBADF."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 @pytest.fixture
 def full_stdout(request):
     """A ``FullStdout``, unbuffered if the test parametrizes it indirectly with True."""
@@ -686,6 +693,22 @@ class TestExitContract:
         monkeypatch.chdir(tmp_path)
         code = entry_exit(monkeypatch, None, argv)
         assert (code, capsys.readouterr().err) == (4, "error: io: [Errno 9] stdout is closed\n")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("stderr", [None, ClosedStderr()], ids=["none", "ebadf"])
+    @pytest.mark.parametrize("argv, code", [(["simulate", "--method", "rk3"], 2),
+                                            (["optimize"], 3)], ids=["usage", "numeric"])
+    def test_closed_stderr_keeps_the_exit_code(self, tmp_path, capsys, monkeypatch,
+                                               stderr, argv, code):
+        # the interpreter sets sys.stderr to None when it starts with fd 2
+        # closed; a stderr closed later fails its write with EBADF
+        def fail(*args):
+            raise NumericalFailure("probe")
+        monkeypatch.setattr("sicaoc.cli.solve", fail)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == ("", "")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -11,6 +11,8 @@ from sicaoc import (AdaptiveSettings, IntegrationFailure, NumericalFailure,
 from sicaoc.integrators import _DP_B5, _DP_ERR, march_trajectory
 from sicaoc.model import controlled_field
 
+from reference import assert_same_bits
+
 # terminal state of the default scenario at t=20, frozen from a
 # fixed-step RK4 run with one million steps (a 500k-step run agrees to
 # 1.7e-14 per component)
@@ -104,7 +106,7 @@ class TestMarchTrajectory:
         rows = np.arange(44.0).reshape(11, 4)
         traj = march_trajectory(self.GRID, rows[::-1], "march failed")
         assert traj.states.flags.c_contiguous
-        np.testing.assert_array_equal(traj.states, np.arange(44.0).reshape(11, 4)[::-1])
+        assert_same_bits(traj.states, np.arange(44.0).reshape(11, 4)[::-1])
         rows[:] = np.nan
         assert np.isfinite(traj.states).all()
 
@@ -147,7 +149,7 @@ class TestSteps:
 
     def test_euler_zero_field_is_identity(self):
         x = np.array([0.6, 0.2, 0.1, 0.1])
-        assert np.array_equal(step_euler(zero_field, 3.0, x, 0.2), x)
+        assert_same_bits(step_euler(zero_field, 3.0, x, 0.2), x)
 
     def test_euler_on_model_field(self, params, x0):
         out = step_euler(controlled_field(params), 0.0, x0, 0.2)
@@ -172,7 +174,7 @@ class TestSteps:
 
     def test_rk4_zero_field_is_identity(self):
         x = np.array([1.0, -2.0, 0.5, 0.0])
-        assert np.array_equal(step_rk4(zero_field, 0.0, x, 1.0), x)
+        assert_same_bits(step_rk4(zero_field, 0.0, x, 1.0), x)
 
     def test_rk4_pure_time_field(self):
         out = step_rk4(lambda t, x: np.array([t] * 4), 0.0, np.zeros(4), 1.0)
@@ -207,14 +209,14 @@ class TestSteps:
 class TestIntegrateFixed:
     def test_first_node_is_initial_state(self, params, x0):
         traj = integrate_fixed("rk4", controlled_field(params), TimeGrid(0.0, 20.0, 100), x0)
-        assert np.array_equal(traj.states[0], x0)
+        assert_same_bits(traj.states[0], x0)
 
     def test_single_step_grid_equals_one_step(self):
         grid = TimeGrid(0.0, 0.5, 1)
         for method, step in (("euler", step_euler), ("rk2", step_rk2),
                              ("rk4", step_rk4)):
             traj = integrate_fixed(method, exponential, grid, X4)
-            assert np.array_equal(traj.states[1], step(exponential, 0.0, X4, 0.5))
+            assert_same_bits(traj.states[1], step(exponential, 0.0, X4, 0.5))
 
     def test_euler_closed_form(self):
         for n in (10, 64):
@@ -265,7 +267,7 @@ class TestIntegrateFixed:
         f = controlled_field(params)
         a = integrate_fixed("rk2", f, grid, x0)
         b = integrate_fixed("rk2", f, grid, x0)
-        assert np.array_equal(a.states, b.states)
+        assert_same_bits(a.states, b.states)
 
 
 class TestIntegrateDp45:
@@ -279,7 +281,7 @@ class TestIntegrateDp45:
         traj = integrate_dp45(zero_field, 0.0, 10.0, x0,
                               AdaptiveSettings(reltol=0.5, abstol=0.5),
                               TimeGrid(0.0, 10.0, 5))
-        assert np.array_equal(traj.states, np.tile(x0, (6, 1)))
+        assert_same_bits(traj.states, np.tile(x0, (6, 1)))
 
     def test_model_terminal_state_vs_fine_rk4(self, reference_101):
         np.testing.assert_allclose(reference_101.states[-1], FINE_RK4_TERMINAL,
@@ -311,7 +313,7 @@ class TestIntegrateDp45:
         grid = TimeGrid(0.0, 20.0, 100)
         a = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
         b = integrate_dp45(f, 0.0, 20.0, x0, AdaptiveSettings(), grid)
-        assert np.array_equal(a.states, b.states)
+        assert_same_bits(a.states, b.states)
 
 
 @settings(max_examples=300)
@@ -326,4 +328,4 @@ def test_dot_weighted_sums_equal_the_matmul_bytes(n, seed):
     zero = rng.random((7, n)) < 0.2
     k[zero] = 0.0 * sign[zero]
     for weights in (_DP_B5, _DP_ERR):
-        assert weights.dot(k).tobytes() == (weights @ k).tobytes()
+        assert_same_bits(weights.dot(k), weights @ k)

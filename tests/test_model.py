@@ -10,7 +10,7 @@ from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rh
 from sicaoc.model import (ADJOINT_MODES, _backward_body, _costate_terms, _forward_body,
                           controlled_field, controlled_march, costate_march, midpoints)
 
-from reference import draw_params, ref_rhs
+from reference import assert_same_bits, draw_params, ref_rhs
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -85,8 +85,7 @@ class TestRhsAbsolute:
         rng = np.random.default_rng(7)
         for _ in range(20):
             x = rng.uniform(0.01, 1.0, 4)
-            np.testing.assert_array_equal(rhs_absolute(params, 2.0 * x),
-                                          2.0 * rhs_absolute(params, x))
+            assert_same_bits(rhs_absolute(params, 2.0 * x), 2.0 * rhs_absolute(params, x))
 
     def test_empty_population_rejected(self, params):
         with pytest.raises(ValueError, match="^total population must be positive"):
@@ -134,8 +133,8 @@ class TestControlledField:
         for _ in range(25):
             x = random_state(rng)
             # numpy scalars at an explicit u = 0 against the integrators' call on floats
-            assert np.array_equal(controlled_field(params)(0.0, x, 0.0),
-                                  controlled_field(params)(0.0, x.tolist()))
+            assert_same_bits(controlled_field(params)(0.0, x, 0.0),
+                             controlled_field(params)(0.0, x.tolist()))
 
     def test_any_control_matches_the_per_call_rate_sums_bitwise(self):
         # the Hamiltonian's path: random rates, u inside and outside [0, 1],
@@ -146,10 +145,10 @@ class TestControlledField:
             got = controlled_field(p)
             x = rng.dirichlet(np.ones(4)).tolist()
             for u in (rng.uniform(0.0, 1.0), rng.uniform(-3.0, 0.0), rng.uniform(1.0, 4.0)):
-                assert np.array(got(0.0, x, u)).tobytes() == ref_rhs(p, x, u).tobytes()
+                assert_same_bits(got(0.0, x, u), ref_rhs(p, x, u))
             stack = rng.dirichlet(np.ones(4), 50).T
             u = rng.uniform(-3.0, 4.0, 50)
-            assert np.stack(got(0.0, stack, u)).tobytes() == ref_rhs(p, stack, u).tobytes()
+            assert_same_bits(got(0.0, stack, u), ref_rhs(p, stack, u))
 
     def test_full_control_removes_infection_term(self, params):
         out = controlled_field(params)(0.0, X0, 1.0)
@@ -173,7 +172,7 @@ class TestOneRk4Arithmetic:
     def assert_same_march(p, grid, x0):
         stepped = integrate_fixed("rk4", controlled_field(p), grid, x0).states
         marched = controlled_march(p)(x0, np.zeros(grid.node_count), grid.h)
-        assert np.array_equal(stepped, marched)
+        assert_same_bits(stepped, marched)
 
     @pytest.mark.parametrize("steps", [100, 1000])
     def test_default_scenario(self, params, steps):
@@ -208,7 +207,7 @@ class TestMarchBodiesOnArrays:
         states = np.array(_forward_body(*x0.T, nodes, mids, h, p)).reshape(n, 4, batch)
         for j, beta in enumerate(betas):
             scalar = controlled_march(replace(p, beta=float(beta)))(x0[j], u[:, j], h)
-            assert states[..., j].tobytes() == scalar.tobytes()
+            assert_same_bits(states[..., j], scalar)
 
     @pytest.mark.parametrize("mode", ADJOINT_MODES)
     @pytest.mark.parametrize("batch", [1, 64])
@@ -226,7 +225,7 @@ class TestMarchBodiesOnArrays:
         march = costate_march(p, mode)
         for j in range(batch):
             scalar = march(states[..., j], u[:, j], h)
-            assert costates[..., j].tobytes() == scalar.tobytes()
+            assert_same_bits(costates[..., j], scalar)
 
 
 def traced_peak(call):
