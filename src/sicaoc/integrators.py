@@ -17,6 +17,13 @@ component on Python floats, which keeps numpy's per-call overhead out
 of the step loops; the results equal the element-wise numpy arithmetic
 bit for bit.  The field's values are unpacked, so a field that returns
 the wrong number of values raises ``ValueError``.
+
+A field may carry its own fused RK4 march as the attribute
+``rk4_march(x0, grid)``, returning the flat node rows that stepping
+``step_rk4`` across ``grid`` would collect; the SICA model's field does
+(``model.controlled_field``).  ``integrate_fixed("rk4", ...)`` then calls
+it once instead of stepping.  A field without it, or a wrapper around
+one, steps as before, and both routes pass through ``march_trajectory``.
 """
 
 from __future__ import annotations
@@ -172,17 +179,27 @@ FIXED_METHODS = tuple(STEPPERS)
 
 def integrate_fixed(method: str, f: VectorField, grid: TimeGrid,
                     x0: Sequence[float]) -> Trajectory:
-    """March a fixed-step method across ``grid``; fail at the first non-finite node."""
+    """March a fixed-step method across ``grid``; fail at the first non-finite node.
+
+    For ``"rk4"`` on a field with a ``rk4_march`` attribute (see the module
+    docstring) that one call gives the rows; any other field or method
+    steps.  The node rows of either route get the one check of
+    ``march_trajectory``, so a failure names the same node, t and message.
+    """
     try:
         step = STEPPERS[method]
     except KeyError:
         raise ValueError(f"unknown fixed-step method {method!r}") from None
     x = four_state(x0).tolist()
-    t0, h = grid.t0, grid.h
-    rows = list(x)
-    for k in range(grid.steps):
-        x = step(f, t0 + k * h, x, h)
-        rows += x
+    march = getattr(f, "rk4_march", None) if method == "rk4" else None
+    if march is not None:
+        rows = march(x, grid)
+    else:
+        t0, h = grid.t0, grid.h
+        rows = list(x)
+        for k in range(grid.steps):
+            x = step(f, t0 + k * h, x, h)
+            rows += x
     states = np.array(rows, dtype=float).reshape(grid.node_count, 4)
     return march_trajectory(grid, states, f"{method} produced a non-finite state")
 

@@ -14,10 +14,12 @@ fractions, ``(S, I, C, A)`` for absolute counts and
 return numpy arrays over the float kernels ``controlled_field`` and
 ``_costate_terms``.  Only ``controlled_field`` reaches the integrators:
 it is their field ``f(t, x)``, on Python floats to skip numpy's per-call
-overhead.  The sweep's RK4 passes are one call each to ``controlled_march``
-(forward) and ``costate_march`` (backward), each the feed of one body,
-``_forward_body`` or ``_backward_body``: the arithmetic of ``controlled_field``
-or ``adjoint_rhs`` written out per stage once, on Python floats for one
+overhead, and its ``rk4_march`` attribute is the fused RK4 march that
+``integrate_fixed`` runs in place of stepping.  The sweep's RK4 passes are
+one call each to ``controlled_march`` (forward) and ``costate_march``
+(backward), each the feed of one body, ``_forward_body`` or
+``_backward_body``: the arithmetic of ``controlled_field`` or
+``adjoint_rhs`` written out per stage once, on Python floats for one
 scenario or, with the same bits, on float64 arrays of a column per scenario.
 The backward feed is memoryviews of the term arrays: no Python-float copy.
 """
@@ -116,6 +118,13 @@ def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
     ``rho + phi + b - aux2`` left to right, so ``rpb - aux2`` gives its
     bits.  On the simplex s+i+c+a = 1 the four components sum to zero,
     so the dynamics preserve it.
+
+    The field carries one attribute, ``rk4_march(x0, grid)``: the node
+    rows of ``controlled_march`` at zero control on ``grid`` from the four
+    floats x0, as one flat list.  ``integrate_fixed`` runs it in place of
+    ``step_rk4``, bit for bit the same states (``simulate --method rk4``,
+    ``compare`` and ``orders`` take it); a wrapper around the field lacks
+    it, so a wrapped field steps as before.
     """
     b, beta, eta_c, eta_a = p.b, p.beta, p.eta_c, p.eta_a
     phi, rho, alpha, omega, d = p.phi, p.rho, p.alpha, p.omega, p.d
@@ -129,6 +138,13 @@ def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
                 aux1 - (rpb - aux2) * i + alpha * a + omega * c,
                 phi * i - (ob - aux2) * c,
                 rho * i - (abd - aux2) * a)
+
+    def rk4_march(x0, grid):
+        # controlled_march at u = 0: every stage rate (1.0 - 0.0) * beta is beta
+        rates = [beta] * grid.node_count
+        return _forward_body(*x0, rates, rates, grid.h, p)
+
+    field.rk4_march = rk4_march
     return field
 
 

@@ -4,13 +4,14 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sicaoc import (ControlBounds, ModelParams, TimeGrid, Trajectory, adjoint_rhs,
-                    hamiltonian, integrate_fixed, objective, optimal_control_law,
-                    rhs_absolute, running_cost, sica_problem)
+from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, TimeGrid, Trajectory,
+                    adjoint_rhs, hamiltonian, integrate_fixed, integrators, objective,
+                    optimal_control_law, rhs_absolute, running_cost, sica_problem)
 from sicaoc.model import (ADJOINT_MODES, _backward_body, _costate_terms, _forward_body,
                           controlled_field, controlled_march, costate_march, midpoints)
 
 from reference import assert_same_bits, draw_params, ref_rhs
+from test_golden import COMMANDS, GOLDEN, run_digests
 
 X0 = np.array([0.6, 0.2, 0.1, 0.1])
 
@@ -170,7 +171,9 @@ class TestOneRk4Arithmetic:
 
     @staticmethod
     def assert_same_march(p, grid, x0):
-        stepped = integrate_fixed("rk4", controlled_field(p), grid, x0).states
+        f = controlled_field(p)
+        # wrapped, the field carries no rk4_march, so integrate_fixed calls step_rk4
+        stepped = integrate_fixed("rk4", lambda t, x: f(t, x), grid, x0).states
         marched = controlled_march(p)(x0, np.zeros(grid.node_count), grid.h)
         assert_same_bits(stepped, marched)
 
@@ -188,6 +191,59 @@ class TestOneRk4Arithmetic:
             grid = TimeGrid(0.0, horizon, steps)
             assert grid.h <= 0.5
             self.assert_same_march(p, grid, rng.dirichlet(np.ones(4)))
+
+
+class TestFusedRk4Route:
+    """``integrate_fixed``'s rk4 on the model field takes the field's fused march: the
+    bits and the failure of the stepped route on the same field, wrapped, and the
+    CLI's rk4 runs never call the stepper."""
+
+    @staticmethod
+    def routes(p, grid, x0):
+        """The fused route (the field itself) and the stepped one (the field wrapped)."""
+        f = controlled_field(p)
+        return [lambda g=g: integrate_fixed("rk4", g, grid, x0)
+                for g in (f, lambda t, x: f(t, x))]
+
+    @pytest.mark.parametrize("steps", [1, 7, 100, 800])
+    def test_same_bits_as_the_stepped_route(self, steps):
+        rng = np.random.default_rng(43 + steps)
+        for _ in range(25):
+            p = draw_params(rng)
+            # h <= 0.5, as in TestOneRk4Arithmetic
+            grid = TimeGrid(0.0, min(steps, 60) * rng.uniform(0.05, 0.5), steps)
+            x0 = rng.dirichlet(np.ones(4))
+            fused, stepped = (run().states for run in self.routes(p, grid, x0))
+            assert_same_bits(fused, stepped)
+
+    def test_overflow_fails_at_the_stepped_route_node(self, params):
+        # on the simplex but off the admissible set: the states overflow at node 11
+        failures = []
+        for run in self.routes(params, TimeGrid(0.0, 20.0, 100), [-5.0, 6.0, 0.0, 0.0]):
+            with pytest.raises(IntegrationFailure) as exc:
+                run()
+            failures.append(exc.value)
+        fused, stepped = failures
+        assert fused.node == stepped.node == 11
+        assert_same_bits(fused.t, stepped.t)
+        assert str(fused) == str(stepped) == "rk4 produced a non-finite state at node 11"
+
+    def test_wrapped_field_is_called_four_times_per_step(self, params):
+        f, calls = controlled_field(params), []
+
+        def counted(t, x):
+            calls.append(t)
+            return f(t, x)
+        integrate_fixed("rk4", counted, TimeGrid(0.0, 20.0, 800), X0)
+        assert len(calls) == 4 * 800
+
+    @pytest.mark.parametrize("key", ["orders", "compare"])
+    def test_cli_rk4_runs_never_step(self, key, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("step_rk4 called")
+        # integrate_fixed looks its stepper up in STEPPERS
+        monkeypatch.setitem(integrators.STEPPERS, "rk4", refuse)
+        assert run_digests(COMMANDS[key], tmp_path) == GOLDEN[key]
 
 
 class TestMarchBodiesOnArrays:

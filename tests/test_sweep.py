@@ -68,7 +68,9 @@ class TestForwardPass:
     def test_zero_control_matches_fixed_rk4_bitwise(self, params, problem):
         grid = TimeGrid(0.0, 20.0, 100)
         swept = forward_pass(problem, np.zeros(101), grid)
-        plain = integrate_fixed("rk4", controlled_field(params), grid, X0)
+        f = controlled_field(params)
+        # wrapped, so integrate_fixed steps step_rk4 instead of the field's fused march
+        plain = integrate_fixed("rk4", lambda t, x: f(t, x), grid, X0)
         assert_same_bits(swept.states, plain.states)
 
     def test_single_interval_uses_endpoint_and_midpoint_controls(self, params, problem):
@@ -352,7 +354,9 @@ class TestSolve:
         prob = sica_problem(params, ControlBounds(0.0), X0)
         result = solve(prob, SweepSettings(grid=grid))
         assert np.array_equal(result.control, np.zeros(201))
-        plain = integrate_fixed("rk4", controlled_field(params), grid, X0)
+        f = controlled_field(params)
+        # wrapped, so integrate_fixed steps step_rk4 instead of the field's fused march
+        plain = integrate_fixed("rk4", lambda t, x: f(t, x), grid, X0)
         assert_same_bits(result.states.states, plain.states)
 
     def test_exhaustion_raises_with_last_iterate(self, params):
