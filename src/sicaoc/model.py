@@ -148,11 +148,6 @@ def controlled_field(p: ModelParams) -> Callable[..., tuple[float, ...]]:
     return field
 
 
-def _floats(v) -> list[float]:
-    # Python floats give the same bits as numpy float64 scalars, faster
-    return np.asarray(v, dtype=float).tolist()
-
-
 def running_cost(x: np.ndarray, u: float | np.ndarray) -> float | np.ndarray:
     """Integrand s - i - u^2 of the maximized objective; one value per node of stacks."""
     return x[..., 0] - x[..., 1] - u * u
@@ -220,8 +215,8 @@ def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
     and exists for comparison runs only.
     """
     k11, k12, k21, k22, k31, k32, k33, k41, k42, c, k44 = _costate_terms(p, mode)(
-        *_floats(x), u)
-    l1, l2, l3, l4 = _floats(lam)
+        *map(float, x), float(u))
+    l1, l2, l3, l4 = map(float, lam)
     return np.array([-1.0 + l1 * k11 - l2 * k12,
                      1.0 + l1 * k21 - l2 * k22 - l3 * p.phi - l4 * p.rho,
                      l1 * k31 - l2 * k32 + l3 * k33,

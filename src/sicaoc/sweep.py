@@ -146,10 +146,10 @@ def relative_change_test(old: np.ndarray, new: np.ndarray, delta: float) -> floa
     """Signed convergence margin of two ``(k, n)`` stacks, nonnegative once all rows settle.
 
     Row j contributes ``delta * sum|new[j]| - sum|old[j] - new[j]|``; the
-    margin is the smallest contribution, and NaN if any contribution is
-    NaN, so a NaN never passes for convergence.  The stacks are summed
-    C-ordered, copied if they are not, so each row gives the bits of a
-    vector of its own.  Empty or mismatched stacks raise ``ValueError``.
+    margin is the smallest contribution, or NaN of unspecified sign bit
+    (numpy's min picks it) if any is NaN, so a NaN never passes for
+    convergence.  C-ordered stacks, copied if not, give each row the bits
+    of a vector of its own.  Empty or mismatched stacks raise ``ValueError``.
     """
     old = np.ascontiguousarray(old, dtype=float)
     new = np.ascontiguousarray(new, dtype=float)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -404,6 +405,24 @@ class TestAdjointRhs:
             np.testing.assert_array_equal(diff[:3], 0.0)
             assert diff[3] == pytest.approx(2.0 * lam[0] * params.d * x[0],
                                             rel=1e-12, abs=1e-15)
+
+    def test_any_point_sequence_gives_the_bits_of_python_floats(self, params):
+        # a list, a tuple or an array, with u a float or an np.float64, is one
+        # point on Python floats; an overflow is inf or NaN with no warning
+        x, lam = [0.6, 0.2, 0.1, 0.1], [1.5, -0.25, 2.0, 0.75]
+        want = adjoint_rhs(params, x, lam, 0.3)
+        for box in (list, tuple, np.array):
+            for u in (0.3, np.float64(0.3)):
+                assert_same_bits(adjoint_rhs(params, box(x), box(lam), u), want)
+        x, lam = [1e308, 1e308, 0.0, 0.0], [1e308, 0.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [adjoint_rhs(params, box(x), box(lam), u)
+                   for box in (list, np.array) for u in (0.0, np.float64(0.0))]
+        for other in got[1:]:
+            assert_same_bits(other, got[0])
+        # the NaN is inf - inf, whose sign bit the hardware picks
+        assert_same_bits(abs(got[0]), [np.inf, np.inf, np.inf, np.nan])
 
     def test_unknown_mode(self, params):
         # the point function and the sweep's problem both name the bad mode
