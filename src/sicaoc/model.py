@@ -10,18 +10,11 @@ objective of the control problem, the Hamiltonian, the costate
 
 State vectors are length-4 sequences ordered ``(s, i, c, a)`` for
 fractions, ``(S, I, C, A)`` for absolute counts and
-``(lambda1, ..., lambda4)`` for costates.  The public functions take and
-return numpy arrays over the float kernels ``controlled_field`` and
-``_costate_terms``.  Only ``controlled_field`` reaches the integrators:
-it is their field ``f(t, x)``, on Python floats to skip numpy's per-call
-overhead, and its ``rk4_march`` attribute is the fused RK4 march that
-``integrate_fixed`` runs in place of stepping.  The sweep's RK4 passes are
-one call each to ``controlled_march`` (forward) and ``costate_march``
-(backward), each the feed of one body, ``_forward_body`` or
-``_backward_body``: the arithmetic of ``controlled_field`` or
-``adjoint_rhs`` written out per stage once, on Python floats for one
-scenario or, with the same bits, on float64 arrays of a column per scenario.
-The backward feed is memoryviews of the term arrays: no Python-float copy.
+``(lambda1, ..., lambda4)`` for costates.  The public point functions
+take and return numpy arrays over two float kernels: ``controlled_field``,
+the integrators' field, and ``_costate_terms``.  ``controlled_march`` and
+``costate_march`` are the sweep's forward and backward passes, each
+feeding one stage body, ``_forward_body`` or ``_backward_body``.
 """
 
 from __future__ import annotations
@@ -223,11 +216,6 @@ def adjoint_rhs(p: ModelParams, x: np.ndarray, lam: np.ndarray, u: float,
                      l1 * k41 - l2 * k42 - l3 * p.d * c + l4 * k44])
 
 
-def midpoints(v: np.ndarray) -> np.ndarray:
-    """Arithmetic means of neighbouring grid nodes, one per interval."""
-    return 0.5 * (v[1:] + v[:-1])
-
-
 def _forward_body(x1, x2, x3, x4, nodes, mids, h, p):
     """RK4 steps of h from ``(x1, x2, x3, x4)``; the flat list of node rows.
 
@@ -295,7 +283,7 @@ def controlled_march(p: ModelParams) -> Callable[[np.ndarray, np.ndarray, float]
     """
     def march(x0, u, h):
         with np.errstate(over="ignore", invalid="ignore"):
-            nodes, mids = (((1.0 - v) * p.beta).tolist() for v in (u, midpoints(u)))
+            nodes, mids = (((1.0 - v) * p.beta).tolist() for v in (u, 0.5 * (u[1:] + u[:-1])))
         rows = _forward_body(*x0.tolist(), nodes, mids, h, p)
         return np.array(rows, dtype=float).reshape(-1, 4)
     return march
@@ -369,7 +357,8 @@ def costate_march(p: ModelParams, mode: str
     are one array pass over the rows of a ``(5, 2n - 1)`` table of the
     nodes and midpoints, interleaved last node first.  ``_backward_body``
     walks the term arrays through memoryviews, making no Python-float copy
-    of the table, and is bit for bit an RK4 loop over the costate.
+    of the table, and is bit for bit an RK4 loop over ``adjoint_rhs``, for
+    any memory layout of the states and controls.
     """
     terms = _costate_terms(p, mode)
 
@@ -378,7 +367,7 @@ def costate_march(p: ModelParams, mode: str
             # rows s, i, c, a, u; columns the nodes and midpoints, last node first
             y = np.empty((5, 2 * len(u) - 1))
             y[:4, ::2], y[4, ::2] = states[::-1].T, u[::-1]
-            y[:, 1::2] = midpoints(y[:, ::2].T).T
+            y[:, 1::2] = 0.5 * (y[:, 2::2] + y[:, :-2:2])
             views = [memoryview(t) for t in terms(*y)]
         rows = _backward_body(0.0, 0.0, 0.0, 0.0, views, -h, p)
         return np.array(rows, dtype=float).reshape(-1, 4)[::-1]

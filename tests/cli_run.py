@@ -2,10 +2,13 @@
 
 Exit 0 leaves stderr empty; any other exit prints exactly one
 ``error: <category>: <message>`` line, and the exit code is the one
-``cli.FAILURES`` gives that category.  Stdout is a text stream with an
-encoding, strict UTF-8 unless the test names another, as under a UTF-8
-locale other than C; every ``wrote`` line of it names a file.  Runs that do not go through ``cli.main`` here
-(the entry points, a failing stdout, a child interpreter) check the same
+``cli.FAILURES`` gives that category.  A real run prints a warning to
+stderr ahead of that line, so here every warning, of any category, is an
+exception that ``cli.main`` does not catch and fails the run.  Stdout is
+a text stream with an encoding, strict UTF-8 unless the test names
+another, as under a UTF-8 locale other than C; every ``wrote`` line of
+it names a file.  Runs that do not go through ``cli.main`` here (the
+entry points, a failing stdout, a child interpreter) check the same
 contract with ``check_contract``.  pytest does not collect this module;
 the tests import it by name.
 """
@@ -16,6 +19,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,7 +54,7 @@ def run_cli(argv: list[str], doc=None, cwd=None, io_encoding="utf-8:strict") -> 
     the work directory, not in it, so ``files`` holds only what the run
     and the test left there.  Stdout has the encoding and error handler
     of ``io_encoding``, spelled as in ``PYTHONIOENCODING``; a print it
-    cannot encode raises out of ``cli.main``.
+    cannot encode, or any warning, raises out of ``cli.main``.
     """
     with tempfile.TemporaryDirectory() as scratch:
         work = Path(scratch, "run") if cwd is None else Path(cwd)
@@ -65,7 +69,9 @@ def run_cli(argv: list[str], doc=None, cwd=None, io_encoding="utf-8:strict") -> 
         home = os.getcwd()
         os.chdir(work)
         try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings()):
+                warnings.simplefilter("error")
                 code = cli.main(argv)
             stdout = out.buffer.getvalue().decode(encoding, errors)
             written = [line.removeprefix("wrote ") for line in stdout.splitlines()

@@ -510,15 +510,11 @@ class TestIterationCap:
         assert manifest["config"]["control"]["max_iterations"] == MAX_ITERATIONS
 
 
-@pytest.mark.filterwarnings("error")
 class TestOverflowingStages:
     """A stage or step that overflows is reported in one stderr line.
 
     numpy reports an overflow as a RuntimeWarning, which a real run prints
-    to stderr before its error line.  The class's warning filter, which
-    outranks the ini file and ``-W``, makes every warning, of any category,
-    an exception that ``cli.main`` does not catch, so a stray one fails
-    ``run_cli``.
+    to stderr before its error line; ``run_cli`` fails on any warning.
     """
 
     CONFIGS = pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from sicaoc import (ControlBounds, IntegrationFailure, ModelParams, TimeGrid, Tr
                     adjoint_rhs, hamiltonian, integrate_fixed, integrators, objective,
                     optimal_control_law, rhs_absolute, running_cost, sica_problem)
 from sicaoc.model import (ADJOINT_MODES, _backward_body, _costate_terms, _forward_body,
-                          controlled_field, controlled_march, costate_march, midpoints)
+                          controlled_field, controlled_march, costate_march)
 
 from reference import assert_same_bits, draw_params, ref_rhs
 from test_golden import COMMANDS, GOLDEN, run_digests
@@ -260,7 +260,7 @@ class TestMarchBodiesOnArrays:
         betas = rng.uniform(0.1, 3.0, batch)
         x0 = rng.dirichlet(np.ones(4), batch)
         u = rng.uniform(0.0, 0.9, (n, batch))
-        nodes, mids = ((1.0 - v) * betas for v in (u, midpoints(u)))
+        nodes, mids = ((1.0 - v) * betas for v in (u, 0.5 * (u[1:] + u[:-1])))
         states = np.array(_forward_body(*x0.T, nodes, mids, h, p)).reshape(n, 4, batch)
         for j, beta in enumerate(betas):
             scalar = controlled_march(replace(p, beta=float(beta)))(x0[j], u[:, j], h)
